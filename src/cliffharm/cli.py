@@ -201,7 +201,13 @@ def cmd_spherical(args):
     q = SphericalQuery(sigma, TripleElement(g1, g2, h, n))
     direct = spherical_value(q)
     closed = spherical_closed_form(q)
-    assert closed.value == direct
+    if closed.value != direct:
+        print(
+            f"error: closed form {format_gaussian(closed.value)} (family {closed.family}) "
+            f"!= direct summation {format_gaussian(direct)}",
+            file=sys.stderr,
+        )
+        return 1
     _emit(
         args,
         [

@@ -9,7 +9,9 @@ Three matrix flavours:
 * ScaledMatrix -- a Matrix together with a power of sqrt(2); the only
                irrationals in the theory are sqrt(2^k) normalization factors.
 
-Nullspaces are computed by exact Gaussian elimination on sparse rows; no
+Every intertwiner constraint between monomial images with phases in
+{+/-1, +/-i} reads x[a] = i^k x[b]; such a system is a gain graph over Z/4,
+solved by gain_graph_nullspace with a union-find on integer exponents.  No
 floating point anywhere.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, ZERO, ONE, gr
+from .exact import GaussianRational, ZERO, ONE, I, MINUS_ONE, gr
 
 
 class Matrix:
@@ -201,13 +203,17 @@ class ScaledMatrix:
     """2^(half/2) * matrix; keeps sqrt(2) factors exact.
 
     half is an integer exponent of sqrt(2).  The canonical form keeps
-    half in {0, 1} by absorbing whole powers of two into the matrix.
+    half in {0, 1} by absorbing whole powers of two into the matrix, and
+    half = 0 for a zero matrix; equality and hashing compare canonical forms.
     """
 
     half: int
     matrix: Matrix
 
     def canonical(self) -> "ScaledMatrix":
+        if self.matrix.is_zero():
+            # zero at any scale is the same matrix
+            return self if self.half == 0 else ScaledMatrix(0, self.matrix)
         r = self.half & 1
         k = (self.half - r) // 2
         if k == 0:
@@ -216,14 +222,14 @@ class ScaledMatrix:
         return ScaledMatrix(r, self.matrix.scale(factor))
 
     def __eq__(self, other):
+        if not isinstance(other, ScaledMatrix):
+            return NotImplemented
         a, b = self.canonical(), other.canonical()
-        if a.half != b.half:
-            # one of them may be zero
-            return a.matrix.is_zero() and b.matrix.is_zero()
-        return a.matrix == b.matrix
+        return a.half == b.half and a.matrix == b.matrix
 
     def __hash__(self):
-        return hash((self.canonical().half,))
+        a = self.canonical()
+        return hash((a.half, a.matrix))
 
     def is_zero(self):
         return self.matrix.is_zero()
@@ -245,56 +251,77 @@ def scaled_hs_inner(t1: ScaledMatrix, t2: ScaledMatrix) -> GaussianRational:
     return base * gr(Fraction(2) ** (h // 2)) if base else ZERO
 
 
-# -- exact sparse nullspace -------------------------------------------------
+# -- unit-phase monomial systems: a gain graph over Z/4 ---------------------
+
+_UNITS = (ONE, I, MINUS_ONE, -I)
+# keyed by the exact (numerator, denominator) of the real and imaginary
+# parts, which is cheaper than hashing the Fractions themselves
+_UNIT_EXPONENT = {
+    (u.re.numerator, u.re.denominator, u.im.numerator, u.im.denominator): k
+    for k, u in enumerate(_UNITS)
+}
 
 
-def sparse_nullspace(rows, ncols):
-    """Nullspace basis of a sparse system.
+def unit_exponent(z: GaussianRational) -> int:
+    """k in Z/4 with z = i^k; ValueError unless z is one of +/-1, +/-i."""
+    re, im = z.re, z.im
+    try:
+        return _UNIT_EXPONENT[re.numerator, re.denominator, im.numerator, im.denominator]
+    except KeyError:
+        raise ValueError(f"{z} is not a unit phase +/-1, +/-i") from None
 
-    rows: iterable of dict {col: GaussianRational} (zero-free).
-    Returns a list of dense vectors (lists of GaussianRational), one per
-    free column, in ascending free-column order.
+
+def gain_graph_nullspace(edges, ncols):
+    """Nullspace of the constraints x[a] = i^k x[b], given as edges (a, b, k).
+
+    The columns joined by edges form components; within one component every
+    x[c] is i^p[c] times the component's root value, with potentials p kept
+    by a union-find.  A component is inconsistent, and forced to zero, when
+    a cycle's gains disagree; a self-loop (c, c, k) with k != 0 is such a
+    cycle, so (c, c, 2) is how a caller forces x[c] = 0.  Returns one vector
+    per consistent component, in order of its smallest column, with entries
+    in {0, +/-1, +/-i} and 1 at that column.
+
+    The solve is exact with no rational arithmetic: potentials are integers
+    reduced mod 4, so nothing overflows and nothing is divided.
     """
-    pivots = {}  # pivot col -> reduced row dict (pivot coefficient 1)
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                coeff = row[lead]
-                row = {c: v / coeff for c, v in row.items()}
-                pivots[lead] = row
-                break
-            factor = row[lead]
-            for c, v in pivots[lead].items():
-                acc = row.get(c, ZERO) - factor * v
-                if acc:
-                    row[c] = acc
-                elif c in row:
-                    del row[c]
-    # back-substitute to reduced echelon form
-    for p in sorted(pivots, reverse=True):
-        row = pivots[p]
-        for q in [c for c in row if c != p and c in pivots]:
-            factor = row[q]
-            for c, v in pivots[q].items():
-                acc = row.get(c, ZERO) - factor * v
-                if acc:
-                    row[c] = acc
-                elif c in row:
-                    del row[c]
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
+    parent = list(range(ncols))
+    pot = [0] * ncols  # x[c] = i^pot[c] x[parent[c]]
+    dead = [False] * ncols  # meaningful at roots only
+
+    def find(c):
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        acc = 0
+        for v in reversed(path):  # nearest the root first
+            acc = (acc + pot[v]) & 3
+            pot[v] = acc
+            parent[v] = c
+        return c
+
+    for a, b, k in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            if (pot[a] - pot[b] - k) & 3:
+                dead[ra] = True
+        else:
+            # x[ra] = i^-pot[a] x[a] = i^(k + pot[b] - pot[a]) x[rb]
+            parent[ra] = rb
+            pot[ra] = (k + pot[b] - pot[a]) & 3
+            dead[rb] = dead[rb] or dead[ra]
+
+    basis = {}  # root -> (vector, potential of the component's smallest column)
+    for c in range(ncols):
+        r = find(c)
+        if dead[r]:
             continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for p, row in pivots.items():
-            coeff = row.get(free)
-            if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return basis
+        if r not in basis:
+            basis[r] = ([ZERO] * ncols, pot[c])
+        vec, p0 = basis[r]
+        vec[c] = _UNITS[(pot[c] - p0) & 3]
+    return [vec for vec, _ in basis.values()]
 
 
 def gram_schmidt(mats):

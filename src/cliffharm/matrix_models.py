@@ -2,9 +2,12 @@
 
 Generator images are built from anticommuting Hermitian unitaries (tensor
 products of 2x2 blocks with entries in {0, +/-1, +/-i}), so every image is a
-generalized permutation matrix.  Intertwiner spaces are exact nullspaces of
-the generator constraint system; traces are checked against the closed-form
-characters, which keeps the two modules mutually verifying.
+generalized permutation matrix whose phases are powers of i.  Each
+intertwiner constraint then ties two cells, T[a] = i^k T[b], and an
+intertwiner space is the nullspace of that gain graph over Z/4, one basis
+vector per consistent component (linalg.gain_graph_nullspace); invariant
+tensors are solved the same way.  Traces are checked against the
+closed-form characters, which keeps the two modules mutually verifying.
 
 The only irrational scalars in the theory are sqrt(2)^k normalization
 factors; those ride along symbolically in ScaledMatrix.
@@ -30,10 +33,17 @@ from .elements import (
     triple_multiply,
 )
 from .characters import IrrepLabel, char_re_im, format_label, irreps, top_phase_re_im
-from .linalg import Matrix, Monomial, ScaledMatrix, hs_inner, sparse_nullspace
+from .linalg import (
+    Matrix,
+    Monomial,
+    ScaledMatrix,
+    gain_graph_nullspace,
+    hs_inner,
+    unit_exponent,
+)
 
 MAX_RHO_MODEL_DEGREE = 6
-MAX_ETA_DEGREE = 2
+MAX_ETA_DEGREE = 3
 
 _PAULI_X = Monomial(2, (1, 0), (ONE, ONE))
 _PAULI_Y = Monomial(2, (1, 0), (I, MINUS_ONE * I))
@@ -270,32 +280,28 @@ def intertwines(t: Matrix, src_rep, dst_rep, g) -> bool:
 
 
 def intertwiner_space(src_rep, dst_rep, generators, verify_on=()) -> IntertwinerBasis:
-    """Exact nullspace of the stacked generator constraints.
+    """Exact basis of the intertwiners, from the generator constraints.
 
-    All representation images here are monomial, so every constraint row has
-    at most two nonzero cells and the elimination stays sparse.  Basis
-    elements are re-verified on `verify_on` group elements.
+    All representation images here are monomial with unit phases, so each
+    constraint ties two cells of T by a power of i and the system is solved
+    as a gain graph.  Basis elements are re-verified on `verify_on` group
+    elements.
     """
     ds, dd = src_rep.dim, dst_rep.dim
-    rows = []
+    edges = []
     for g in generators:
         src = src_rep.image(g)
         dst = dst_rep.image(g)
+        src_k = [unit_exponent(p) for p in src.phase]
         for r in range(dd):
-            i = dst.perm[r]
-            q = dst.phase[r]
-            for c in range(ds):
-                # dst(g)T = T src(g) at entry (i, c):
-                #   q * T[r, c] = src_phase[c] * T[i, src_perm[c]]
-                cell_a = r * ds + c
-                cell_b = i * ds + src.perm[c]
-                if cell_a == cell_b:
-                    coeff = q - src.phase[c]
-                    if coeff:
-                        rows.append({cell_a: coeff})
-                else:
-                    rows.append({cell_a: q, cell_b: -src.phase[c]})
-    vecs = sparse_nullspace(rows, dd * ds)
+            # dst(g)T = T src(g) at entry (dst_perm[r], c):
+            #   i^q T[r, c] = i^src_k[c] T[dst_perm[r], src_perm[c]]
+            q = unit_exponent(dst.phase[r])
+            a0, b0 = r * ds, dst.perm[r] * ds
+            edges.extend(
+                (a0 + c, b0 + src.perm[c], (src_k[c] - q) & 3) for c in range(ds)
+            )
+    vecs = gain_graph_nullspace(edges, dd * ds)
     basis = [
         Matrix([vec[r * ds : (r + 1) * ds] for r in range(dd)]) for vec in vecs
     ]
@@ -398,51 +404,26 @@ class FrobeniusContext:
 
     def invariant_tensors(self):
         """Basis of (V1 (x) V2 (x) W)^(H~): fixed vectors of the diagonal action."""
-        dim = self.triple_rep.dim
-        rows = []
+        edges = []
         for h in enumerate_group(self.m):
             hh = embed(h, self.n)
-            t = TripleElement(hh, hh, hh, self.m)
-            mono = self.triple_rep.image(t)
-            # (pi(t) - 1) v = 0, row per coordinate
-            for r in range(dim):
-                row = {}
-                # pi(t) has entry phase[c] at (perm[c], c)
-                # row r of pi(t)-I: phase[c] where perm[c]==r, minus delta
-                # use the inverse permutation for O(1) lookup
-                c = mono.perm.index(r)
-                row[c] = mono.phase[c]
-                row[r] = row.get(r, ZERO) - ONE
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-        return sparse_nullspace(rows, dim)
+            mono = self.triple_rep.image(TripleElement(hh, hh, hh, self.m))
+            # pi(t) v = v at coordinate perm[c]: v[perm[c]] = phase[c] v[c]
+            edges.extend(
+                (r, c, unit_exponent(p))
+                for c, (r, p) in enumerate(zip(mono.perm, mono.phase))
+            )
+        return gain_graph_nullspace(edges, self.triple_rep.dim)
 
     def operator_from_invariant(self, b) -> ScaledMatrix:
         """Prop-3.3 closed form: [T_B(v1 (x) v2 (x) w)](g1,g2) =
         (sqrt(d1 d2 dt)/|G|) conj B(rho1(g2^-1 g1^-1)v1, rho2(g2^-1)v2, w).
 
         b is the invariant tensor in coordinates; conj B on basis vectors
-        recovers exactly those coordinates.
+        recovers exactly those coordinates, so T_B is the lift of the
+        corollary form tilde_from_invariant(b).
         """
-        n = self.n
-        g_elements = enumerate_group(n)
-        rows = []
-        for g1 in g_elements:
-            for g2 in g_elements:
-                g2i = inverse(g2)
-                m1 = self.rep1.image(multiply(g2i, inverse(g1)))
-                m2 = self.rep2.image(g2i)
-                row = []
-                for i in range(self.d1):
-                    for j in range(self.d2):
-                        f = m1.phase[i] * m2.phase[j]
-                        base = (m1.perm[i] * self.d2 + m2.perm[j]) * self.dt
-                        for ell in range(self.dt):
-                            row.append(f * b[base + ell])
-                rows.append(row)
-        half = _log2(self.d1 * self.d2 * self.dt) - 2 * _log2(self.group_order)
-        return ScaledMatrix(half, Matrix(rows)).canonical()
+        return self.hat(self.tilde_from_invariant(b))
 
     def operator_from_invariant_via_cosets(self, b) -> ScaledMatrix:
         """The generic T_w formula: (T_w v)(x) = sqrt(d/|X|) <v, sigma(g_x) w>.

@@ -155,7 +155,8 @@ def subset_sum_lemma(subset_mask: int, n: int) -> int:
     total = sum(
         -1 if (subset_mask & d).bit_count() & 1 else 1 for d in range(1 << n)
     )
-    assert total % (1 << n) == 0
+    if total % (1 << n):
+        raise RuntimeError(f"subset sum {total} is not a multiple of 2^{n}")
     return total >> n
 
 
@@ -318,7 +319,7 @@ def _direct_grid(n: int, slots):
 
     Each slot contributes flattened axes (label, T[, sign]); the sign axis
     is dropped only when the slot's value table is sign-independent (which
-    is asserted, not assumed).  All arithmetic is int64 and exact: term
+    is checked, not assumed).  All arithmetic is int64 and exact: term
     magnitudes are <= 2^(3n/2) and there are 2^(n+1) terms.
     """
     size = 1 << n
@@ -329,8 +330,8 @@ def _direct_grid(n: int, slots):
         for _, _, sign_rel, nlab in slots
     )
     for v_re, _, sign_rel, _ in slots:
-        if not sign_rel:
-            assert np.array_equal(v_re[0], v_re[1])
+        if not sign_rel and not np.array_equal(v_re[0], v_re[1]):
+            raise RuntimeError("a sign-independent value table depends on the sign")
     total_re = np.zeros(shapes, dtype=np.int64)
     total_im = np.zeros(shapes, dtype=np.int64)
     any_im = any(v_im is not None for _, v_im, _, _ in slots)
@@ -354,8 +355,8 @@ def _direct_grid(n: int, slots):
                     a_im = a_im.reshape(-1)
                 parts.append((a_re.reshape(-1), a_im))
             _accumulate_triple_product(total_re, total_im, parts)
-    if not any_im:
-        assert not total_im.any()
+    if not any_im and total_im.any():
+        raise RuntimeError("real value tables summed to a nonzero imaginary part")
     return total_re, total_im
 
 

@@ -202,32 +202,58 @@ def check_spherical_grids(n_max=4, lemma_n_max=10):
     return True, f"grids n = 1..{n_max}, lemma n <= {lemma_n_max}"
 
 
+def frobenius_mismatch(n, m, r1, r2, th):
+    """The first C7 failure for one irrep triple, or None.
+
+    Compares the dimensions of Hom(rho1 x rho2 x theta, eta), of
+    Hom(Res(rho1 (x) rho2), theta'), of the invariant tensors and the
+    character count, then checks that tilde and hat are mutually inverse
+    and that tilde is an isometry.
+    """
+    ctx = FrobeniusContext(n, m, r1, r2, th)
+    d = diagonal_invariant_dim(r1, r2, th)
+    he = ctx.hom_triple_eta()
+    hs = ctx.hom_res_theta_prime()
+    inv = ctx.invariant_tensors()
+    if not he.dimension == hs.dimension == len(inv) == d:
+        return "dimension mismatch"
+    tildes = [ctx.tilde(t) for t in he.basis]
+    for t, tt in zip(he.basis, tildes):
+        if ctx.hat(tt) != ScaledMatrix(0, t):
+            return "hat(tilde) != id"
+    for s in hs.basis:
+        if ctx.tilde(ctx.hat(s)) != ScaledMatrix(0, s):
+            return "tilde(hat) != id"
+    for i, ti in enumerate(he.basis):
+        for j, tj in enumerate(he.basis):
+            if scaled_hs_inner(tildes[i], tildes[j]) != hs_inner(ti, tj):
+                return "isometry fails"
+    return None
+
+
 @_check("C7", "intertwiner isometry: dimensions, round trip, inner products")
-def check_frobenius(pairs=((1, 1), (1, 0), (2, 2), (2, 1))):
-    for n, m in pairs:
-        for r1 in irreps(n):
-            for r2 in irreps(n):
-                for th in irreps(m):
-                    ctx = FrobeniusContext(n, m, r1, r2, th)
-                    d = diagonal_invariant_dim(r1, r2, th)
-                    he = ctx.hom_triple_eta()
-                    hs = ctx.hom_res_theta_prime()
-                    inv = ctx.invariant_tensors()
-                    where = f"(n,m)=({n},{m}), triple ({r1}, {r2}, {th})"
-                    if not he.dimension == hs.dimension == len(inv) == d:
-                        return False, f"dimension mismatch at {where}"
-                    tildes = [ctx.tilde(t) for t in he.basis]
-                    for t, tt in zip(he.basis, tildes):
-                        if ctx.hat(tt) != ScaledMatrix(0, t):
-                            return False, f"hat(tilde) != id at {where}"
-                    for s in hs.basis:
-                        if ctx.tilde(ctx.hat(s)) != ScaledMatrix(0, s):
-                            return False, f"tilde(hat) != id at {where}"
-                    for i, ti in enumerate(he.basis):
-                        for j, tj in enumerate(he.basis):
-                            if scaled_hs_inner(tildes[i], tildes[j]) != hs_inner(ti, tj):
-                                return False, f"isometry fails at {where}"
-    return True, f"(n,m) in {tuple(pairs)}, all irrep triples"
+def check_frobenius(pairs=((1, 1), (1, 0), (2, 2), (2, 1)), spin_pairs=()):
+    """All irrep triples at `pairs`; at `spin_pairs` only rho1, rho2 spin."""
+    triples = [
+        (n, m, r1, r2, th)
+        for n, m in pairs
+        for r1 in irreps(n)
+        for r2 in irreps(n)
+        for th in irreps(m)
+    ]
+    for n, m in spin_pairs:
+        spins = [lab for lab in irreps(n) if lab.kind != "chi"]
+        triples += [
+            (n, m, r1, r2, th) for r1 in spins for r2 in spins for th in irreps(m)
+        ]
+    for n, m, r1, r2, th in triples:
+        err = frobenius_mismatch(n, m, r1, r2, th)
+        if err:
+            return False, f"{err} at (n,m)=({n},{m}), triple ({r1}, {r2}, {th})"
+    detail = f"(n,m) in {tuple(pairs)}, all irrep triples"
+    if spin_pairs:
+        detail += f"; spin rho1, rho2 at {tuple(spin_pairs)}"
+    return True, detail
 
 
 @_check("C8", "character and convolution Gelfand verdicts agree")
@@ -301,7 +327,7 @@ def run_suite(level="desk", seed=0):
             check_restriction_rules(),
             check_orbits(),
             check_spherical_grids(),
-            check_frobenius(),
+            check_frobenius(spin_pairs=((3, 2),) if level == "deep" else ()),
             check_method_agreement(),
             check_oracles(),
         ]

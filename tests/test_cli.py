@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -98,6 +99,25 @@ def test_spherical(capsys):
         "--at", "+g{1,2},+g{1},-g{2,3}",
     )
     assert payload["family"] == "chi-rho-rho"
+
+
+def test_spherical_mismatch_exits_1(capsys, monkeypatch):
+    import cliffharm.cli as cli
+    from cliffharm.orbits import spherical_closed_form
+
+    def wrong(q):
+        res = spherical_closed_form(q)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(cli, "spherical_closed_form", wrong)
+    code, out, err = run(
+        capsys, "spherical", "3",
+        "--triple", "chi:{1},rho+,rho-",
+        "--at", "+g{1,2},+g{1},-g{2,3}",
+    )
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "closed form" in err and "chi-rho-rho" in err
 
 
 def test_verify_smoke(capsys):

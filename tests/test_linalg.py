@@ -2,17 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cliffharm.exact import I, gr
+from cliffharm.exact import I, ONE, ZERO, gr
 from cliffharm.linalg import (
     Matrix,
     Monomial,
     ScaledMatrix,
+    gain_graph_nullspace,
     gram_schmidt,
     hs_inner,
     scaled_hs_inner,
-    sparse_nullspace,
+    unit_exponent,
 )
+from oracles import satisfies, sparse_nullspace
 
 
 def _rand_matrix(rng, rows, cols):
@@ -96,6 +99,24 @@ def test_scaled_matrix_canonical_and_eq():
     assert ScaledMatrix(5, b).canonical().half in (0, 1)
 
 
+def test_scaled_matrix_hash_agrees_with_eq():
+    zero = Matrix.zero(2, 2)
+    zeros = {ScaledMatrix(0, zero), ScaledMatrix(1, zero), ScaledMatrix(-3, zero)}
+    assert len(zeros) == 1
+    b = Matrix([[gr(1)]])
+    assert hash(ScaledMatrix(2, b)) == hash(ScaledMatrix(0, Matrix([[gr(2)]])))
+    assert hash(ScaledMatrix(5, b)) == hash(ScaledMatrix(1, Matrix([[gr(4)]])))
+    assert len({ScaledMatrix(2, b), ScaledMatrix(0, Matrix([[gr(2)]]))}) == 1
+
+
+def test_scaled_matrix_eq_with_other_types():
+    s = ScaledMatrix(0, Matrix([[gr(1)]]))
+    assert s.__eq__(1) is NotImplemented
+    assert (s == 1) is False
+    assert s != "S"
+    assert s != s.matrix
+
+
 def test_scaled_hs_inner():
     b = Matrix([[gr(1)]])
     # (sqrt2 * 1, sqrt2 * 1) = 2
@@ -150,3 +171,86 @@ def test_gram_schmidt():
             if i != j:
                 assert hs_inner(a, b) == gr(0)
         assert hs_inner(a, a) != gr(0)
+
+
+# -- the gain-graph solver against the elimination oracle -------------------
+
+UNITS = (ONE, I, gr(-1), -I)
+
+
+def _oracle_rows(edges):
+    """x[a] - i^k x[b] = 0 as sparse Gaussian-rational rows."""
+    rows = []
+    for a, b, k in edges:
+        if a == b:
+            coeff = ONE - UNITS[k % 4]
+            if coeff:
+                rows.append({a: coeff})
+        else:
+            rows.append({a: ONE, b: -UNITS[k % 4]})
+    return rows
+
+
+def _assert_matches_oracle(edges, ncols):
+    basis = gain_graph_nullspace(edges, ncols)
+    rows = _oracle_rows(edges)
+    assert len(basis) == len(sparse_nullspace(rows, ncols))
+    supports = []
+    for vec in basis:
+        assert len(vec) == ncols
+        assert all(x == ZERO or x in UNITS for x in vec)
+        assert satisfies(vec, rows)
+        support = {c for c, x in enumerate(vec) if x}
+        assert vec[min(support)] == ONE
+        supports.append(support)
+    # disjoint nonempty supports: the vectors are independent, so with the
+    # oracle's nullity they span the whole nullspace
+    assert sum(len(s) for s in supports) == len(set().union(*supports))
+    assert [min(s) for s in supports] == sorted(min(s) for s in supports)
+    return basis
+
+
+def test_gain_graph_small_systems():
+    # x0 = i x1, x1 = i x2: one component, (1, -i, -1)
+    assert gain_graph_nullspace([(0, 1, 1), (1, 2, 1)], 3) == [[ONE, -I, gr(-1)]]
+    # closing the triangle consistently keeps it, inconsistently kills it
+    assert len(gain_graph_nullspace([(0, 1, 1), (1, 2, 1), (0, 2, 2)], 3)) == 1
+    assert gain_graph_nullspace([(0, 1, 1), (1, 2, 1), (0, 2, 0)], 3) == []
+    # self-loops: x = x is no constraint, x = -x and x = i x force zero
+    assert len(gain_graph_nullspace([(1, 1, 0)], 2)) == 2
+    assert gain_graph_nullspace([(0, 1, 3), (1, 1, 2)], 3) == [[ZERO, ZERO, ONE]]
+    assert gain_graph_nullspace([(2, 2, 1)], 3) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
+    # a forced zero, written as the self-loop x = -x, kills its whole component
+    assert gain_graph_nullspace([(0, 2, 0), (2, 2, 2)], 3) == [[ZERO, ONE, ZERO]]
+    assert len(gain_graph_nullspace([], 4)) == 4
+
+
+def test_unit_exponent():
+    assert [unit_exponent(u) for u in UNITS] == [0, 1, 2, 3]
+    for z in (ZERO, gr(1, 1), gr(Fraction(1, 2)), gr(2), gr(0, -2)):
+        with pytest.raises(ValueError):
+            unit_exponent(z)
+
+
+@st.composite
+def _unit_phase_systems(draw):
+    ncols = draw(st.integers(1, 9))
+    col = st.integers(0, ncols - 1)
+    edges = draw(st.lists(st.tuples(col, col, st.integers(0, 3)), max_size=14))
+    # forced zeros x[c] = 0, written as self-loops x[c] = -x[c]
+    edges += [(c, c, 2) for c in draw(st.lists(col, max_size=2))]
+    return edges, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_phase_systems())
+@example(([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3))  # inconsistent cycle
+@example(([(0, 1, 1), (1, 2, 1), (0, 2, 0)], 3))  # inconsistent triangle
+@example(([(0, 1, 1), (1, 2, 1), (2, 0, 2)], 4))  # consistent cycle
+@example(([(0, 0, 2), (1, 2, 3)], 3))  # self-loop forcing zero
+@example(([(0, 1, 3), (1, 1, 2), (3, 2, 1)], 4))  # self-loop killing a component
+@example(([(0, 0, 0), (1, 1, 1)], 2))  # trivial and killing self-loops
+@example(([(0, 2, 0), (1, 3, 2), (3, 3, 2)], 4))  # forced zero
+def test_gain_graph_matches_elimination(system):
+    edges, ncols = system
+    _assert_matches_oracle(edges, ncols)

@@ -1,6 +1,8 @@
 import random
 
-from cliffharm.exact import gr
+import pytest
+
+from cliffharm.exact import I, ONE, gr
 from cliffharm.elements import (
     element_index,
     enumerate_group,
@@ -10,7 +12,8 @@ from cliffharm.elements import (
 )
 from cliffharm.characters import character_value, chi, irreps, rho
 from cliffharm.gelfand import diagonal_invariant_dim, permutation_character_eta
-from cliffharm.linalg import Matrix, ScaledMatrix, gram_schmidt, hs_inner
+from cliffharm.elements import TripleElement, embed
+from cliffharm.linalg import Matrix, Monomial, gram_schmidt, hs_inner
 from cliffharm.matrix_models import (
     EtaRep,
     FrobeniusContext,
@@ -20,7 +23,10 @@ from cliffharm.matrix_models import (
     intertwiner_space,
     intertwines,
     matrix_coefficient_checks,
+    triple_generators,
 )
+from cliffharm.verify import frobenius_mismatch
+from oracles import fixed_vector_rows, intertwiner_rows, satisfies, sparse_nullspace
 
 
 def test_reps_are_homomorphisms():
@@ -153,3 +159,92 @@ def test_matrix_coefficient_identities():
         assert report.ok
         assert report.orthogonality_checked > 0
         assert report.convolution_checked > 0
+
+
+def _assert_solver_matches_elimination(vectors, rows, ncols):
+    assert len(vectors) == len(sparse_nullspace(rows, ncols))
+    for vec in vectors:
+        assert satisfies(vec, rows)
+
+
+def test_intertwiner_solves_match_elimination():
+    # Schur systems at n <= 3
+    for n in (1, 2, 3):
+        gens = clifford_generators(n)
+        reps = [build_matrix_rep(lab) for lab in irreps(n)]
+        for ra in reps:
+            for rb in reps:
+                rows = intertwiner_rows(ra, rb, gens)
+                space = intertwiner_space(ra, rb, gens)
+                vecs = [t.flatten() for t in space.basis]
+                _assert_solver_matches_elimination(vecs, rows, ra.dim * rb.dim)
+    # every C7 system at (1,1) and (1,0)
+    for n, m in ((1, 1), (1, 0)):
+        for r1 in irreps(n):
+            for r2 in irreps(n):
+                for th in irreps(m):
+                    ctx = FrobeniusContext(n, m, r1, r2, th)
+                    for src, dst, gens, space in (
+                        (ctx.triple_rep, ctx.eta, triple_generators(n, m),
+                         ctx.hom_triple_eta()),
+                        (ctx.res_rep, ctx.theta_prime, clifford_generators(m),
+                         ctx.hom_res_theta_prime()),
+                    ):
+                        rows = intertwiner_rows(src, dst, gens)
+                        vecs = [t.flatten() for t in space.basis]
+                        _assert_solver_matches_elimination(vecs, rows, src.dim * dst.dim)
+
+
+def test_invariant_tensors_match_elimination():
+    # (2,1) and (2,2) reach the phases +/-i of rho(2)
+    for n, m in ((1, 1), (1, 0), (2, 1), (2, 2)):
+        for r1 in irreps(n):
+            for r2 in irreps(n):
+                for th in irreps(m):
+                    ctx = FrobeniusContext(n, m, r1, r2, th)
+                    diagonal = []
+                    for h in enumerate_group(m):
+                        hh = embed(h, n)
+                        diagonal.append(ctx.triple_rep.image(TripleElement(hh, hh, hh, m)))
+                    rows = fixed_vector_rows(diagonal)
+                    _assert_solver_matches_elimination(
+                        ctx.invariant_tensors(), rows, ctx.triple_rep.dim
+                    )
+
+
+def test_invariant_tensors_solve_for_fixed_not_conjugate_vectors():
+    # every image swaps e0 -> i e1, e1 -> -i e0; its fixed vectors are the
+    # multiples of (1, i), while its conjugate's are those of (1, -i)
+    class Swap:
+        dim = 2
+
+        def image(self, t):
+            return Monomial(2, (1, 0), (I, -I))
+
+    ctx = FrobeniusContext(1, 0, irreps(1)[0], irreps(1)[0], irreps(0)[0])
+    ctx.triple_rep = Swap()
+    assert ctx.invariant_tensors() == [[ONE, I]]
+
+
+def test_non_unit_phase_is_rejected():
+    class Scaled:
+        dim = 1
+
+        def image(self, g):
+            return Monomial(1, (0,), (gr(2),))
+
+    rep = build_matrix_rep(chi(1))
+    with pytest.raises(ValueError, match="unit phase"):
+        intertwiner_space(Scaled(), rep, clifford_generators(1))
+    with pytest.raises(ValueError, match="unit phase"):
+        intertwiner_space(rep, Scaled(), clifford_generators(1))
+
+
+def test_isometry_at_odd_degree_spin_pairs():
+    # rho+ x rho- x theta at (n,m) = (3,2): the first odd degree with
+    # two-dimensional spin irreps; Res(rho+ (x) rho-) is the sum of the chi's
+    dims = []
+    for th in irreps(2):
+        assert frobenius_mismatch(3, 2, rho(3, "+"), rho(3, "-"), th) is None
+        dims.append(diagonal_invariant_dim(rho(3, "+"), rho(3, "-"), th))
+    assert dims == [1, 1, 1, 1, 0]
