@@ -11,7 +11,6 @@ All values live in Z[i] and all inner products in Q(i); arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import GaussianRational, gr
@@ -69,11 +68,6 @@ class IrrepLabel:
     @property
     def subset(self):
         return frozenset(subset_of(self.mask))
-
-    def order_key(self):
-        # OneDim by subset integer, then rho / rho+ / rho-
-        kind_rank = {"chi": 0, "rho": 1, "rho+": 1, "rho-": 2}[self.kind]
-        return (0, self.mask) if self.kind == "chi" else (1, kind_rank)
 
     def __str__(self):
         return format_label(self)
@@ -277,24 +271,33 @@ def conjugate_label(label: IrrepLabel) -> IrrepLabel:
 
 
 @lru_cache(maxsize=None)
-def character_table(n: int):
-    """(labels, class_keys, sizes, re, im) with numpy int64 value arrays.
+def character_table(n: int, m: int | None = None):
+    """(labels, class_keys, sizes, re, im) for the irreps of CL(n) at the
+    class representatives of CL(m) embedded in CL(n); m defaults to n.
 
-    Values are Gaussian integers well inside int64 range for n <= 12, so
-    this is exact; it backs the vectorized Gelfand checks and the
-    orthogonality property tests.
+    class_keys and sizes describe the classes of CL(m); re and im are int64
+    arrays of shape (|Irr CL(n)|, |classes of CL(m)|).  Values are Gaussian
+    integers well inside int64 range for n <= 12, so this is exact; it backs
+    the vectorized Gelfand checks.  The arrays are read-only, since the
+    result is cached.
     """
     import numpy as np
 
+    if m is None:
+        m = n
+    if m > n:
+        raise DegreeMismatchError(f"cannot embed CL({m}) into CL({n})")
     labels = irreps(n)
-    classes = conjugacy_classes(n)
-    keys = [(c.representative.sign, c.representative.mask) for c in classes]
+    classes = conjugacy_classes(m)
+    keys = tuple((c.representative.sign, c.representative.mask) for c in classes)
     sizes = np.array([c.size for c in classes], dtype=np.int64)
     re = np.empty((len(labels), len(classes)), dtype=np.int64)
     im = np.empty_like(re)
     for i, lab in enumerate(labels):
         for j, (sign, mask) in enumerate(keys):
             re[i, j], im[i, j] = char_re_im(lab, sign, mask)
+    for arr in (sizes, re, im):
+        arr.setflags(write=False)
     return labels, keys, sizes, re, im
 
 

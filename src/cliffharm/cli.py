@@ -15,11 +15,10 @@ import sys
 
 from .exact import format_gaussian, gaussian_to_json
 from .elements import (
-    DegreeMismatchError,
-    GuardError,
     TripleElement,
     conjugacy_classes,
     format_element,
+    multiply,
     parse_element,
 )
 from .characters import (
@@ -32,7 +31,6 @@ from .characters import (
     restrict_character,
     tensor_character,
 )
-from .elements import multiply
 from .gelfand import (
     TripleIrrepLabel,
     gelfand_check_biinvariant,

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 # Element arithmetic works up to degree 16; anything that enumerates the
 # whole group (or G x G) is guarded separately.
@@ -179,7 +178,12 @@ class ConjugacyClass:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(n: int):
-    """Brute-force class partition (the closed form is the test oracle)."""
+    """Brute-force class partition: the orbit of each element under
+    conjugation by the whole group.
+
+    No closed-form partition is used; the tests check the class equation
+    (2^n + 1 or 2^n + 2 classes, each of size 1 or 2, summing to |CL(n)|).
+    """
     elements = enumerate_group(n)
     seen = set()
     classes = []
@@ -269,24 +273,6 @@ def triple_action(t: TripleElement, p):
         multiply(multiply(t.g1, g3), inverse(t.g2)),
         multiply(multiply(t.g2, g4), inverse(t.h)),
     )
-
-
-def enumerate_triple_group(n: int, m: int):
-    """All of CL(n) x CL(n) x CL(m) in deterministic (g1, g2, h) order."""
-    g_elems = enumerate_group(n)
-    h_elems = [embed(h, n) for h in enumerate_group(m)]
-    return [
-        TripleElement(g1, g2, h, m)
-        for g1, g2, h in product(g_elems, g_elems, h_elems)
-    ]
-
-
-def diagonal_subgroup(n: int, m: int):
-    """H~ = {(h, h, h) : h in CL(m)} inside CL(n) x CL(n) x CL(m)."""
-    return [
-        TripleElement(embed(h, n), embed(h, n), embed(h, n), m)
-        for h in enumerate_group(m)
-    ]
 
 
 # -- textual element syntax -------------------------------------------------

@@ -31,10 +31,10 @@ from .elements import (
 from .characters import (
     IrrepLabel,
     char_re_im,
+    character_table,
     character_value,
     conjugate_label,
     format_label,
-    irreps,
 )
 
 MAX_CHARACTER_METHOD_DEGREE = 9
@@ -91,9 +91,12 @@ def diagonal_invariant_dim(rho1: IrrepLabel, rho2: IrrepLabel, theta: IrrepLabel
     return int(total.re)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GelfandReport:
-    """Outcome of the character-multiplicity scan over all irrep triples."""
+    """Outcome of the character-multiplicity scan over all irrep triples.
+
+    Reports are cached, so they are immutable and mult_array is read-only.
+    """
 
     n: int
     m: int
@@ -146,20 +149,6 @@ class GelfandReport:
         return d
 
 
-def _embedded_char_table(n: int, m: int):
-    """int64 tables of CL(n)-characters at the class reps of CL(m)."""
-    labels = irreps(n)
-    keys = [
-        (c.representative.sign, c.representative.mask) for c in conjugacy_classes(m)
-    ]
-    re = np.empty((len(labels), len(keys)), dtype=np.int64)
-    im = np.empty_like(re)
-    for i, lab in enumerate(labels):
-        for j, (sign, mask) in enumerate(keys):
-            re[i, j], im[i, j] = char_re_im(lab, sign, mask)
-    return labels, keys, re, im
-
-
 @lru_cache(maxsize=None)
 def gelfand_check_characters(n: int, m: int) -> GelfandReport:
     """Multiplicity table for all triples via vectorized exact integer sums.
@@ -174,11 +163,8 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
         raise GuardError(
             f"character method guarded at n <= {MAX_CHARACTER_METHOD_DEGREE}"
         )
-    labels_g, keys, E_re, E_im = _embedded_char_table(n, m)
-    labels_h, _, T_re, T_im = _embedded_char_table(m, m)
-    sizes = np.array(
-        [c.size for c in conjugacy_classes(m)], dtype=np.int64
-    )
+    labels_g, _, sizes, E_re, E_im = character_table(n, m)
+    labels_h, _, _, T_re, T_im = character_table(m)
     order_h = 1 << (m + 1)
     lg, lh = len(labels_g), len(labels_h)
     mult = np.empty((lg, lg, lh), dtype=np.int64)
@@ -201,6 +187,7 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
         i, j, k = np.argwhere(mult >= 2)[0]
         witness = TripleIrrepLabel(labels_g[i], labels_g[j], labels_h[k])
         witness_mult = int(mult[i, j, k])
+    mult.setflags(write=False)
     return GelfandReport(
         n=n,
         m=m,

@@ -3,16 +3,19 @@
 Three matrix flavours:
 
 * Matrix    -- dense, entries GaussianRational; used for intertwiners.
-* Monomial  -- one nonzero per row/column; every representation matrix in
-               this package (gamma products, permutation images) is monomial,
-               which keeps intertwiner systems sparse.
+* Monomial  -- one nonzero per row/column, each a power of i stored as its
+               exponent k in range(4); every representation matrix in this
+               package (gamma products, permutation images) is monomial, so
+               products, Kronecker products and conjugates are integer
+               additions and negations mod 4.  Exponents become Gaussian
+               rationals (exact.UNITS, GaussianRational.times_i) only where a
+               monomial meets a dense Matrix.
 * ScaledMatrix -- a Matrix together with a power of sqrt(2); the only
                irrationals in the theory are sqrt(2^k) normalization factors.
 
-Every intertwiner constraint between monomial images with phases in
-{+/-1, +/-i} reads x[a] = i^k x[b]; such a system is a gain graph over Z/4,
-solved by gain_graph_nullspace with a union-find on integer exponents.  No
-floating point anywhere.
+Every intertwiner constraint between monomial images reads x[a] = i^k x[b];
+such a system is a gain graph over Z/4, solved by gain_graph_nullspace with a
+union-find on the same integer exponents.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, ZERO, ONE, I, MINUS_ONE, gr
+from .exact import GaussianRational, ZERO, ONE, UNITS, gr
 
 
 class Matrix:
@@ -128,7 +131,10 @@ def hs_inner(t1: Matrix, t2: Matrix) -> GaussianRational:
 
 @dataclass(frozen=True)
 class Monomial:
-    """Generalized permutation matrix: column j carries phase[j] at row perm[j]."""
+    """Generalized permutation matrix: column j carries i^phase[j] at row perm[j].
+
+    phase holds integer exponents in range(4).
+    """
 
     size: int
     perm: tuple
@@ -136,65 +142,66 @@ class Monomial:
 
     @staticmethod
     def identity(size):
-        return Monomial(size, tuple(range(size)), (ONE,) * size)
+        return Monomial(size, tuple(range(size)), (0,) * size)
 
     def __matmul__(self, other: "Monomial") -> "Monomial":
         if self.size != other.size:
             raise ValueError("monomial size mismatch")
         perm = tuple(self.perm[other.perm[j]] for j in range(self.size))
         phase = tuple(
-            other.phase[j] * self.phase[other.perm[j]] for j in range(self.size)
+            (other.phase[j] + self.phase[other.perm[j]]) & 3 for j in range(self.size)
         )
         return Monomial(self.size, perm, phase)
 
-    def scale(self, s) -> "Monomial":
-        return Monomial(self.size, self.perm, tuple(p * s for p in self.phase))
+    def times_i(self, k: int) -> "Monomial":
+        """i^k * self."""
+        return Monomial(self.size, self.perm, tuple((p + k) & 3 for p in self.phase))
 
     def conj(self) -> "Monomial":
         """Entrywise conjugate (same support)."""
-        return Monomial(self.size, self.perm, tuple(p.conjugate() for p in self.phase))
+        return Monomial(self.size, self.perm, tuple(-p & 3 for p in self.phase))
 
     def conj_transpose(self) -> "Monomial":
         inv = [0] * self.size
         for j, i in enumerate(self.perm):
             inv[i] = j
-        phase = tuple(self.phase[inv[j]].conjugate() for j in range(self.size))
+        phase = tuple(-self.phase[inv[j]] & 3 for j in range(self.size))
         return Monomial(self.size, tuple(inv), phase)
 
     def kron(self, other: "Monomial") -> "Monomial":
         sz = self.size * other.size
         perm = [0] * sz
-        phase = [ONE] * sz
+        phase = [0] * sz
         for j1 in range(self.size):
             for j2 in range(other.size):
                 col = j1 * other.size + j2
                 perm[col] = self.perm[j1] * other.size + other.perm[j2]
-                phase[col] = self.phase[j1] * other.phase[j2]
+                phase[col] = (self.phase[j1] + other.phase[j2]) & 3
         return Monomial(sz, tuple(perm), tuple(phase))
 
     def trace(self) -> GaussianRational:
         return sum(
-            (self.phase[j] for j in range(self.size) if self.perm[j] == j), ZERO
+            (UNITS[self.phase[j]] for j in range(self.size) if self.perm[j] == j), ZERO
         )
 
     def dense(self) -> Matrix:
         rows = [[ZERO] * self.size for _ in range(self.size)]
         for j in range(self.size):
-            rows[self.perm[j]][j] = self.phase[j]
+            rows[self.perm[j]][j] = UNITS[self.phase[j]]
         return Matrix(rows)
 
     def apply_left(self, mat: Matrix) -> Matrix:
         """self @ mat without densifying self."""
         out = [None] * self.size
         for j in range(self.size):
-            out[self.perm[j]] = [self.phase[j] * a for a in mat.rows[j]]
+            out[self.perm[j]] = [a.times_i(self.phase[j]) for a in mat.rows[j]]
         return Matrix(out)
 
     def apply_right(self, mat: Matrix) -> Matrix:
         """mat @ self without densifying self."""
         out = []
         for r in mat.rows:
-            out.append([r[self.perm[j]] * self.phase[j] for j in range(self.size)])
+            out.append([r[self.perm[j]].times_i(self.phase[j]) for j in range(self.size)])
         return Matrix(out)
 
 
@@ -234,9 +241,6 @@ class ScaledMatrix:
     def is_zero(self):
         return self.matrix.is_zero()
 
-    def scale_half(self, dhalf: int) -> "ScaledMatrix":
-        return ScaledMatrix(self.half + dhalf, self.matrix)
-
 
 def scaled_hs_inner(t1: ScaledMatrix, t2: ScaledMatrix) -> GaussianRational:
     """Normalized Hilbert-Schmidt product of two scaled matrices.
@@ -252,23 +256,6 @@ def scaled_hs_inner(t1: ScaledMatrix, t2: ScaledMatrix) -> GaussianRational:
 
 
 # -- unit-phase monomial systems: a gain graph over Z/4 ---------------------
-
-_UNITS = (ONE, I, MINUS_ONE, -I)
-# keyed by the exact (numerator, denominator) of the real and imaginary
-# parts, which is cheaper than hashing the Fractions themselves
-_UNIT_EXPONENT = {
-    (u.re.numerator, u.re.denominator, u.im.numerator, u.im.denominator): k
-    for k, u in enumerate(_UNITS)
-}
-
-
-def unit_exponent(z: GaussianRational) -> int:
-    """k in Z/4 with z = i^k; ValueError unless z is one of +/-1, +/-i."""
-    re, im = z.re, z.im
-    try:
-        return _UNIT_EXPONENT[re.numerator, re.denominator, im.numerator, im.denominator]
-    except KeyError:
-        raise ValueError(f"{z} is not a unit phase +/-1, +/-i") from None
 
 
 def gain_graph_nullspace(edges, ncols):
@@ -320,7 +307,7 @@ def gain_graph_nullspace(edges, ncols):
         if r not in basis:
             basis[r] = ([ZERO] * ncols, pot[c])
         vec, p0 = basis[r]
-        vec[c] = _UNITS[(pot[c] - p0) & 3]
+        vec[c] = UNITS[(pot[c] - p0) & 3]
     return [vec for vec, _ in basis.values()]
 
 

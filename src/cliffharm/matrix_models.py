@@ -6,8 +6,12 @@ generalized permutation matrix whose phases are powers of i.  Each
 intertwiner constraint then ties two cells, T[a] = i^k T[b], and an
 intertwiner space is the nullspace of that gain graph over Z/4, one basis
 vector per consistent component (linalg.gain_graph_nullspace); invariant
-tensors are solved the same way.  Traces are checked against the
-closed-form characters, which keeps the two modules mutually verifying.
+tensors are solved the same way.  A Monomial stores each phase as its
+exponent k in range(4) (meaning i^k), so the images, their products and the
+constraint gains are all integers mod 4; phases become Gaussian rationals
+only where they meet a dense Matrix (traces, hat, the coset formula).
+Traces are checked against the closed-form characters, which keeps the two
+modules mutually verifying.
 
 The only irrational scalars in the theory are sqrt(2)^k normalization
 factors; those ride along symbolically in ScaledMatrix.
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import GaussianRational, ZERO, ONE, I, MINUS_ONE, gr
+from .exact import ZERO, gr
 from .elements import (
     CliffordElement,
     TripleElement,
@@ -29,25 +33,16 @@ from .elements import (
     identity,
     inverse,
     multiply,
-    triple_identity,
-    triple_multiply,
 )
-from .characters import IrrepLabel, char_re_im, format_label, irreps, top_phase_re_im
-from .linalg import (
-    Matrix,
-    Monomial,
-    ScaledMatrix,
-    gain_graph_nullspace,
-    hs_inner,
-    unit_exponent,
-)
+from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
+from .linalg import Matrix, Monomial, ScaledMatrix, gain_graph_nullspace, hs_inner
 
 MAX_RHO_MODEL_DEGREE = 6
 MAX_ETA_DEGREE = 3
 
-_PAULI_X = Monomial(2, (1, 0), (ONE, ONE))
-_PAULI_Y = Monomial(2, (1, 0), (I, MINUS_ONE * I))
-_PAULI_Z = Monomial(2, (0, 1), (ONE, MINUS_ONE))
+_PAULI_X = Monomial(2, (1, 0), (0, 0))
+_PAULI_Y = Monomial(2, (1, 0), (1, 3))
+_PAULI_Z = Monomial(2, (0, 1), (0, 2))
 
 
 class PhaseFixError(RuntimeError):
@@ -109,7 +104,7 @@ class CliffordMatrixRep:
         target = gr(pm * cr * (1 << m), pm * ci * (1 << m))
         if prod.trace() == target:
             return gammas
-        gammas[-1] = top.scale(MINUS_ONE)
+        gammas[-1] = top.times_i(2)
         prod = gammas[0]
         for g in gammas[1:]:
             prod = prod @ g
@@ -134,10 +129,10 @@ class CliffordMatrixRep:
         if g.degree != self.n:
             raise ValueError("element degree does not match representation")
         if self.label.kind == "chi":
-            s = -1 if (self.label.mask & g.mask).bit_count() & 1 else 1
-            return Monomial(1, (0,), (gr(s),))
+            odd = (self.label.mask & g.mask).bit_count() & 1
+            return Monomial(1, (0,), (2 * odd,))
         mono = self._subset_image(g.mask)
-        return mono.scale(MINUS_ONE) if g.sign < 0 else mono
+        return mono.times_i(2) if g.sign < 0 else mono
 
 
 class ConjugateRep:
@@ -206,7 +201,7 @@ class EtaRep:
                 perm[base + element_index(b)] = ia + element_index(
                     multiply(multiply(t.g2, b), h_inv)
                 )
-        return Monomial(self.dim, tuple(perm), (ONE,) * self.dim)
+        return Monomial(self.dim, tuple(perm), (0,) * self.dim)
 
 
 class RegularRep:
@@ -222,7 +217,7 @@ class RegularRep:
             element_index(multiply(g, x)) for x in self.elements
         )
         # column idx(x) -> row idx(g x)
-        return Monomial(self.dim, perm, (ONE,) * self.dim)
+        return Monomial(self.dim, perm, (0,) * self.dim)
 
 
 @lru_cache(maxsize=None)
@@ -292,14 +287,13 @@ def intertwiner_space(src_rep, dst_rep, generators, verify_on=()) -> Intertwiner
     for g in generators:
         src = src_rep.image(g)
         dst = dst_rep.image(g)
-        src_k = [unit_exponent(p) for p in src.phase]
         for r in range(dd):
             # dst(g)T = T src(g) at entry (dst_perm[r], c):
-            #   i^q T[r, c] = i^src_k[c] T[dst_perm[r], src_perm[c]]
-            q = unit_exponent(dst.phase[r])
+            #   i^q T[r, c] = i^src_phase[c] T[dst_perm[r], src_perm[c]]
+            q = dst.phase[r]
             a0, b0 = r * ds, dst.perm[r] * ds
             edges.extend(
-                (a0 + c, b0 + src.perm[c], (src_k[c] - q) & 3) for c in range(ds)
+                (a0 + c, b0 + src.perm[c], (src.phase[c] - q) & 3) for c in range(ds)
             )
     vecs = gain_graph_nullspace(edges, dd * ds)
     basis = [
@@ -392,10 +386,10 @@ class FrobeniusContext:
                 row = []
                 for i in range(self.d1):
                     for j in range(self.d2):
-                        f = m1.phase[i] * m2.phase[j]
+                        k = m1.phase[i] + m2.phase[j]
                         src = m1.perm[i] * self.d2 + m2.perm[j]
                         for ell in range(self.dt):
-                            row.append(f * s.matrix[ell, src])
+                            row.append(s.matrix[ell, src].times_i(k))
                 rows.append(row)
         half = _log2(self.dt) - 2 * _log2(self.group_order)
         return ScaledMatrix(s.half + half, Matrix(rows)).canonical()
@@ -408,11 +402,8 @@ class FrobeniusContext:
         for h in enumerate_group(self.m):
             hh = embed(h, self.n)
             mono = self.triple_rep.image(TripleElement(hh, hh, hh, self.m))
-            # pi(t) v = v at coordinate perm[c]: v[perm[c]] = phase[c] v[c]
-            edges.extend(
-                (r, c, unit_exponent(p))
-                for c, (r, p) in enumerate(zip(mono.perm, mono.phase))
-            )
+            # pi(t) v = v at coordinate perm[c]: v[perm[c]] = i^phase[c] v[c]
+            edges.extend(zip(mono.perm, range(mono.size), mono.phase))
         return gain_graph_nullspace(edges, self.triple_rep.dim)
 
     def operator_from_invariant(self, b) -> ScaledMatrix:
@@ -444,7 +435,7 @@ class FrobeniusContext:
                 for c in range(dim_sigma):
                     coeff = b[c]
                     if coeff:
-                        w[mono.perm[c]] = mono.phase[c] * coeff
+                        w[mono.perm[c]] = coeff.times_i(mono.phase[c])
                 rows.append([w[c].conjugate() for c in range(dim_sigma)])
         half = _log2(dim_sigma) - _log2(self.eta.dim)
         return ScaledMatrix(half, Matrix(rows)).canonical()

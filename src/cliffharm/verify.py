@@ -12,13 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .exact import gr
-from .elements import (
-    CliffordElement,
-    conjugacy_classes,
-    enumerate_group,
-    mask_of,
-)
+from .elements import CliffordElement, conjugacy_classes
 from .characters import (
     IrrepLabel,
     chi,
@@ -33,7 +27,6 @@ from .characters import (
     format_label,
 )
 from .gelfand import (
-    TripleIrrepLabel,
     diagonal_invariant_dim,
     gelfand_check_characters,
     gelfand_check_biinvariant,

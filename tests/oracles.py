@@ -3,10 +3,14 @@
 `sparse_nullspace` is general exact Gaussian elimination over the Gaussian
 rationals.  The library solves its unit-phase monomial systems by a gain
 graph over Z/4 (`cliffharm.linalg.gain_graph_nullspace`); this elimination
-knows nothing of that structure, which makes it the oracle for it.
+knows nothing of that structure, which makes it the oracle for it.  The row
+builders turn a Monomial's phase exponents into Gaussian rationals through
+their own table UNITS, not through the library's conversions.
 """
 
-from cliffharm.exact import ONE, ZERO
+from cliffharm.exact import ONE, ZERO, gr
+
+UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
 
 
 def sparse_nullspace(rows, ncols):
@@ -68,17 +72,18 @@ def intertwiner_rows(src_rep, dst_rep, generators):
         dst = dst_rep.image(g)
         for r in range(dd):
             i = dst.perm[r]
-            q = dst.phase[r]
+            q = UNITS[dst.phase[r]]
             for c in range(ds):
                 # q * T[r, c] = src_phase[c] * T[i, src_perm[c]]
                 cell_a = r * ds + c
                 cell_b = i * ds + src.perm[c]
+                p = UNITS[src.phase[c]]
                 if cell_a == cell_b:
-                    coeff = q - src.phase[c]
+                    coeff = q - p
                     if coeff:
                         rows.append({cell_a: coeff})
                 else:
-                    rows.append({cell_a: q, cell_b: -src.phase[c]})
+                    rows.append({cell_a: q, cell_b: -p})
     return rows
 
 
@@ -89,7 +94,7 @@ def fixed_vector_rows(monomials):
         for c in range(mono.size):
             # pi e_c = phase[c] e_perm[c]: row perm[c] of pi - 1
             r = mono.perm[c]
-            row = {c: mono.phase[c]}
+            row = {c: UNITS[mono.phase[c]]}
             row[r] = row.get(r, ZERO) - ONE
             row = {k: v for k, v in row.items() if v}
             if row:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cliffharm.exact import gr
-from cliffharm.elements import element, enumerate_group, conjugacy_classes
+from cliffharm.elements import (
+    CliffordElement,
+    DegreeMismatchError,
+    conjugacy_classes,
+    element,
+    embed,
+    enumerate_group,
+)
 from cliffharm.characters import (
     IrrepLabel,
     NotACharacterError,
@@ -89,14 +96,37 @@ def test_first_orthogonality():
 
 
 def test_character_table_columns():
-    # column orthogonality weighted by class size, using the int64 table
+    # column orthogonality weighted by class size, in exact int64 arithmetic:
+    # sum_chi conj chi(c) chi(c') = delta_cc' |G|/|c|, split into the real
+    # part re^T re + im^T im and the imaginary part re^T im - im^T re
     for n in (2, 3):
         labels, keys, sizes, re, im = character_table(n)
-        vals = re.astype(complex) + 1j * im
-        gram = vals.conj().T @ vals
-        k = len(keys)
-        expect = np.diag([(1 << (n + 1)) / int(s) for s in sizes])
-        assert np.array_equal(gram, expect)
+        order = 1 << (n + 1)
+        assert not (order % sizes).any()
+        assert np.array_equal(re.T @ re + im.T @ im, np.diag(order // sizes))
+        assert not (re.T @ im - im.T @ re).any()
+
+
+def test_embedded_character_table():
+    # irreps of CL(n) at the class representatives of CL(m), m = n and n - 1
+    for n in (1, 2, 3):
+        for m in (n, n - 1):
+            labels, keys, sizes, re, im = character_table(n, m)
+            assert labels == irreps(n)
+            assert keys == tuple(
+                (c.representative.sign, c.representative.mask)
+                for c in conjugacy_classes(m)
+            )
+            assert list(sizes) == [c.size for c in conjugacy_classes(m)]
+            for r, lab in enumerate(labels):
+                for c, (sign, mask) in enumerate(keys):
+                    v = character_value(lab, embed(CliffordElement(m, sign, mask), n))
+                    assert v == gr(int(re[r, c]), int(im[r, c]))
+            for arr in (sizes, re, im):
+                with pytest.raises(ValueError):
+                    arr[0] = 7
+    with pytest.raises(DegreeMismatchError):
+        character_table(1, 2)
 
 
 def test_table_matches_character_value():

@@ -6,6 +6,7 @@ from cliffharm.exact import (
     GaussianRational,
     I,
     ONE,
+    UNITS,
     ZERO,
     format_gaussian,
     gaussian_from_json,
@@ -30,6 +31,15 @@ def test_basic_arithmetic():
 def test_i_squares_to_minus_one():
     assert I * I == gr(-1)
     assert I.conjugate() == -I
+
+
+def test_times_i_is_repeated_multiplication_by_i():
+    for z in (ONE, gr(Fraction(3, 4), Fraction(-5, 7)), gr(0, -2), ZERO):
+        w = z
+        for k in range(8):  # k >= 4 is unreduced
+            assert z.times_i(k) == w
+            w = w * I
+    assert [ONE.times_i(k) for k in range(4)] == list(UNITS)
 
 
 def test_division_by_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -91,6 +92,19 @@ def test_report_table_and_json():
     assert "theta_prime" not in payload["witness"]
     payload = gelfand_check_characters(3, 3).to_json()
     assert payload["gelfand"] is True and "witness" not in payload
+
+
+def test_cached_report_is_immutable():
+    # the report is cached: a caller that could mutate it would change the
+    # verdict every later caller sees
+    rep = gelfand_check_characters(2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.gelfand = False
+    with pytest.raises(ValueError):
+        rep.mult_array[0, 0, 0] = 7
+    again = gelfand_check_characters(2, 2)
+    assert again.gelfand and again.max_multiplicity == 1
+    assert int(again.mult_array.max()) == 1
 
 
 def test_convolution_agrees_with_characters():

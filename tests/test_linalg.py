@@ -13,9 +13,8 @@ from cliffharm.linalg import (
     gram_schmidt,
     hs_inner,
     scaled_hs_inner,
-    unit_exponent,
 )
-from oracles import satisfies, sparse_nullspace
+from oracles import UNITS, satisfies, sparse_nullspace
 
 
 def _rand_matrix(rng, rows, cols):
@@ -68,9 +67,8 @@ def test_monomial_matches_dense():
         size = 4
         p1 = list(range(size)); rng.shuffle(p1)
         p2 = list(range(size)); rng.shuffle(p2)
-        phases = [gr(rng.choice((1, -1)), 0) * (I if rng.random() < 0.5 else gr(1))
-                  for _ in range(size)]
-        phases2 = [gr(rng.choice((1, -1))) for _ in range(size)]
+        phases = [rng.randrange(4) for _ in range(size)]
+        phases2 = [rng.randrange(4) for _ in range(size)]
         m1 = Monomial(size, tuple(p1), tuple(phases))
         m2 = Monomial(size, tuple(p2), tuple(phases2))
         assert (m1 @ m2).dense() == m1.dense() @ m2.dense()
@@ -80,10 +78,24 @@ def test_monomial_matches_dense():
         mat = _rand_matrix(rng, size, size)
         assert m1.apply_left(mat) == m1.dense() @ mat
         assert m1.apply_right(mat) == mat @ m1.dense()
+        k = rng.randrange(8)
+        assert m1.times_i(k).dense() == m1.dense().scale(_i_power(k))
+        assert m1.conj().dense() == Matrix(
+            [[a.conjugate() for a in r] for r in m1.dense().rows]
+        )
+        for m in (m1 @ m2, m1.kron(m2), m1.conj(), m1.conj_transpose(), m1.times_i(k)):
+            assert all(type(p) is int and 0 <= p < 4 for p in m.phase)
+
+
+def _i_power(k):
+    z = ONE
+    for _ in range(k):
+        z = z * I
+    return z
 
 
 def test_monomial_unitarity():
-    m = Monomial(3, (1, 0, 2), (I, gr(-1), gr(1)))
+    m = Monomial(3, (1, 0, 2), (1, 2, 0))
     prod = m @ m.conj_transpose()
     assert prod.dense() == Matrix.identity(3)
 
@@ -175,8 +187,6 @@ def test_gram_schmidt():
 
 # -- the gain-graph solver against the elimination oracle -------------------
 
-UNITS = (ONE, I, gr(-1), -I)
-
 
 def _oracle_rows(edges):
     """x[a] - i^k x[b] = 0 as sparse Gaussian-rational rows."""
@@ -223,13 +233,6 @@ def test_gain_graph_small_systems():
     # a forced zero, written as the self-loop x = -x, kills its whole component
     assert gain_graph_nullspace([(0, 2, 0), (2, 2, 2)], 3) == [[ZERO, ONE, ZERO]]
     assert len(gain_graph_nullspace([], 4)) == 4
-
-
-def test_unit_exponent():
-    assert [unit_exponent(u) for u in UNITS] == [0, 1, 2, 3]
-    for z in (ZERO, gr(1, 1), gr(Fraction(1, 2)), gr(2), gr(0, -2)):
-        with pytest.raises(ValueError):
-            unit_exponent(z)
 
 
 @st.composite
