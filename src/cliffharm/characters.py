@@ -18,8 +18,9 @@ from .elements import (
     CliffordElement,
     DegreeMismatchError,
     GuardError,
+    _check_degree,
+    class_key,
     conjugacy_classes,
-    class_representative_map,
     embed,
     mask_of,
     subset_of,
@@ -84,6 +85,7 @@ def rho(n: int, sign: str = "") -> IrrepLabel:
 @lru_cache(maxsize=None)
 def irreps(n: int):
     """All irreducibles of CL(n) in the fixed label order."""
+    _check_degree(n)
     labels = [IrrepLabel(n, "chi", mask) for mask in range(1 << n)]
     if n % 2 == 0:
         labels.append(IrrepLabel(n, "rho"))
@@ -144,8 +146,7 @@ class ClassFunction:
     def value_at(self, g: CliffordElement) -> GaussianRational:
         if g.degree != self.degree:
             raise DegreeMismatchError("element degree mismatch")
-        rep = class_representative_map(self.degree)[(g.sign, g.mask)]
-        return self.values[rep]
+        return self.values[class_key(g)]
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if self.degree != other.degree:

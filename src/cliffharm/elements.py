@@ -7,6 +7,12 @@ CL(n) = {+/- gamma_A : A subset of {1..n}} with the twisted multiplication
 where xi(A, B) counts pairs (a, b) in A x B with a > b.  Subsets are stored
 as machine-word bitmasks (bit i-1 <-> index i), so xi is a masked-popcount
 loop and multiplication is a couple of integer operations.
+
+Conjugation only flips signs (the sign-flip lemma, see conjugation_sign):
+gamma_A keeps its sign under every conjugation exactly when it is central
+(is_central), and otherwise +/- gamma_A form one class of size 2.  The
+class partition, class_key and the centre are read off that lemma; nothing
+here enumerates the group to find them.
 """
 
 from __future__ import annotations
@@ -124,8 +130,8 @@ def conjugate(x: CliffordElement, c: CliffordElement) -> CliffordElement:
 def conjugation_sign(a_mask: int, c_mask: int) -> int:
     """Closed form for gamma_C^-1 gamma_A gamma_C = s * gamma_A.
 
-    s = (-1)^(|A||C| - |A & C|); used as an independent oracle for
-    conjugate() and as the fast path in orbit enumeration.
+    s = (-1)^(|A||C| - |A & C|); the closed-form oracle for conjugate(),
+    which multiplies instead.
     """
     e = a_mask.bit_count() * c_mask.bit_count() - (a_mask & c_mask).bit_count()
     return -1 if e & 1 else 1
@@ -156,14 +162,26 @@ def element_order_key(x: CliffordElement):
     return (x.sign < 0, x.mask)
 
 
+def is_central(mask: int, n: int) -> bool:
+    """Whether gamma_mask commutes with all of CL(n): the mask is empty, or n
+    is odd and the mask is X_n."""
+    return mask == 0 or (n % 2 == 1 and mask == (1 << n) - 1)
+
+
+def class_key(x: CliffordElement):
+    """(sign, mask) of the representative of x's conjugacy class."""
+    return (x.sign, x.mask) if is_central(x.mask, x.degree) else (1, x.mask)
+
+
 def center(n: int):
     """{+/-1} for n even, plus {+/- gamma_Xn} for n odd."""
     _check_degree(n, MAX_ENUM_DEGREE)
-    full = (1 << n) - 1
-    zs = [identity(n), CliffordElement(n, -1, 0)]
-    if n % 2 == 1:
-        zs += [CliffordElement(n, 1, full), CliffordElement(n, -1, full)]
-    return zs
+    return [
+        CliffordElement(n, sign, mask)
+        for mask in sorted({0, (1 << n) - 1})
+        if is_central(mask, n)
+        for sign in (1, -1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -178,35 +196,25 @@ class ConjugacyClass:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(n: int):
-    """Brute-force class partition: the orbit of each element under
-    conjugation by the whole group.
+    """The class partition, from the sign-flip lemma.
 
-    No closed-form partition is used; the tests check the class equation
-    (2^n + 1 or 2^n + 2 classes, each of size 1 or 2, summing to |CL(n)|).
+    gamma_C^-1 gamma_A gamma_C = (-1)^(|A||C| - |A & C|) gamma_A, so the
+    class of s gamma_A is {s gamma_A} when A is central and {+/- gamma_A}
+    otherwise: for a non-central A, conjugating by gamma_j with j in A
+    (|A| even) or j not in A (|A| odd) flips the sign.  Classes come in
+    enumeration order of their first member: every +gamma_mask class by
+    ascending mask, then {-1}, then {-gamma_Xn} for odd n.
     """
-    elements = enumerate_group(n)
-    seen = set()
-    classes = []
-    for x in elements:
-        if (x.sign, x.mask) in seen:
-            continue
-        orbit = {conjugate(x, c) for c in elements}
-        members = tuple(sorted(orbit, key=element_order_key))
-        for m in members:
-            seen.add((m.sign, m.mask))
-        classes.append(ConjugacyClass(members[0], members))
-    return tuple(classes)
-
-
-@lru_cache(maxsize=None)
-def class_representative_map(n: int):
-    """element (sign, mask) -> class representative (sign, mask)."""
-    rep = {}
-    for cls in conjugacy_classes(n):
-        key = (cls.representative.sign, cls.representative.mask)
-        for m in cls.members:
-            rep[(m.sign, m.mask)] = key
-    return rep
+    _check_degree(n, MAX_ENUM_DEGREE)
+    classes, central_negatives = [], []
+    for mask in range(1 << n):
+        plus, minus = CliffordElement(n, 1, mask), CliffordElement(n, -1, mask)
+        if is_central(mask, n):
+            classes.append(ConjugacyClass(plus, (plus,)))
+            central_negatives.append(ConjugacyClass(minus, (minus,)))
+        else:
+            classes.append(ConjugacyClass(plus, (plus, minus)))
+    return tuple(classes + central_negatives)
 
 
 # -- the triple-product group G x G x H -------------------------------------

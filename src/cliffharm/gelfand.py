@@ -12,6 +12,7 @@ brute-force commutativity of the bi-invariant convolution algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -27,6 +28,7 @@ from .elements import (
     enumerate_group,
     inverse,
     multiply,
+    xi_sign,
 )
 from .characters import (
     IrrepLabel,
@@ -205,26 +207,32 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
 
 
 def spherical_character(sigma: TripleIrrepLabel, at: TripleElement) -> GaussianRational:
-    """psi(g1, g2, h1) = (1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1)."""
+    """psi(g1, g2, h1) = (1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1).
+
+    The sum runs over h = s gamma_D in H = CL(m), m = theta's degree, with
+    h g = s e (-1)^xi(D, T) gamma_(D xor T) for g = e gamma_T, in exact
+    integers until the final division by |H|.
+    """
     n = sigma.rho1.degree
     m = sigma.theta.degree
     if at.degree != n or at.subgroup_degree != m:
         raise DegreeMismatchError("evaluation point degrees do not match the label")
-    total = gr(0)
-    for h in enumerate_group(m):
-        hn = CliffordElement(n, h.sign, h.mask)
-        v1 = character_value(sigma.rho1, multiply(hn, at.g1)).conjugate()
-        if not v1:
-            continue
-        v2 = character_value(sigma.rho2, multiply(hn, at.g2)).conjugate()
-        if not v2:
-            continue
-        hh1 = multiply(hn, at.h)
-        vt = character_value(
-            sigma.theta, CliffordElement(m, hh1.sign, hh1.mask)
-        ).conjugate()
-        total = total + v1 * v2 * vt
-    return total / (1 << (m + 1))
+    labels = (sigma.rho1, sigma.rho2, sigma.theta)
+    args = (at.g1, at.g2, at.h)
+    acc_re = acc_im = 0
+    for s in (1, -1):
+        for d in range(1 << m):
+            re, im = 1, 0
+            for lab, g in zip(labels, args):
+                vre, vim = char_re_im(lab, s * g.sign * xi_sign(d, g.mask), d ^ g.mask)
+                if vre == 0 and vim == 0:
+                    re, im = 0, 0
+                    break
+                re, im = re * vre + im * vim, im * vre - re * vim  # times conj(v)
+            acc_re += re
+            acc_im += im
+    order = 1 << (m + 1)
+    return gr(Fraction(acc_re, order), Fraction(acc_im, order))
 
 
 # -- convolution-algebra verdict --------------------------------------------

@@ -209,34 +209,23 @@ class Monomial:
 class ScaledMatrix:
     """2^(half/2) * matrix; keeps sqrt(2) factors exact.
 
-    half is an integer exponent of sqrt(2).  The canonical form keeps
-    half in {0, 1} by absorbing whole powers of two into the matrix, and
-    half = 0 for a zero matrix; equality and hashing compare canonical forms.
+    half is an integer exponent of sqrt(2).  Construction normalises it to
+    {0, 1} by absorbing whole powers of two into the matrix, and to 0 for a
+    zero matrix, so equal values have equal fields and the generated
+    equality and hashing compare them.
     """
 
     half: int
     matrix: Matrix
 
-    def canonical(self) -> "ScaledMatrix":
+    def __post_init__(self):
         if self.matrix.is_zero():
-            # zero at any scale is the same matrix
-            return self if self.half == 0 else ScaledMatrix(0, self.matrix)
-        r = self.half & 1
-        k = (self.half - r) // 2
-        if k == 0:
-            return self
-        factor = gr(Fraction(2) ** k)
-        return ScaledMatrix(r, self.matrix.scale(factor))
-
-    def __eq__(self, other):
-        if not isinstance(other, ScaledMatrix):
-            return NotImplemented
-        a, b = self.canonical(), other.canonical()
-        return a.half == b.half and a.matrix == b.matrix
-
-    def __hash__(self):
-        a = self.canonical()
-        return hash((a.half, a.matrix))
+            object.__setattr__(self, "half", 0)  # zero at any scale is zero
+            return
+        k, r = divmod(self.half, 2)
+        if k:
+            object.__setattr__(self, "half", r)
+            object.__setattr__(self, "matrix", self.matrix.scale(gr(Fraction(2) ** k)))
 
     def is_zero(self):
         return self.matrix.is_zero()

@@ -35,7 +35,7 @@ from .elements import (
     multiply,
 )
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
-from .linalg import Matrix, Monomial, ScaledMatrix, gain_graph_nullspace, hs_inner
+from .linalg import Matrix, Monomial, ScaledMatrix, gain_graph_nullspace
 
 MAX_RHO_MODEL_DEGREE = 6
 MAX_ETA_DEGREE = 3
@@ -259,14 +259,6 @@ class IntertwinerBasis:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def gram(self) -> Matrix:
-        return Matrix(
-            [
-                [hs_inner(a, b) for b in self.basis]
-                for a in self.basis
-            ]
-        )
-
 
 def intertwines(t: Matrix, src_rep, dst_rep, g) -> bool:
     src_mono = src_rep.image(g)
@@ -369,7 +361,7 @@ class FrobeniusContext:
             for ell in range(self.dt)
         ]
         half = 2 * _log2(self.group_order) - _log2(self.dt)
-        return ScaledMatrix(t.half + half, Matrix(rows)).canonical()
+        return ScaledMatrix(t.half + half, Matrix(rows))
 
     def hat(self, s) -> ScaledMatrix:
         """S -> S^ mapping Hom(Res(rho1 (x) rho2), theta') back into Hom(.., eta)."""
@@ -392,7 +384,7 @@ class FrobeniusContext:
                             row.append(s.matrix[ell, src].times_i(k))
                 rows.append(row)
         half = _log2(self.dt) - 2 * _log2(self.group_order)
-        return ScaledMatrix(s.half + half, Matrix(rows)).canonical()
+        return ScaledMatrix(s.half + half, Matrix(rows))
 
     # invariant tensors and the Prop-3.3 style operators
 
@@ -438,7 +430,7 @@ class FrobeniusContext:
                         w[mono.perm[c]] = coeff.times_i(mono.phase[c])
                 rows.append([w[c].conjugate() for c in range(dim_sigma)])
         half = _log2(dim_sigma) - _log2(self.eta.dim)
-        return ScaledMatrix(half, Matrix(rows)).canonical()
+        return ScaledMatrix(half, Matrix(rows))
 
     def tilde_from_invariant(self, b) -> ScaledMatrix:
         """Corollary form: [T~_B(v1 (x) v2)](w) = sqrt(d1 d2) conj B(v1,v2,w)."""
@@ -450,7 +442,7 @@ class FrobeniusContext:
             ]
             for ell in range(self.dt)
         ]
-        return ScaledMatrix(_log2(self.d1 * self.d2), Matrix(rows)).canonical()
+        return ScaledMatrix(_log2(self.d1 * self.d2), Matrix(rows))
 
 
 # -- matrix coefficient identities ------------------------------------------

@@ -2,9 +2,14 @@
 pair (CL(n) x CL(n) x CL(n), diagonal).
 
 Orbits come in two flavours: the brute-force enumeration (the oracle) and
-the case-analysis prediction, which never touches the group.  Spherical
-characters likewise: direct summation over the subgroup versus the
-closed-form case formulas, compared exactly on full input grids.
+the case-analysis prediction, which reads the sign-flip lemma through
+elements.is_central and never touches the group.  Spherical characters
+likewise: direct summation over the subgroup (spherical_value, which is
+gelfand.spherical_character with H = G) versus the closed-form case
+formulas.  The full-grid comparison scales both by 2^(n+1): the direct grid
+sums the library's one character formula, characters.char_re_im, tabulated
+over the labels of irreps(n); the closed grid evaluates the case formulas on
+the parity table (-1)^|A cap E| and the xi parity table.
 
 The closed forms below are the oracle-validated versions.  Three published
 case displays carry transcription slips (a wrong intersection set in the
@@ -31,12 +36,13 @@ from .elements import (
     TripleElement,
     element_order_key,
     inverse,
+    is_central,
     multiply,
     xi,
     xi_sign,
 )
-from .characters import IrrepLabel, char_re_im, top_phase_re_im
-from .gelfand import TripleIrrepLabel
+from .characters import IrrepLabel, char_re_im, irreps, top_phase_re_im
+from .gelfand import TripleIrrepLabel, spherical_character
 
 MAX_PAIR_ORBIT_DEGREE = 7
 MAX_GRID_DEGREE = 4
@@ -95,10 +101,6 @@ def enumerate_pair_orbits(n: int):
     return orbits
 
 
-def _is_central_mask(mask: int, n: int) -> bool:
-    return mask == 0 or (n % 2 == 1 and mask == (1 << n) - 1)
-
-
 def predicted_orbit(pair, n: int) -> PairOrbit:
     """Orbit from the case analysis alone (no enumeration).
 
@@ -111,8 +113,8 @@ def predicted_orbit(pair, n: int) -> PairOrbit:
     if x.degree != n or y.degree != n:
         raise DegreeMismatchError("pair degree mismatch")
     a, b = x.mask, y.mask
-    a_fixed = _is_central_mask(a, n)
-    b_fixed = _is_central_mask(b, n)
+    a_fixed = is_central(a, n)
+    b_fixed = is_central(b, n)
 
     def neg(z):
         return CliffordElement(n, -z.sign, z.mask)
@@ -162,26 +164,8 @@ def subset_sum_lemma(subset_mask: int, n: int) -> int:
 
 def spherical_value(q: SphericalQuery) -> GaussianRational:
     """psi at (e1 gamma_T1, e2 gamma_T2, e3 gamma_T3) by direct summation
-    over h = s gamma_D in CL(n), exact integer arithmetic throughout."""
-    n = q.sigma.rho1.degree
-    labels = (q.sigma.rho1, q.sigma.rho2, q.sigma.theta)
-    args = (q.at.g1, q.at.g2, q.at.h)
-    acc_re = acc_im = 0
-    for s in (1, -1):
-        for d in range(1 << n):
-            re, im = 1, 0
-            for lab, g in zip(labels, args):
-                sign = s * g.sign * xi_sign(d, g.mask)
-                vre, vim = char_re_im(lab, sign, d ^ g.mask)
-                if vre == 0 and vim == 0:
-                    re, im = 0, 0
-                    break
-                vim = -vim  # conjugate
-                re, im = re * vre - im * vim, re * vim + im * vre
-            acc_re += re
-            acc_im += im
-    order = 1 << (n + 1)
-    return gr(Fraction(acc_re, order), Fraction(acc_im, order))
+    over h in CL(n): gelfand.spherical_character with H = G."""
+    return spherical_character(q.sigma, q.at)
 
 
 # -- closed forms -----------------------------------------------------------
@@ -282,81 +266,56 @@ def _parity_table(n: int) -> np.ndarray:
     return np.where(counts & 1, -1, 1).astype(np.int64)
 
 
-def _chi_slot(n: int):
-    """(v_re, v_im, sign_relevant, nlabels) for a one-dim character slot.
+def _slot(n: int, spin: bool):
+    """(v_re, v_im, sign_relevant, nlabels) for one slot of the direct grid.
 
-    v_re[s, lab, E] = conj chi_lab((-1)^s gamma_E), identical for both s.
+    v[s, lab, E] = conj char_re_im(lab, (-1)^s, E) over the chi labels of
+    irreps(n), or over its spin labels; v_im is None when every value is
+    real, and sign_relevant says whether the table depends on s.
     """
-    size = 1 << n
-    v_re = np.stack([_parity_table(n), _parity_table(n)])
-    return v_re, None, False, size
-
-
-def _rho_slot(n: int):
-    """Conjugated value tables for the rho-type slot(s) of CL(n)."""
-    size = 1 << n
-    if n % 2 == 0:
-        v_re = np.zeros((2, 1, size), dtype=np.int64)
-        v_re[0, 0, 0] = 1 << (n // 2)
-        v_re[1, 0, 0] = -(1 << (n // 2))
-        return v_re, None, True, 1
-    m = (n - 1) // 2
-    cr, ci = top_phase_re_im(n)
-    v_re = np.zeros((2, 2, size), dtype=np.int64)
-    v_im = np.zeros((2, 2, size), dtype=np.int64)
-    for k, pm in enumerate((1, -1)):  # labels rho+, rho-
-        for s, sgn in enumerate((1, -1)):
-            v_re[s, k, 0] = sgn << m
-            v_re[s, k, size - 1] = (sgn * pm * cr) << m
-            v_im[s, k, size - 1] = (-sgn * pm * ci) << m  # conjugated
-    if ci == 0:
-        v_im = None
-    return v_re, v_im, True, 2
+    labels = [lab for lab in irreps(n) if (lab.kind != "chi") == spin]
+    v = np.array(
+        [
+            [[char_re_im(lab, sign, e) for e in range(1 << n)] for lab in labels]
+            for sign in (1, -1)
+        ],
+        dtype=np.int64,
+    )
+    v_re, v_im = v[..., 0], -v[..., 1]
+    sign_relevant = not np.array_equal(v[0], v[1])
+    return v_re, (v_im if v_im.any() else None), sign_relevant, len(labels)
 
 
 def _direct_grid(n: int, slots):
     """2^(n+1) * psi over the full grid by literal summation over h.
 
     Each slot contributes flattened axes (label, T[, sign]); the sign axis
-    is dropped only when the slot's value table is sign-independent (which
-    is checked, not assumed).  All arithmetic is int64 and exact: term
-    magnitudes are <= 2^(3n/2) and there are 2^(n+1) terms.
+    is dropped when the slot's value table does not depend on the sign.  All
+    arithmetic is int64 and exact: term magnitudes are <= 2^(3n/2) and there
+    are 2^(n+1) terms.
     """
     size = 1 << n
     masks = np.arange(size)
     xi_bit = _xi_bit_table(n)
     shapes = tuple(
-        nlab * size * (2 if sign_rel else 1)
-        for _, _, sign_rel, nlab in slots
+        nlab * size * (1 + sign_rel) for _, _, sign_rel, nlab in slots
     )
-    for v_re, _, sign_rel, _ in slots:
-        if not sign_rel and not np.array_equal(v_re[0], v_re[1]):
-            raise RuntimeError("a sign-independent value table depends on the sign")
     total_re = np.zeros(shapes, dtype=np.int64)
     total_im = np.zeros(shapes, dtype=np.int64)
-    any_im = any(v_im is not None for _, v_im, _, _ in slots)
     for s in (0, 1):
         for d in range(size):
-            e_row = d ^ masks
+            # h g = (-1)^(s + xi(D, T) + e) gamma_(D xor T) for g = (-1)^e gamma_T
+            sbit = (s ^ xi_bit[d])[None, :, None]
+            e_row = (d ^ masks)[None, :, None]
             parts = []
             for v_re, v_im, sign_rel, nlab in slots:
-                if not sign_rel:
-                    parts.append((v_re[0][:, e_row].reshape(-1), None))
-                    continue
-                sbit = (s ^ xi_bit[d])[None, :, None] ^ np.array([0, 1])[None, None, :]
-                t_re = v_re[:, :, e_row]  # (2, nlab, T)
-                a_re = np.where(sbit == 0, t_re[0][:, :, None], t_re[1][:, :, None])
-                a_im = None
-                if v_im is not None:
-                    t_im = v_im[:, :, e_row]
-                    a_im = np.where(
-                        sbit == 0, t_im[0][:, :, None], t_im[1][:, :, None]
-                    )
-                    a_im = a_im.reshape(-1)
-                parts.append((a_re.reshape(-1), a_im))
+                # v[sign of h g, label, E]; a sign-independent table has no
+                # sign axis and reads the same at either sign
+                idx = (sbit ^ np.arange(1 + sign_rel), np.arange(nlab)[:, None, None], e_row)
+                parts.append(
+                    tuple(None if v is None else v[idx].reshape(-1) for v in (v_re, v_im))
+                )
             _accumulate_triple_product(total_re, total_im, parts)
-    if not any_im and total_im.any():
-        raise RuntimeError("real value tables summed to a nonzero imaginary part")
     return total_re, total_im
 
 
@@ -464,8 +423,7 @@ def closed_vs_direct_grids(n: int):
     """
     if n > MAX_GRID_DEGREE:
         raise GuardError(f"full-grid comparison guarded at n <= {MAX_GRID_DEGREE}")
-    chi = _chi_slot(n)
-    rho = _rho_slot(n)
+    chi, rho = _slot(n, spin=False), _slot(n, spin=True)
     fams = [
         ("chi-chi-chi", (chi, chi, chi)),
         ("rho-rho-rho", (rho, rho, rho)),

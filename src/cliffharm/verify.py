@@ -54,9 +54,9 @@ class CheckResult:
 def _check(ident, description):
     def wrap(fn):
         def run(**kw):
-            t0 = time.time()
+            t0 = time.perf_counter()
             ok, detail = fn(**kw)
-            return CheckResult(ident, description, ok, detail, time.time() - t0)
+            return CheckResult(ident, description, ok, detail, time.perf_counter() - t0)
 
         run.ident = ident
         return run

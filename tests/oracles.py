@@ -6,8 +6,23 @@ graph over Z/4 (`cliffharm.linalg.gain_graph_nullspace`); this elimination
 knows nothing of that structure, which makes it the oracle for it.  The row
 builders turn a Monomial's phase exponents into Gaussian rationals through
 their own table UNITS, not through the library's conversions.
+
+`enumerated_conjugacy_classes` conjugates every element by the whole group,
+O(|G|^2); the library reads the partition off the sign-flip lemma instead.
+`generic_spherical_character` sums the spherical character through group
+multiplication and GaussianRational character values; the library sums it
+in exact integers on masks.
 """
 
+from cliffharm.characters import character_value
+from cliffharm.elements import (
+    CliffordElement,
+    ConjugacyClass,
+    conjugate,
+    element_order_key,
+    enumerate_group,
+    multiply,
+)
 from cliffharm.exact import ONE, ZERO, gr
 
 UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
@@ -107,3 +122,34 @@ def satisfies(vec, rows):
     return all(
         sum((coeff * vec[c] for c, coeff in row.items()), ZERO) == ZERO for row in rows
     )
+
+
+def enumerated_conjugacy_classes(n):
+    """Class partition as the orbit of each element under conjugation by the
+    whole group, in enumeration order of each class's first member."""
+    elements = enumerate_group(n)
+    seen = set()
+    classes = []
+    for x in elements:
+        if x in seen:
+            continue
+        members = tuple(sorted({conjugate(x, c) for c in elements}, key=element_order_key))
+        seen.update(members)
+        classes.append(ConjugacyClass(members[0], members))
+    return tuple(classes)
+
+
+def generic_spherical_character(sigma, at):
+    """(1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1) over
+    h in H = CL(m), by multiply and character_value."""
+    n, m = sigma.rho1.degree, sigma.theta.degree
+    total = gr(0)
+    for h in enumerate_group(m):
+        hn = CliffordElement(n, h.sign, h.mask)
+        hh1 = multiply(hn, at.h)
+        total = total + (
+            character_value(sigma.rho1, multiply(hn, at.g1))
+            * character_value(sigma.rho2, multiply(hn, at.g2))
+            * character_value(sigma.theta, CliffordElement(m, hh1.sign, hh1.mask))
+        ).conjugate()
+    return total / (1 << (m + 1))

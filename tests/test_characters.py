@@ -7,6 +7,7 @@ from cliffharm.exact import gr
 from cliffharm.elements import (
     CliffordElement,
     DegreeMismatchError,
+    GuardError,
     conjugacy_classes,
     element,
     embed,
@@ -38,6 +39,14 @@ def test_irrep_census():
         assert len(labs) == len(conjugacy_classes(n))
         assert sum(lab.dim ** 2 for lab in labs) == 1 << (n + 1)
         assert len(set(labs)) == len(labs)
+
+
+def test_irreps_degree_guard():
+    # the same degree range as the elements, with the standard message
+    for n in (-1, 17):
+        with pytest.raises(GuardError, match=rf"degree {n} outside supported range \[0, 16\]"):
+            irreps(n)
+    assert len(irreps(16)) == (1 << 16) + 1
 
 
 def test_label_validation():

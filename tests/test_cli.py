@@ -28,6 +28,13 @@ def test_irreps(capsys):
     assert "chi:{1,2}" in out and "rho" in out
 
 
+def test_irreps_degree_guard_exits_1(capsys):
+    for n in ("-1", "17"):
+        code, out, err = run(capsys, "irreps", n)
+        assert code == 1 and out == ""
+        assert err == f"error: degree {n} outside supported range [0, 16]\n"
+
+
 def test_multiply(capsys):
     payload = run_json(capsys, "multiply", "3", "+g{1}", "+g{2}")
     assert payload["product"] == "+g{1,2}"

@@ -9,6 +9,7 @@ from cliffharm.elements import (
     GuardError,
     TripleElement,
     center,
+    class_key,
     conjugacy_classes,
     conjugate,
     conjugation_sign,
@@ -30,6 +31,8 @@ from cliffharm.elements import (
     xi,
     xi_sign,
 )
+
+from oracles import enumerated_conjugacy_classes
 
 
 def test_generator_relations():
@@ -105,6 +108,25 @@ def test_class_counts_and_sizes():
         # class equation: non-central classes are {x, -x}
         for c in classes:
             assert c.size in (1, 2)
+
+
+def test_classes_match_enumeration_oracle():
+    # the lemma-built partition is the O(|G|^2) enumeration, order included
+    for n in range(0, 9):
+        assert conjugacy_classes(n) == enumerated_conjugacy_classes(n)
+
+
+def test_class_key_matches_enumeration_oracle():
+    for n in range(0, 7):
+        for cls in enumerated_conjugacy_classes(n):
+            rep = cls.representative
+            for x in cls.members:
+                assert class_key(x) == (rep.sign, rep.mask)
+
+
+def test_class_partition_guard():
+    with pytest.raises(GuardError):
+        conjugacy_classes(13)
 
 
 def test_embed_is_homomorphism():

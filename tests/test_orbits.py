@@ -23,6 +23,8 @@ from cliffharm.orbits import (
     subset_sum_lemma,
 )
 
+from oracles import generic_spherical_character
+
 
 def test_orbit_structure_exhaustive_small():
     for n in (1, 2, 3, 4):
@@ -81,22 +83,40 @@ def _query(n, sigma, g1, g2, h):
 
 
 def test_direct_value_matches_generic_spherical():
-    # the integer-vectorized summation agrees with the generic definition
+    # the exact-integer summation agrees with the generic definition, for the
+    # subgroup H = CL(m) with m = n (through spherical_value) and m = n - 1
     rng = random.Random(2)
-    n = 2
-    sigmas = [
-        TripleIrrepLabel(chi(n, (1,)), rho(n), rho(n)),
-        TripleIrrepLabel(chi(n, (1, 2)), chi(n), chi(n, (1, 2))),
-        TripleIrrepLabel(rho(n), rho(n), chi(n, (2,))),
-    ]
-    for sigma in sigmas:
-        for _ in range(15):
-            g = [
-                CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n))
-                for _ in range(3)
-            ]
-            q = _query(n, sigma, *g)
-            assert spherical_value(q) == spherical_character(sigma, q.at)
+    cases = {
+        (2, 2): [
+            TripleIrrepLabel(chi(2, (1,)), rho(2), rho(2)),
+            TripleIrrepLabel(chi(2, (1, 2)), chi(2), chi(2, (1, 2))),
+            TripleIrrepLabel(rho(2), rho(2), chi(2, (2,))),
+        ],
+        (2, 1): [
+            TripleIrrepLabel(rho(2), rho(2), rho(1, "+")),
+            TripleIrrepLabel(chi(2, (1,)), rho(2), rho(1, "-")),
+            TripleIrrepLabel(chi(2, (2,)), chi(2, (1, 2)), chi(1, (1,))),
+        ],
+        (3, 2): [
+            TripleIrrepLabel(rho(3, "+"), rho(3, "-"), rho(2)),
+            TripleIrrepLabel(chi(3, (1, 3)), rho(3, "+"), rho(2)),
+            TripleIrrepLabel(rho(3, "-"), rho(3, "-"), chi(2, (1,))),
+        ],
+    }
+    for (n, m), sigmas in cases.items():
+        for sigma in sigmas:
+            for _ in range(15):
+                g1, g2 = (
+                    CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n))
+                    for _ in range(2)
+                )
+                h = CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << m))
+                at = TripleElement(g1, g2, h, m)
+                if m == n:
+                    direct = spherical_value(SphericalQuery(sigma, at))
+                else:
+                    direct = spherical_character(sigma, at)
+                assert direct == generic_spherical_character(sigma, at)
 
 
 def test_spherical_invariant_under_simultaneous_conjugation():
