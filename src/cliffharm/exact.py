@@ -93,7 +93,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to an int or Fraction when real, so hash like one (as complex does)
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def is_rational(self):
         return self.im == 0

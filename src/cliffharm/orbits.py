@@ -6,10 +6,12 @@ the case-analysis prediction, which reads the sign-flip lemma through
 elements.is_central and never touches the group.  Spherical characters
 likewise: direct summation over the subgroup (spherical_value, which is
 gelfand.spherical_character with H = G) versus the closed-form case
-formulas.  The full-grid comparison scales both by 2^(n+1): the direct grid
-sums the library's one character formula, characters.char_re_im, tabulated
-over the labels of irreps(n); the closed grid evaluates the case formulas on
-the parity table (-1)^|A cap E| and the xi parity table.
+formulas.  The case formulas are written once, as exact integer code on
+ints or int64 arrays (_closed_scaled): spherical_closed_form evaluates them
+at one point, and the full-grid comparison evaluates them on whole slabs of
+the grid.  That comparison scales both sides by 2^(n+1) and checks them one
+slab of the first slot at a time; the direct side sums the library's one
+character formula, characters.char_re_im, over every h in CL(n).
 
 The closed forms below are the oracle-validated versions.  Three published
 case displays carry transcription slips (a wrong intersection set in the
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -32,13 +33,12 @@ from .exact import GaussianRational, gr
 from .elements import (
     CliffordElement,
     DegreeMismatchError,
-    GuardError,
+    _check_degree,
     TripleElement,
     element_order_key,
     inverse,
     is_central,
     multiply,
-    xi,
     xi_sign,
 )
 from .characters import IrrepLabel, char_re_im, irreps, top_phase_re_im
@@ -86,8 +86,7 @@ def orbit_of(pair, n: int) -> PairOrbit:
 
 
 def enumerate_pair_orbits(n: int):
-    if n > MAX_PAIR_ORBIT_DEGREE:
-        raise GuardError(f"pair orbits guarded at n <= {MAX_PAIR_ORBIT_DEGREE}")
+    _check_degree(n, MAX_PAIR_ORBIT_DEGREE)
     seen = set()
     orbits = []
     for sa, amask, sb, bmask in product((1, -1), range(1 << n), (1, -1), range(1 << n)):
@@ -178,234 +177,146 @@ class SphericalResult:
     family: str
 
 
+ANALYZED_FAMILIES = ("chi-chi-chi", "rho-rho-rho", "chi-rho-rho", "chi-chi-rho")
+
+
 def _family_of(sigma: TripleIrrepLabel) -> str:
-    kinds = tuple(
+    family = "-".join(
         "chi" if lab.kind == "chi" else "rho"
         for lab in (sigma.rho1, sigma.rho2, sigma.theta)
     )
-    return {
-        ("chi", "chi", "chi"): "chi-chi-chi",
-        ("rho", "rho", "rho"): "rho-rho-rho",
-        ("chi", "rho", "rho"): "chi-rho-rho",
-        ("chi", "chi", "rho"): "chi-chi-rho",
-    }.get(kinds, "unanalyzed")
+    return family if family in ANALYZED_FAMILIES else "unanalyzed"
 
 
-def _eta_of(label: IrrepLabel) -> int:
+def _label_parameter(label: IrrepLabel) -> int:
+    """The chi mask, or eta = +-1 for a spin label (-1 only for rho-)."""
+    if label.kind == "chi":
+        return label.mask
     return -1 if label.kind == "rho-" else 1
 
 
+def _minus_one_to(x):
+    """(-1)^|x| for a mask below 2^16, or an int64 array of them: the
+    parity of |x| by a shift-XOR fold."""
+    for shift in (8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return 1 - 2 * (x & 1)
+
+
+_xi_sign = np.vectorize(xi_sign, otypes=[np.int64])
+
+
+def _closed_scaled(n: int, family: str, x1, x2, x3):
+    """2^(n+1) * psi by the case formulas, as (re, im).
+
+    Each slot xk = (label parameter, T mask, sign) of the k-th label and
+    element; its entries are ints or broadcastable int64 arrays.  Every
+    value is at most 2^(n+1) <= 2^17 in size and the intermediates are no
+    larger, so the int64 arithmetic cannot overflow.
+    """
+    (a, t1, _), (p2, t2, e2), (p3, t3, e3) = x1, x2, x3
+    if family == "chi-chi-chi":
+        cancel = a ^ p2 ^ p3 == 0
+        return cancel * _minus_one_to((a & t1) ^ (p2 & t2) ^ (p3 & t3)) << (n + 1), 0
+    if family != "chi-rho-rho":
+        return 0, 0
+    sign = e2 * e3
+    if n % 2 == 0:
+        return (t2 == t3) * sign * _minus_one_to(a & (t1 ^ t2)) << (n + 1), 0
+    # n odd: the 1/2 prefactor leaves 2^n; c^2 = conj(c)^2 = csq
+    cr, ci = top_phase_re_im(n)
+    csq = 1 if ci == 0 else -1
+    tc = ((1 << n) - 1) ^ t2
+    p_t, p_tc = _minus_one_to(a & (t1 ^ t2)), _minus_one_to(a & (t1 ^ tc))
+    same = (t2 == t3) * (p_t + csq * p2 * p3 * p_tc)
+    comp = (tc == t3) * (
+        p3 * p_t * _xi_sign(t2, t2) * _xi_sign(t2, tc)
+        + p2 * p_tc * _xi_sign(tc, t2) * _xi_sign(tc, tc)
+    )
+    # the T2 = complement(T3) branch carries conj(c)
+    return sign * (same + cr * comp) << n, -ci * sign * comp << n
+
+
 def spherical_closed_form(q: SphericalQuery) -> SphericalResult:
-    """Case-formula evaluation; unanalyzed families fall back to summation."""
+    """_closed_scaled at one point, divided by 2^(n+1); unanalyzed families
+    fall back to summation."""
     family = _family_of(q.sigma)
-    n = q.sigma.rho1.degree
-    t1, t2, t3 = q.at.g1.mask, q.at.g2.mask, q.at.h.mask
-    e2, e3 = q.at.g2.sign, q.at.h.sign
     if family == "unanalyzed":
         return SphericalResult(spherical_value(q), False, family)
-    if family in ("rho-rho-rho", "chi-chi-rho"):
-        return SphericalResult(gr(0), True, family)
-    a = q.sigma.rho1.mask
-
-    def par(mask):
-        return -1 if (a & mask).bit_count() & 1 else 1
-
-    if family == "chi-chi-chi":
-        b, c = q.sigma.rho2.mask, q.sigma.theta.mask
-        if a ^ b ^ c:
-            return SphericalResult(gr(0), True, family)
-        e = (
-            (a & t1).bit_count() + (b & t2).bit_count() + (c & t3).bit_count()
-        )
-        return SphericalResult(gr(-1 if e & 1 else 1), True, family)
-    # chi-rho-rho
-    full = (1 << n) - 1
-    if n % 2 == 0:
-        if t2 != t3:
-            return SphericalResult(gr(0), True, family)
-        return SphericalResult(gr(par(t2 ^ t1) * e2 * e3), True, family)
-    # n odd
-    eta2, eta3 = _eta_of(q.sigma.rho2), _eta_of(q.sigma.theta)
-    cr, ci = top_phase_re_im(n)
-    csq = 1 if ci == 0 else -1  # c^2 = conj(c)^2
-    if t2 == t3:
-        bracket = par(t2 ^ t1) + csq * eta2 * eta3 * par(t2 ^ full ^ t1)
-        return SphericalResult(gr(Fraction(e2 * e3 * bracket, 2)), True, family)
-    if t2 == full ^ t3:
-        t, tc = t2, full ^ t2
-        bracket = eta3 * par(t ^ t1) * xi_sign(t, t) * xi_sign(t, tc) + (
-            eta2 * par(tc ^ t1) * xi_sign(tc, t) * xi_sign(tc, tc)
-        )
-        half = Fraction(e2 * e3 * bracket, 2)
-        return SphericalResult(gr(cr * half, -ci * half), True, family)
-    return SphericalResult(gr(0), True, family)
+    n = q.sigma.rho1.degree
+    labels = (q.sigma.rho1, q.sigma.rho2, q.sigma.theta)
+    slots = [
+        (_label_parameter(lab), g.mask, g.sign)
+        for lab, g in zip(labels, (q.at.g1, q.at.g2, q.at.h))
+    ]
+    re, im = _closed_scaled(n, family, *slots)
+    scale = 1 << (n + 1)
+    return SphericalResult(
+        gr(Fraction(int(re), scale), Fraction(int(im), scale)), True, family
+    )
 
 
 # -- exhaustive closed-vs-direct comparison (vectorized, exact int64) -------
 
 
-@lru_cache(maxsize=None)
-def _xi_bit_table(n: int) -> np.ndarray:
-    size = 1 << n
-    t = np.empty((size, size), dtype=np.int64)
-    for d in range(size):
-        for e in range(size):
-            t[d, e] = xi(d, e) & 1
-    return t
-
-
-@lru_cache(maxsize=None)
-def _parity_table(n: int) -> np.ndarray:
-    """p[a, e] = (-1)^|A cap E| over all mask pairs."""
-    size = 1 << n
-    masks = np.arange(size)
-    inter = masks[:, None] & masks[None, :]
-    counts = np.zeros_like(inter)
-    for bit in range(n):
-        counts += (inter >> bit) & 1
-    return np.where(counts & 1, -1, 1).astype(np.int64)
-
-
 def _slot(n: int, spin: bool):
-    """(v_re, v_im, sign_relevant, nlabels) for one slot of the direct grid.
+    """(summands, points) for one slot of the grid, over the chi labels of
+    irreps(n) or over its spin labels.
 
-    v[s, lab, E] = conj char_re_im(lab, (-1)^s, E) over the chi labels of
-    irreps(n), or over its spin labels; v_im is None when every value is
-    real, and sign_relevant says whether the table depends on s.
+    The slot's grid points are its (label, T, sign) triples, the sign held
+    at +1 when no label's character depends on it; points lists them as the
+    (label parameter, T, sign) rows that _closed_scaled reads.  summands =
+    (re, im) has a row per h = (-1)^s gamma_D in CL(n) and a column per
+    point g = e gamma_T, holding conj chi_label(h g), where
+    h g = (-1)^s e (-1)^xi(D, T) gamma_(D xor T).
     """
     labels = [lab for lab in irreps(n) if (lab.kind != "chi") == spin]
-    v = np.array(
+    masks = range(1 << n)
+    sign_relevant = any(
+        char_re_im(lab, 1, e) != char_re_im(lab, -1, e) for lab in labels for e in masks
+    )
+    grid = list(product(labels, masks, (1, -1)[: 1 + sign_relevant]))
+    values = np.array(
         [
-            [[char_re_im(lab, sign, e) for e in range(1 << n)] for lab in labels]
-            for sign in (1, -1)
+            [char_re_im(lab, s * e * xi_sign(d, t), d ^ t) for lab, t, e in grid]
+            for s, d in product((1, -1), masks)
         ],
         dtype=np.int64,
     )
-    v_re, v_im = v[..., 0], -v[..., 1]
-    sign_relevant = not np.array_equal(v[0], v[1])
-    return v_re, (v_im if v_im.any() else None), sign_relevant, len(labels)
+    points = np.array(
+        [(_label_parameter(lab), t, e) for lab, t, e in grid], dtype=np.int64
+    ).T
+    return (values[..., 0], -values[..., 1]), points
 
 
-def _direct_grid(n: int, slots):
-    """2^(n+1) * psi over the full grid by literal summation over h.
+def _complex_matmul(x, y):
+    """x @ y for Gaussian-integer matrices given as (re, im) int64 pairs;
+    a product with an all-zero factor is skipped, so real tables cost one
+    integer matmul."""
+    (x_re, x_im), (y_re, y_im) = x, y
 
-    Each slot contributes flattened axes (label, T[, sign]); the sign axis
-    is dropped when the slot's value table does not depend on the sign.  All
-    arithmetic is int64 and exact: term magnitudes are <= 2^(3n/2) and there
-    are 2^(n+1) terms.
+    def mm(p, q):
+        if p.any() and q.any():
+            return p @ q
+        return np.zeros((p.shape[0], q.shape[1]), dtype=np.int64)
+
+    return mm(x_re, y_re) - mm(x_im, y_im), mm(x_re, y_im) + mm(x_im, y_re)
+
+
+def _direct_grid(slots):
+    """2^(n+1) * psi over the full grid by literal summation over h, one
+    slab per point i of the first slot.
+
+    With rows h and columns grid points, slab i is
+    sum_h a[h, i] outer(b[h], c[h]) = b^T diag(a[:, i]) c.  All arithmetic
+    is int64 and exact: terms are at most 2^(3n/2) in size and there are
+    2^(n+1) of them.
     """
-    size = 1 << n
-    masks = np.arange(size)
-    xi_bit = _xi_bit_table(n)
-    shapes = tuple(
-        nlab * size * (1 + sign_rel) for _, _, sign_rel, nlab in slots
-    )
-    total_re = np.zeros(shapes, dtype=np.int64)
-    total_im = np.zeros(shapes, dtype=np.int64)
-    for s in (0, 1):
-        for d in range(size):
-            # h g = (-1)^(s + xi(D, T) + e) gamma_(D xor T) for g = (-1)^e gamma_T
-            sbit = (s ^ xi_bit[d])[None, :, None]
-            e_row = (d ^ masks)[None, :, None]
-            parts = []
-            for v_re, v_im, sign_rel, nlab in slots:
-                # v[sign of h g, label, E]; a sign-independent table has no
-                # sign axis and reads the same at either sign
-                idx = (sbit ^ np.arange(1 + sign_rel), np.arange(nlab)[:, None, None], e_row)
-                parts.append(
-                    tuple(None if v is None else v[idx].reshape(-1) for v in (v_re, v_im))
-                )
-            _accumulate_triple_product(total_re, total_im, parts)
-    return total_re, total_im
-
-
-def _accumulate_triple_product(total_re, total_im, parts):
-    """total += outer product of three complex vectors (None imag = 0)."""
-    (a_re, a_im), (b_re, b_im), (c_re, c_im) = parts
-    ab_re = a_re[:, None] * b_re[None, :]
-    ab_im = None
-    if a_im is not None or b_im is not None:
-        ab_im = np.zeros_like(ab_re)
-        if b_im is not None:
-            ab_im += a_re[:, None] * b_im[None, :]
-        if a_im is not None:
-            ab_im += a_im[:, None] * b_re[None, :]
-        if a_im is not None and b_im is not None:
-            ab_re = ab_re - a_im[:, None] * b_im[None, :]
-    total_re += ab_re[:, :, None] * c_re[None, None, :]
-    if ab_im is not None:
-        total_im += ab_im[:, :, None] * c_re[None, None, :]
-    if c_im is not None:
-        total_im += ab_re[:, :, None] * c_im[None, None, :]
-        if ab_im is not None:
-            total_re -= ab_im[:, :, None] * c_im[None, None, :]
-
-
-def _closed_grid(n: int, family: str, shapes):
-    """2^(n+1) * closed-form values, matching _direct_grid's axis layout."""
-    size = 1 << n
-    full = size - 1
-    par = _parity_table(n)
-    scale = 1 << (n + 1)
-    masks = np.arange(size)
-    re = np.zeros(shapes, dtype=np.int64)
-    im = np.zeros(shapes, dtype=np.int64)
-    if family in ("rho-rho-rho", "chi-chi-rho"):
-        return re, im
-    lab = np.repeat(masks, size)  # label mask per flattened (lab, T) index
-    t_arg = np.tile(masks, size)  # T mask per flattened (lab, T) index
-    if family == "chi-chi-chi":
-        f = par.reshape(-1)  # f[(A,T)] = (-1)^|A cap T|
-        delta = (
-            lab[:, None, None] ^ lab[None, :, None] ^ lab[None, None, :]
-        ) == 0
-        re[:] = scale * (
-            f[:, None, None] * f[None, :, None] * f[None, None, :]
-        ) * delta
-        return re, im
-    # chi-rho-rho: slot1 (A, T1); slots 2, 3 have a sign axis
-    eps = np.array([1, -1])
-    if n % 2 == 0:
-        g = par[lab[:, None], masks[None, :] ^ t_arg[:, None]]  # [(A,T1), T2]
-        t_eq = np.eye(size, dtype=np.int64)
-        v = (
-            g[:, :, None, None, None]
-            * t_eq[None, :, None, :, None]
-            * (eps[None, None, :, None, None] * eps[None, None, None, None, :])
-        )
-        re[:] = scale * v.reshape(shapes)
-        return re, im
-    # n odd: slots 2, 3 flatten (eta-label, T, sign)
-    cr, ci = top_phase_re_im(n)
-    csq = 1 if ci == 0 else -1
-    scale2 = 1 << n  # scale * the 1/2 prefactor
-    xsign = 1 - 2 * _xi_bit_table(n)
-    p_t = par[lab[:, None], masks[None, :] ^ t_arg[:, None]]  # [(A,T1), T]
-    p_tc = par[lab[:, None], (masks[None, :] ^ full) ^ t_arg[:, None]]
-    s1 = xsign[masks, masks] * xsign[masks, masks ^ full]  # xi(T,T), xi(T,Tc)
-    s2 = xsign[masks ^ full, masks] * xsign[masks ^ full, masks ^ full]
-    t_eq = np.eye(size, dtype=np.int64)
-    t_comp = np.zeros((size, size), dtype=np.int64)
-    t_comp[masks, masks ^ full] = 1
-    re_m = re.reshape(shapes[0], 2, size, 2, 2, size, 2)
-    im_m = im.reshape(shapes[0], 2, size, 2, 2, size, 2)
-    for k2, eta2 in enumerate((1, -1)):
-        for k3, eta3 in enumerate((1, -1)):
-            same = (
-                p_t[:, :, None] + csq * eta2 * eta3 * p_tc[:, :, None]
-            ) * t_eq[None, :, :]
-            comp = (
-                eta3 * p_t[:, :, None] * s1[None, :, None]
-                + eta2 * p_tc[:, :, None] * s2[None, :, None]
-            ) * t_comp[None, :, :]
-            for i2, e2 in enumerate((1, -1)):
-                for i3, e3 in enumerate((1, -1)):
-                    sgn = e2 * e3
-                    re_m[:, k2, :, i2, k3, :, i3] = scale2 * sgn * (
-                        same + cr * comp
-                    )
-                    im_m[:, k2, :, i2, k3, :, i3] = scale2 * sgn * (-ci) * comp
-    return re, im
+    (a_re, a_im), (b_re, b_im), c = slots
+    b_t = (b_re.T, b_im.T)
+    for i in range(a_re.shape[1]):
+        a_diag = (np.diag(a_re[:, i]), np.diag(a_im[:, i]))
+        yield _complex_matmul(_complex_matmul(b_t, a_diag), c)
 
 
 @dataclass
@@ -416,24 +327,25 @@ class GridFamilyReport:
 
 
 def closed_vs_direct_grids(n: int):
-    """Compare closed forms with direct summation on the full input grid.
+    """Compare the closed form with direct summation on the full input grid.
 
     Covers every analyzed family at degree n; both sides are scaled by
-    2^(n+1) so everything stays integral.  Returns per-family reports.
+    2^(n+1) so everything stays integral, and they are compared one slab
+    of the first slot at a time.  Returns per-family reports.
     """
-    if n > MAX_GRID_DEGREE:
-        raise GuardError(f"full-grid comparison guarded at n <= {MAX_GRID_DEGREE}")
-    chi, rho = _slot(n, spin=False), _slot(n, spin=True)
-    fams = [
-        ("chi-chi-chi", (chi, chi, chi)),
-        ("rho-rho-rho", (rho, rho, rho)),
-        ("chi-rho-rho", (chi, rho, rho)),
-        ("chi-chi-rho", (chi, chi, rho)),
-    ]
+    _check_degree(n, MAX_GRID_DEGREE)
+    slot_of = {"chi": _slot(n, spin=False), "rho": _slot(n, spin=True)}
     reports = []
-    for family, slots in fams:
-        d_re, d_im = _direct_grid(n, slots)
-        c_re, c_im = _closed_grid(n, family, d_re.shape)
-        agree = np.array_equal(d_re, c_re) and np.array_equal(d_im, c_im)
-        reports.append(GridFamilyReport(family, int(d_re.size), agree))
+    for family in ANALYZED_FAMILIES:
+        slots = [slot_of[kind] for kind in family.split("-")]
+        x1, x2, x3 = (points for _, points in slots)
+        cols, rows = [x[:, None] for x in x2], [x[None, :] for x in x3]
+        closed = (_closed_scaled(n, family, p, cols, rows) for p in zip(*x1))
+        direct = _direct_grid([summands for summands, _ in slots])
+        agree = all(
+            np.all(d_re == c_re) and np.all(d_im == c_im)
+            for (d_re, d_im), (c_re, c_im) in zip(direct, closed)
+        )
+        points = x1.shape[1] * x2.shape[1] * x3.shape[1]
+        reports.append(GridFamilyReport(family, points, agree))
     return reports

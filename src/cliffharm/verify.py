@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .elements import CliffordElement, conjugacy_classes
+from .elements import CliffordElement, TripleElement, conjugacy_classes, format_element
 from .characters import (
     IrrepLabel,
     chi,
@@ -27,6 +27,7 @@ from .characters import (
     format_label,
 )
 from .gelfand import (
+    TripleIrrepLabel,
     diagonal_invariant_dim,
     gelfand_check_characters,
     gelfand_check_biinvariant,
@@ -34,10 +35,14 @@ from .gelfand import (
 from .matrix_models import FrobeniusContext, build_matrix_rep, matrix_coefficient_checks
 from .linalg import ScaledMatrix, hs_inner, scaled_hs_inner
 from .orbits import (
+    ANALYZED_FAMILIES,
+    SphericalQuery,
     closed_vs_direct_grids,
     enumerate_pair_orbits,
     orbit_of,
     predicted_orbit,
+    spherical_closed_form,
+    spherical_value,
     subset_sum_lemma,
 )
 
@@ -293,6 +298,45 @@ def check_deep_extras(seed=0, samples=10_000):
     return True, f"gelfand n=7; {samples} sampled pairs at n=6,7 (seed {seed})"
 
 
+@_check("D2", "sampled spherical closed forms equal direct summation")
+def check_sampled_spherical(degrees=range(5, 13), seed=0):
+    """spherical_closed_form against spherical_value at 32 seeded points per
+    degree, cycling over the analyzed families.
+
+    Every second block of four ties T3 to T2 (in the last 16 points, to its
+    complement), and every second chi-chi-chi block of eight sets C = A ^ B,
+    so each nonzero branch of the closed form is hit.
+    """
+    rng = random.Random(seed)
+    for n in degrees:
+        spins = [lab for lab in irreps(n) if lab.kind != "chi"]
+        for k in range(32):
+            family = ANALYZED_FAMILIES[k % 4]
+            labels = [
+                chi(n, rng.randrange(1 << n)) if kind == "chi" else rng.choice(spins)
+                for kind in family.split("-")
+            ]
+            if family == "chi-chi-chi" and k // 8 % 2:
+                labels[2] = chi(n, labels[0].mask ^ labels[1].mask)
+            g1, g2, h = (
+                CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n))
+                for _ in range(3)
+            )
+            if k // 4 % 2:
+                t3 = g2.mask ^ ((1 << n) - 1 if k >= 16 else 0)
+                h = CliffordElement(n, h.sign, t3)
+            q = SphericalQuery(TripleIrrepLabel(*labels), TripleElement(g1, g2, h, n))
+            closed, direct = spherical_closed_form(q).value, spherical_value(q)
+            if closed != direct:
+                sigma = ", ".join(map(format_label, labels))
+                at = ", ".join(map(format_element, (g1, g2, h)))
+                return False, (
+                    f"{family} at n={n}, sigma=({sigma}), at=({at}): "
+                    f"closed {closed} != direct {direct}"
+                )
+    return True, f"32 points per degree, n in {tuple(degrees)} (seed {seed})"
+
+
 LEVELS = ("smoke", "desk", "deep")
 
 
@@ -326,4 +370,5 @@ def run_suite(level="desk", seed=0):
         ]
         if level == "deep":
             checks.append(check_deep_extras(seed=seed))
+            checks.append(check_sampled_spherical(seed=seed))
     return checks

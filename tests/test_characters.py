@@ -49,6 +49,12 @@ def test_irreps_degree_guard():
     assert len(irreps(16)) == (1 << 16) + 1
 
 
+def test_decompose_degree_guard():
+    # one past MAX_CHARACTER_DEGREE = 9; the character itself is cheap
+    with pytest.raises(GuardError, match=r"degree 10 outside supported range \[0, 9\]"):
+        decompose(tensor_character(rho(10), rho(10)))
+
+
 def test_label_validation():
     with pytest.raises(ValueError):
         rho(3)          # odd degree needs a sign

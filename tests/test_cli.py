@@ -35,6 +35,19 @@ def test_irreps_degree_guard_exits_1(capsys):
         assert err == f"error: degree {n} outside supported range [0, 16]\n"
 
 
+def test_guards_exit_1_without_traceback(capsys):
+    cases = {
+        ("gelfand", "9"): "[0, 8]",
+        ("tensor", "10", "rho", "rho"): "[0, 9]",
+        ("orbits", "-1"): "[0, 7]",
+    }
+    for argv, bounds in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        degree = argv[1]
+        assert err == f"error: degree {degree} outside supported range {bounds}\n"
+
+
 def test_multiply(capsys):
     payload = run_json(capsys, "multiply", "3", "+g{1}", "+g{2}")
     assert payload["product"] == "+g{1,2}"

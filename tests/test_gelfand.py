@@ -115,6 +115,11 @@ def test_convolution_agrees_with_characters():
 def test_guards():
     with pytest.raises(GuardError):
         gelfand_check_biinvariant(4, 4)
+    # one past MAX_CHARACTER_METHOD_DEGREE = 8 would build a 514^3 table
+    with pytest.raises(GuardError):
+        gelfand_check_characters(9, 9)
+    with pytest.raises(GuardError):
+        gelfand_check_characters(9, 8)
     with pytest.raises(ValueError):
         gelfand_check_characters(3, 1)
 

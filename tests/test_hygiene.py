@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private name is used somewhere in the package.
 
-The package's __init__.py is skipped: its imports are the public
-re-exports.  Names are found with the stdlib ast, so a name that appears
-only in a comment or a string does not count as used.
+The package's __init__.py is skipped by the import scan: its imports are the
+public re-exports.  Names are found with the stdlib ast, so a name that
+appears only in a comment or a string does not count as used.
 """
 
 import ast
@@ -27,6 +28,71 @@ def unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _private_definitions(tree):
+    """(name, statement) for each module-level _name def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node) -> set:
+    """Names read in node: loads, attribute names and from-import names."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            refs.update(alias.name for alias in sub.names)
+    return refs
+
+
+def stranded_private_names(sources: dict) -> list:
+    """(module, name) for each private module-level name that no module
+    references outside the statement that defines it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    refs = {id(stmt): _references(stmt) for stmt in statements}
+    return sorted(
+        (module, name)
+        for module, tree in trees.items()
+        for name, definition in _private_definitions(tree)
+        if not any(
+            name in refs[id(stmt)] for stmt in statements if stmt is not definition
+        )
+    )
+
+
+def test_private_name_scanner():
+    sources = {
+        "a": (
+            "def _used():\n    return 1\n"
+            "def _recursive(k):\n    return _recursive(k - 1)\n"
+            "_TABLE = {}\n_ATTR = 2\n_unused_value = 3\n"
+            "class _Stranded:\n    pass\n"
+            "def public():\n    return _used()\n"
+        ),
+        "b": "from .a import _TABLE\nfrom . import a\nx = a._ATTR\n",
+    }
+    assert stranded_private_names(sources) == [
+        ("a", "_Stranded"), ("a", "_recursive"), ("a", "_unused_value")
+    ]
+
+
+def test_no_stranded_private_names():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert stranded_private_names(sources) == []
 
 
 def test_scanner_flags_unused_names():

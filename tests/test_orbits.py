@@ -12,6 +12,7 @@ from cliffharm.elements import (
 )
 from cliffharm.characters import chi, rho
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
+from cliffharm import orbits
 from cliffharm.orbits import (
     SphericalQuery,
     closed_vs_direct_grids,
@@ -66,8 +67,9 @@ def test_singleton_orbits_are_central_pairs():
 
 
 def test_orbit_guard():
-    with pytest.raises(GuardError):
-        enumerate_pair_orbits(8)
+    for n in (-1, 8):
+        with pytest.raises(GuardError):
+            enumerate_pair_orbits(n)
 
 
 def test_subset_sum_lemma():
@@ -197,3 +199,25 @@ def test_spherical_query_requires_equal_degrees():
             TripleIrrepLabel(rho(2), rho(2), chi(1)),
             TripleElement(identity(2), identity(2), identity(2), 1),
         )
+
+
+def test_point_and_grid_share_one_closed_form(monkeypatch):
+    # a slip in _closed_scaled must show up both at a point and on the grid
+    real = orbits._closed_scaled
+
+    def negated(n, family, *slots):
+        re, im = real(n, family, *slots)
+        return (-re, -im) if family == "chi-rho-rho" else (re, im)
+
+    monkeypatch.setattr(orbits, "_closed_scaled", negated)
+    n = 2
+    sigma = TripleIrrepLabel(chi(n, (1,)), rho(n), rho(n))
+    g2 = element(n, 1, (1, 2))
+    q = _query(n, sigma, element(n, 1, (1,)), g2, g2)  # T2 = T3
+    assert spherical_value(q) != gr(0)
+    assert spherical_closed_form(q).value != spherical_value(q)
+    agree = {r.family: r.agree for r in closed_vs_direct_grids(n)}
+    assert agree == {
+        "chi-chi-chi": True, "rho-rho-rho": True,
+        "chi-rho-rho": False, "chi-chi-rho": True,
+    }

@@ -1,10 +1,16 @@
-"""Property tests on CL(n) for degrees up to 16, past the reach of enumeration.
+"""Property tests on CL(n) for degrees up to 16, past the reach of enumeration,
+and on the field Q(i) of Gaussian rationals.
 
 Elements are drawn as (sign, mask) pairs; nothing here enumerates a group.
 """
 
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
+import numpy as np
+from hypothesis import assume, given, strategies as st
+
+from cliffharm import orbits
+from cliffharm.exact import I, ONE, ZERO, gr
 from cliffharm.elements import (
     MAX_DEGREE,
     CliffordElement,
@@ -77,3 +83,61 @@ def test_is_central_is_the_sign_flip_lemma(data):
     a = data.draw(st.integers(0, (1 << n) - 1))
     fixed = all(conjugation_sign(a, 1 << j) == 1 for j in range(n))
     assert is_central(a, n) == fixed
+
+
+@given(st.lists(st.integers(0, (1 << MAX_DEGREE) - 1), min_size=1, max_size=8))
+def test_parity_fold_is_the_parity_of_the_mask(masks):
+    # the closed forms' shift-XOR fold, on ints and on int64 arrays
+    want = [(-1) ** mask.bit_count() for mask in masks]
+    assert [orbits._minus_one_to(mask) for mask in masks] == want
+    assert orbits._minus_one_to(np.array(masks, dtype=np.int64)).tolist() == want
+
+
+# -- Q(i): GaussianRational is a field, and hashes like the numbers it equals
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+gaussians = st.builds(gr, rationals, rationals) | st.builds(gr, rationals)
+
+
+@given(gaussians, gaussians, gaussians)
+def test_gaussian_ring_laws(x, y, z):
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + ZERO == x and x * ONE == x and x + (-x) == ZERO
+    assert x - y == x + (-y)
+
+
+@given(gaussians)
+def test_gaussian_inverse(x):
+    assume(x != 0)
+    assert x * (1 / x) == 1
+
+
+@given(gaussians, gaussians)
+def test_conjugate_and_abs2_are_multiplicative(x, y):
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    assert (x * y).abs2() == x.abs2() * y.abs2()
+    assert x * x.conjugate() == x.abs2()
+
+
+@given(gaussians, st.integers(-8, 8))
+def test_times_i_is_multiplication_by_a_power_of_i(x, k):
+    power = ONE
+    for _ in range(k % 4):
+        power = power * I
+    assert x.times_i(k) == x * power
+
+
+@given(gaussians)
+def test_equal_gaussians_hash_alike(x):
+    # every number equal to x: a fresh copy, and its Fraction and int forms
+    equals = [x, gr(x.re, x.im)]
+    if x.im == 0:
+        equals.append(x.re)
+        if x.re.denominator == 1:
+            equals.append(int(x.re))
+    for y in equals:
+        assert x == y and y == x and hash(x) == hash(y)
+    assert len(set(equals)) == 1
+    assert {y: "found" for y in equals[1:]}.get(x) == "found"
