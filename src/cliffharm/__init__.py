@@ -50,7 +50,6 @@ from .gelfand import (
     gelfand_check_characters,
     gelfand_check_biinvariant,
     spherical_character,
-    permutation_character_eta,
 )
 from .matrix_models import (
     CliffordMatrixRep,

@@ -13,6 +13,10 @@ gamma_A keeps its sign under every conjugation exactly when it is central
 (is_central), and otherwise +/- gamma_A form one class of size 2.  The
 class partition, class_key and the centre are read off that lemma; nothing
 here enumerates the group to find them.
+
+Whole-group computations (the eta images, the convolution algebra, the
+matrix-coefficient identities) read mult_table, the product and inverse
+tables on element indices, built for all pairs at once by a shift-XOR fold.
 """
 
 from __future__ import annotations
@@ -21,10 +25,16 @@ import re as _re
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 # Element arithmetic works up to degree 16; anything that enumerates the
 # whole group (or G x G) is guarded separately.
 MAX_DEGREE = 16
 MAX_ENUM_DEGREE = 12
+# mult_table holds 4^(n+1) int64 entries, 8*4^(n+1) bytes: 32 MiB at n = 10,
+# built in 0.12 s with a 125 MB peak RSS (2-CPU VM); n = 11 would hold
+# 128 MiB and peak at 413 MB.
+MAX_TABLE_DEGREE = 10
 
 
 class DegreeMismatchError(ValueError):
@@ -158,6 +168,49 @@ def element_index(x: CliffordElement) -> int:
     return ((x.sign < 0) << x.degree) | x.mask
 
 
+def _xor_fold(x):
+    """Bit j of the result is the parity of bits j..j+15 of x, for an int or
+    an int64 array: for a mask below 2^16, the parity of its bits from j up,
+    so bit 0 is the parity of |x|.  Right shifts only, so no intermediate
+    exceeds x."""
+    for shift in (8, 4, 2, 1):
+        x = x ^ (x >> shift)
+    return x
+
+
+def _minus_one_to(x):
+    """(-1)^|x| for a mask below 2^16, or an int64 array of them."""
+    return 1 - 2 * (_xor_fold(x) & 1)
+
+
+def _xi_parity(a, b):
+    """xi(a, b) mod 2 on masks below 2^16, ints or int64 arrays: xi counts
+    the pairs of a bit of a above a bit of b, and bit j of fold(a >> 1) is
+    the parity of a's bits above j."""
+    return _xor_fold(_xor_fold(a >> 1) & b) & 1
+
+
+@lru_cache(maxsize=None)
+def mult_table(n: int):
+    """(tab, inv): read-only int64 arrays on element_index positions, with
+    tab[i, j] the index of x_i * x_j and inv[i] the index of x_i^-1.
+
+    The index is sign_bit << n | mask.  A product's mask is a ^ b and its
+    sign bit is sa ^ sb ^ parity(xi(a, b)), so tab = i ^ j ^ xi_bit << n,
+    for all pairs at once.  x^2 = +/-1 is tab's diagonal, and x^-1 = x^2 x
+    flips x's sign bit by it.  Entries are below 2^(n+1) and every fold
+    intermediate is a mask below 2^n, so nothing overflows int64.
+    """
+    _check_degree(n, MAX_TABLE_DEGREE)
+    idx = np.arange(2 << n, dtype=np.int64)
+    mask = idx & ((1 << n) - 1)
+    tab = idx[:, None] ^ idx ^ (_xi_parity(mask[:, None], mask) << n)
+    inv = idx ^ tab.diagonal()
+    tab.setflags(write=False)
+    inv.setflags(write=False)
+    return tab, inv
+
+
 def element_order_key(x: CliffordElement):
     return (x.sign < 0, x.mask)
 
@@ -175,7 +228,7 @@ def class_key(x: CliffordElement):
 
 def center(n: int):
     """{+/-1} for n even, plus {+/- gamma_Xn} for n odd."""
-    _check_degree(n, MAX_ENUM_DEGREE)
+    _check_degree(n)
     return [
         CliffordElement(n, sign, mask)
         for mask in sorted({0, (1 << n) - 1})
@@ -263,12 +316,6 @@ def triple_multiply(s: TripleElement, t: TripleElement) -> TripleElement:
         multiply(s.g2, t.g2),
         multiply(s.h, t.h),
         s.subgroup_degree,
-    )
-
-
-def triple_inverse(t: TripleElement) -> TripleElement:
-    return TripleElement(
-        inverse(t.g1), inverse(t.g2), inverse(t.h), t.subgroup_degree
     )
 
 

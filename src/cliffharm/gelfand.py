@@ -6,7 +6,8 @@ the plain (unconjugated) averaged character product.  The pair is Gelfand
 exactly when every such multiplicity is at most 1.
 
 Two independent verdicts are provided: the character scan here, and the
-brute-force commutativity of the bi-invariant convolution algebra.
+brute-force commutativity of the bi-invariant convolution algebra, which
+composes group elements through elements.mult_table.
 """
 
 from __future__ import annotations
@@ -19,22 +20,17 @@ import numpy as np
 
 from .exact import GaussianRational, gr
 from .elements import (
-    CliffordElement,
     DegreeMismatchError,
     _check_degree,
     TripleElement,
     conjugacy_classes,
-    element_index,
-    enumerate_group,
-    inverse,
-    multiply,
+    mult_table,
     xi_sign,
 )
 from .characters import (
     IrrepLabel,
     char_re_im,
     character_table,
-    character_value,
     conjugate_label,
     format_label,
 )
@@ -115,12 +111,6 @@ class GelfandReport:
     @property
     def pair_name(self) -> str:
         return f"(CL({self.n})xCL({self.n})xCL({self.m}), diag)"
-
-    def multiplicity(self, t: TripleIrrepLabel) -> int:
-        i = self.labels_g.index(t.rho1)
-        j = self.labels_g.index(t.rho2)
-        k = self.labels_h.index(t.theta)
-        return int(self.mult_array[i, j, k])
 
     def table(self) -> dict:
         out = {}
@@ -237,17 +227,6 @@ def spherical_character(sigma: TripleIrrepLabel, at: TripleElement) -> GaussianR
 # -- convolution-algebra verdict --------------------------------------------
 
 
-def _mult_table(n: int) -> np.ndarray:
-    elems = enumerate_group(n)
-    order = len(elems)
-    t = np.empty((order, order), dtype=np.int64)
-    for x in elems:
-        ix = element_index(x)
-        for y in elems:
-            t[ix, element_index(y)] = element_index(multiply(x, y))
-    return t
-
-
 def gelfand_check_biinvariant(n: int, m: int) -> bool:
     """Brute-force verdict: is the H~-bi-invariant convolution algebra on
     K = CL(n) x CL(n) x CL(m) commutative?
@@ -258,8 +237,8 @@ def gelfand_check_biinvariant(n: int, m: int) -> bool:
     _check_degree(n, MAX_CONVOLUTION_DEGREE)
     if m not in (n, n - 1) and not (n == 0 and m == 0):
         raise ValueError(f"subgroup degree must be n or n-1, got m={m}")
-    tg = _mult_table(n)
-    th = _mult_table(m)
+    tg, _ = mult_table(n)
+    th, _ = mult_table(m)
     og, oh = 1 << (n + 1), 1 << (m + 1)
     order = og * og * oh
     idx1, idx2, idx3 = np.meshgrid(
@@ -307,69 +286,3 @@ def gelfand_check_biinvariant(n: int, m: int) -> bool:
             ):
                 return False
     return True
-
-
-# -- the permutation character of the two-sided action ----------------------
-
-
-@dataclass
-class EtaCharacter:
-    """Character of the permutation action of CL(n) x CL(n) x CL(m) on G x G.
-
-    Stored on product conjugacy classes (value at t = fixed points of the
-    action of t).
-    """
-
-    n: int
-    m: int
-    reps: list  # TripleElement class representatives
-    sizes: list
-    values: list  # ints
-
-    def multiplicity(self, sigma: TripleIrrepLabel) -> int:
-        order = (1 << (self.n + 1)) ** 2 * (1 << (self.m + 1))
-        total = gr(0)
-        for rep, size, value in zip(self.reps, self.sizes, self.values):
-            c1 = character_value(sigma.rho1, rep.g1)
-            c2 = character_value(sigma.rho2, rep.g2)
-            ct = character_value(
-                sigma.theta, CliffordElement(self.m, rep.h.sign, rep.h.mask)
-            )
-            total = total + size * value * (c1 * c2 * ct).conjugate()
-        total = total / order
-        if not total.is_integer() or total.re < 0:
-            raise AssertionError(f"eta multiplicity not in Z>=0: {total}")
-        return int(total.re)
-
-
-def permutation_character_eta(n: int, m: int) -> EtaCharacter:
-    _check_degree(n, MAX_CONVOLUTION_DEGREE)
-    g_elems = enumerate_group(n)
-    reps, sizes, values = [], [], []
-    classes_g = conjugacy_classes(n)
-    classes_h = conjugacy_classes(m)
-    for c1 in classes_g:
-        g1 = c1.representative
-        for c2 in classes_g:
-            g2 = c2.representative
-            g2i = inverse(g2)
-            # fixed g3: g1 g3 g2^-1 = g3
-            fixed_left = sum(
-                1 for g3 in g_elems
-                if multiply(multiply(g1, g3), g2i) == g3
-            )
-            for c3 in classes_h:
-                h = CliffordElement(n, c3.representative.sign, c3.representative.mask)
-                hi = inverse(h)
-                fixed_right = (
-                    sum(
-                        1 for g4 in g_elems
-                        if multiply(multiply(g2, g4), hi) == g4
-                    )
-                    if fixed_left
-                    else 0
-                )
-                reps.append(TripleElement(g1, g2, h, m))
-                sizes.append(c1.size * c2.size * c3.size)
-                values.append(fixed_left * fixed_right)
-    return EtaCharacter(n, m, reps, sizes, values)

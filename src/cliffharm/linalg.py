@@ -298,21 +298,3 @@ def gain_graph_nullspace(edges, ncols):
         vec, p0 = basis[r]
         vec[c] = UNITS[(pot[c] - p0) & 3]
     return [vec for vec, _ in basis.values()]
-
-
-def gram_schmidt(mats):
-    """Orthogonalize matrices w.r.t. the normalized Hilbert-Schmidt product.
-
-    Returns an orthogonal (not normalized) basis; norms are rational and
-    generally not perfect squares, so unit normalization would leave Q(i).
-    """
-    basis = []
-    for m in mats:
-        v = m
-        for b in basis:
-            coeff = hs_inner(v, b) / hs_inner(b, b)
-            if coeff:
-                v = v - b.scale(coeff)
-        if not v.is_zero():
-            basis.append(v)
-    return basis

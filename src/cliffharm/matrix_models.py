@@ -31,8 +31,8 @@ from .elements import (
     embed,
     enumerate_group,
     identity,
-    inverse,
     multiply,
+    mult_table,
 )
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
 from .linalg import Matrix, Monomial, ScaledMatrix, gain_graph_nullspace
@@ -177,47 +177,26 @@ class TensorRestrictionRep:
 
 
 class EtaRep:
-    """Permutation representation of G x G x H on L(G x G)."""
+    """Permutation representation of G x G x H on L(G x G).
+
+    The pair (a, b) sits at element_index(a) * |G| + element_index(b), so
+    the pair of identities is coordinate 0.
+    """
 
     def __init__(self, n: int, m: int):
         if n > MAX_ETA_DEGREE:
             raise GuardError(f"eta matrix model guarded at n <= {MAX_ETA_DEGREE}")
         self.n, self.m = n, m
-        self.g_elements = enumerate_group(n)
-        self.order = len(self.g_elements)
-        self.dim = self.order * self.order
-
-    def pair_index(self, a: CliffordElement, b: CliffordElement) -> int:
-        return element_index(a) * self.order + element_index(b)
+        self.dim = 1 << (2 * n + 2)
 
     def image(self, t: TripleElement) -> Monomial:
-        g2_inv = inverse(t.g2)
-        h_inv = inverse(t.h)
-        perm = [0] * self.dim
-        for a in self.g_elements:
-            ia = element_index(multiply(multiply(t.g1, a), g2_inv)) * self.order
-            base = element_index(a) * self.order
-            for b in self.g_elements:
-                perm[base + element_index(b)] = ia + element_index(
-                    multiply(multiply(t.g2, b), h_inv)
-                )
-        return Monomial(self.dim, tuple(perm), (0,) * self.dim)
-
-
-class RegularRep:
-    """Left regular representation of CL(n) on L(CL(n))."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.elements = enumerate_group(n)
-        self.dim = len(self.elements)
-
-    def image(self, g: CliffordElement) -> Monomial:
-        perm = tuple(
-            element_index(multiply(g, x)) for x in self.elements
-        )
-        # column idx(x) -> row idx(g x)
-        return Monomial(self.dim, perm, (0,) * self.dim)
+        """Column (a, b) goes to row (g1 a g2^-1, g2 b h^-1)."""
+        tab, inv = mult_table(self.n)
+        i1, i2, ih = (element_index(g) for g in (t.g1, t.g2, t.h))
+        left = tab[tab[i1], inv[i2]]
+        right = tab[tab[i2], inv[ih]]
+        perm = (left[:, None] * len(left) + right).ravel()
+        return Monomial(self.dim, tuple(perm.tolist()), (0,) * self.dim)
 
 
 @lru_cache(maxsize=None)
@@ -328,7 +307,9 @@ class FrobeniusContext:
         self.theta_prime = ConjugateRep(self.rep_theta)
         self.d1, self.d2, self.dt = self.rep1.dim, self.rep2.dim, self.rep_theta.dim
         self.group_order = 1 << (n + 1)
-        self.idx00 = self.eta.pair_index(identity(n), identity(n))
+        group = enumerate_group(n)
+        self._images1 = [self.rep1.image(g) for g in group]
+        self._images2 = [self.rep2.image(g) for g in group]
 
     # Hom(rho1 x rho2 x theta, eta) and Hom(Res(rho1 (x) rho2), theta')
 
@@ -349,12 +330,15 @@ class FrobeniusContext:
         return (i * self.d2 + j) * self.dt + ell
 
     def tilde(self, t) -> ScaledMatrix:
-        """T -> T~ with [T~(v1 (x) v2)](w) = (|G|/sqrt(d_theta)) [T(...)](1,1)."""
+        """T -> T~ with [T~(v1 (x) v2)](w) = (|G|/sqrt(d_theta)) [T(...)](1,1).
+
+        The pair of identities is row 0 of T (EtaRep's coordinates).
+        """
         if isinstance(t, Matrix):
             t = ScaledMatrix(0, t)
         rows = [
             [
-                t.matrix[self.idx00, self._col(i, j, ell)]
+                t.matrix[0, self._col(i, j, ell)]
                 for i in range(self.d1)
                 for j in range(self.d2)
             ]
@@ -367,14 +351,13 @@ class FrobeniusContext:
         """S -> S^ mapping Hom(Res(rho1 (x) rho2), theta') back into Hom(.., eta)."""
         if isinstance(s, Matrix):
             s = ScaledMatrix(0, s)
-        n = self.n
-        g_elements = enumerate_group(n)
+        tab, inv = mult_table(self.n)
         rows = []
-        for g1 in g_elements:
-            for g2 in g_elements:
-                g2i = inverse(g2)
-                m1 = self.rep1.image(multiply(g2i, inverse(g1)))
-                m2 = self.rep2.image(g2i)
+        for i1 in range(self.group_order):
+            for i2 in range(self.group_order):
+                # rho1(g2^-1 g1^-1) and rho2(g2^-1)
+                m1 = self._images1[tab[inv[i2], inv[i1]]]
+                m2 = self._images2[inv[i2]]
                 row = []
                 for i in range(self.d1):
                     for j in range(self.d2):
@@ -470,15 +453,12 @@ def matrix_coefficient_checks(n: int) -> MatrixCoefficientReport:
     coeffs = []  # (label, dim, i, j, values over the group)
     for label in irreps(n):
         rep = build_matrix_rep(label)
-        dense = {element_index(g): rep.image(g).dense() for g in elements}
+        dense = [rep.image(g).dense() for g in elements]
         for i in range(rep.dim):
             for j in range(rep.dim):
-                vals = [dense[element_index(g)][i, j] for g in elements]
+                vals = [d[i, j] for d in dense]
                 coeffs.append((label, rep.dim, i, j, vals))
-    inv_index = [element_index(inverse(g)) for g in elements]
-    mult_index = [
-        [element_index(multiply(x, y)) for y in elements] for x in elements
-    ]
+    tab, inv = (a.tolist() for a in mult_table(n))
     failures = []
     n_ort = n_con = 0
     for a, (lab1, d1, i, j, u1) in enumerate(coeffs):
@@ -497,7 +477,7 @@ def matrix_coefficient_checks(n: int) -> MatrixCoefficientReport:
             n_con += 1
             conv = [
                 sum(
-                    (u1[x] * u2[mult_index[inv_index[x]][g]] for x in range(order)),
+                    (u1[x] * u2[tab[inv[x]][g]] for x in range(order)),
                     ZERO,
                 )
                 for g in range(order)

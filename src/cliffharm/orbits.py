@@ -34,6 +34,8 @@ from .elements import (
     CliffordElement,
     DegreeMismatchError,
     _check_degree,
+    _minus_one_to,
+    _xi_parity,
     TripleElement,
     element_order_key,
     inverse,
@@ -195,15 +197,8 @@ def _label_parameter(label: IrrepLabel) -> int:
     return -1 if label.kind == "rho-" else 1
 
 
-def _minus_one_to(x):
-    """(-1)^|x| for a mask below 2^16, or an int64 array of them: the
-    parity of |x| by a shift-XOR fold."""
-    for shift in (8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return 1 - 2 * (x & 1)
-
-
-_xi_sign = np.vectorize(xi_sign, otypes=[np.int64])
+def _xi_sign(a, b):
+    return 1 - 2 * _xi_parity(a, b)
 
 
 def _closed_scaled(n: int, family: str, x1, x2, x3):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .elements import CliffordElement, TripleElement, conjugacy_classes, format_element
 from .characters import (
@@ -200,6 +201,11 @@ def check_spherical_grids(n_max=4, lemma_n_max=10):
     return True, f"grids n = 1..{n_max}, lemma n <= {lemma_n_max}"
 
 
+DESK_FROBENIUS_PAIRS = ((1, 1), (1, 0), (2, 2), (2, 1))
+# every triple at n = 3 too: 500 at (3, 2) and 1,000 at (3, 3)
+DEEP_FROBENIUS_PAIRS = DESK_FROBENIUS_PAIRS + ((3, 2), (3, 3))
+
+
 def frobenius_mismatch(n, m, r1, r2, th):
     """The first C7 failure for one irrep triple, or None.
 
@@ -230,28 +236,14 @@ def frobenius_mismatch(n, m, r1, r2, th):
 
 
 @_check("C7", "intertwiner isometry: dimensions, round trip, inner products")
-def check_frobenius(pairs=((1, 1), (1, 0), (2, 2), (2, 1)), spin_pairs=()):
-    """All irrep triples at `pairs`; at `spin_pairs` only rho1, rho2 spin."""
-    triples = [
-        (n, m, r1, r2, th)
-        for n, m in pairs
-        for r1 in irreps(n)
-        for r2 in irreps(n)
-        for th in irreps(m)
-    ]
-    for n, m in spin_pairs:
-        spins = [lab for lab in irreps(n) if lab.kind != "chi"]
-        triples += [
-            (n, m, r1, r2, th) for r1 in spins for r2 in spins for th in irreps(m)
-        ]
-    for n, m, r1, r2, th in triples:
-        err = frobenius_mismatch(n, m, r1, r2, th)
-        if err:
-            return False, f"{err} at (n,m)=({n},{m}), triple ({r1}, {r2}, {th})"
-    detail = f"(n,m) in {tuple(pairs)}, all irrep triples"
-    if spin_pairs:
-        detail += f"; spin rho1, rho2 at {tuple(spin_pairs)}"
-    return True, detail
+def check_frobenius(pairs=DESK_FROBENIUS_PAIRS):
+    """All irrep triples at each (n, m) in `pairs`."""
+    for n, m in pairs:
+        for r1, r2, th in product(irreps(n), irreps(n), irreps(m)):
+            err = frobenius_mismatch(n, m, r1, r2, th)
+            if err:
+                return False, f"{err} at (n,m)=({n},{m}), triple ({r1}, {r2}, {th})"
+    return True, f"(n,m) in {tuple(pairs)}, all irrep triples"
 
 
 @_check("C8", "character and convolution Gelfand verdicts agree")
@@ -357,6 +349,8 @@ def run_suite(level="desk", seed=0):
             check_oracles(trace_n_max=2, coeff_n_max=1),
         ]
     else:
+        deep = level == "deep"
+        frobenius_pairs = DEEP_FROBENIUS_PAIRS if deep else DESK_FROBENIUS_PAIRS
         checks = [
             check_gelfand_equal(),
             check_gelfand_drop(),
@@ -364,11 +358,11 @@ def run_suite(level="desk", seed=0):
             check_restriction_rules(),
             check_orbits(),
             check_spherical_grids(),
-            check_frobenius(spin_pairs=((3, 2),) if level == "deep" else ()),
+            check_frobenius(pairs=frobenius_pairs),
             check_method_agreement(),
             check_oracles(),
         ]
-        if level == "deep":
+        if deep:
             checks.append(check_deep_extras(seed=seed))
             checks.append(check_sampled_spherical(seed=seed))
     return checks

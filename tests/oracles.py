@@ -12,18 +12,30 @@ O(|G|^2); the library reads the partition off the sign-flip lemma instead.
 `generic_spherical_character` sums the spherical character through group
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.
+
+`permutation_character_eta` counts the fixed points of the two-sided action
+with `multiply`, so it is an oracle for the traces of `EtaRep`, whose images
+are gathers from `elements.mult_table`.  `gram_schmidt` and
+`triple_inverse` serve tests that need an orthogonal basis or inverses in
+CL(n) x CL(n) x CL(m).
 """
+
+from dataclasses import dataclass
 
 from cliffharm.characters import character_value
 from cliffharm.elements import (
     CliffordElement,
     ConjugacyClass,
+    TripleElement,
+    conjugacy_classes,
     conjugate,
     element_order_key,
     enumerate_group,
+    inverse,
     multiply,
 )
 from cliffharm.exact import ONE, ZERO, gr
+from cliffharm.linalg import hs_inner
 
 UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
 
@@ -153,3 +165,87 @@ def generic_spherical_character(sigma, at):
             * character_value(sigma.theta, CliffordElement(m, hh1.sign, hh1.mask))
         ).conjugate()
     return total / (1 << (m + 1))
+
+
+def triple_inverse(t):
+    return TripleElement(inverse(t.g1), inverse(t.g2), inverse(t.h), t.subgroup_degree)
+
+
+def gram_schmidt(mats):
+    """Orthogonalize matrices w.r.t. the normalized Hilbert-Schmidt product.
+
+    Returns an orthogonal (not normalized) basis; norms are rational and
+    generally not perfect squares, so unit normalization would leave Q(i).
+    """
+    basis = []
+    for m in mats:
+        v = m
+        for b in basis:
+            coeff = hs_inner(v, b) / hs_inner(b, b)
+            if coeff:
+                v = v - b.scale(coeff)
+        if not v.is_zero():
+            basis.append(v)
+    return basis
+
+
+@dataclass
+class EtaCharacter:
+    """Character of the permutation action of CL(n) x CL(n) x CL(m) on G x G.
+
+    Stored on product conjugacy classes (value at t = fixed points of the
+    action of t).
+    """
+
+    n: int
+    m: int
+    reps: list  # TripleElement class representatives
+    sizes: list
+    values: list  # ints
+
+    def multiplicity(self, sigma) -> int:
+        order = (1 << (self.n + 1)) ** 2 * (1 << (self.m + 1))
+        total = gr(0)
+        for rep, size, value in zip(self.reps, self.sizes, self.values):
+            c1 = character_value(sigma.rho1, rep.g1)
+            c2 = character_value(sigma.rho2, rep.g2)
+            ct = character_value(
+                sigma.theta, CliffordElement(self.m, rep.h.sign, rep.h.mask)
+            )
+            total = total + size * value * (c1 * c2 * ct).conjugate()
+        total = total / order
+        if not total.is_integer() or total.re < 0:
+            raise AssertionError(f"eta multiplicity not in Z>=0: {total}")
+        return int(total.re)
+
+
+def permutation_character_eta(n, m):
+    g_elems = enumerate_group(n)
+    reps, sizes, values = [], [], []
+    classes_g = conjugacy_classes(n)
+    classes_h = conjugacy_classes(m)
+    for c1 in classes_g:
+        g1 = c1.representative
+        for c2 in classes_g:
+            g2 = c2.representative
+            g2i = inverse(g2)
+            # fixed g3: g1 g3 g2^-1 = g3
+            fixed_left = sum(
+                1 for g3 in g_elems
+                if multiply(multiply(g1, g3), g2i) == g3
+            )
+            for c3 in classes_h:
+                h = CliffordElement(n, c3.representative.sign, c3.representative.mask)
+                hi = inverse(h)
+                fixed_right = (
+                    sum(
+                        1 for g4 in g_elems
+                        if multiply(multiply(g2, g4), hi) == g4
+                    )
+                    if fixed_left
+                    else 0
+                )
+                reps.append(TripleElement(g1, g2, h, m))
+                sizes.append(c1.size * c2.size * c3.size)
+                values.append(fixed_left * fixed_right)
+    return EtaCharacter(n, m, reps, sizes, values)

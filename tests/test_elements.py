@@ -1,12 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cliffharm.elements import (
     CliffordElement,
     DegreeMismatchError,
     GuardError,
+    MAX_TABLE_DEGREE,
     TripleElement,
     center,
     class_key,
@@ -21,18 +23,18 @@ from cliffharm.elements import (
     identity,
     inverse,
     mask_of,
+    mult_table,
     multiply,
     parse_element,
     triple,
     triple_action,
     triple_identity,
-    triple_inverse,
     triple_multiply,
     xi,
     xi_sign,
 )
 
-from oracles import enumerated_conjugacy_classes
+from oracles import enumerated_conjugacy_classes, triple_inverse
 
 
 def test_generator_relations():
@@ -92,11 +94,45 @@ def test_conjugation_sign_closed_form():
             assert got.sign == conjugation_sign(am, cm)
 
 
+def test_mult_table_matches_multiply():
+    # multiply is the table's oracle, on every pair for n <= 6
+    for n in range(0, 7):
+        elems = enumerate_group(n)
+        tab, inv = mult_table(n)
+        assert tab.shape == (len(elems), len(elems)) and tab.dtype == np.int64
+        assert tab.tolist() == [
+            [element_index(multiply(x, y)) for y in elems] for x in elems
+        ]
+        assert inv.tolist() == [element_index(inverse(x)) for x in elems]
+
+
+def test_mult_table_is_cached_and_read_only():
+    tab, inv = mult_table(3)
+    assert mult_table(3)[0] is tab
+    with pytest.raises(ValueError):
+        tab[0, 0] = 1
+    with pytest.raises(ValueError):
+        inv[0] = 1
+
+
+def test_mult_table_guard():
+    for n in (-1, MAX_TABLE_DEGREE + 1):
+        with pytest.raises(GuardError):
+            mult_table(n)
+
+
 def test_center():
     assert {z.mask for z in center(2)} == {0}
     assert len(center(2)) == 2
     assert {z.mask for z in center(3)} == {0, 0b111}
     assert len(center(3)) == 4
+    # closed form, so it reaches past the enumeration guard
+    assert {(z.sign, z.mask) for z in center(13)} == {
+        (1, 0), (-1, 0), (1, (1 << 13) - 1), (-1, (1 << 13) - 1)
+    }
+    assert {(z.sign, z.mask) for z in center(16)} == {(1, 0), (-1, 0)}
+    with pytest.raises(GuardError):
+        center(17)
 
 
 def test_class_counts_and_sizes():

@@ -26,9 +26,9 @@ from cliffharm.gelfand import (
     diagonal_invariant_dim,
     gelfand_check_biinvariant,
     gelfand_check_characters,
-    permutation_character_eta,
     spherical_character,
 )
+from oracles import permutation_character_eta
 
 
 def test_invariant_dim_equals_restricted_multiplicity():

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private name is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+module-level private name is used somewhere in the package, and every
+module-level public name is used outside the tests or is documented API.
 
 The package's __init__.py is skipped by the import scan: its imports are the
 public re-exports.  Names are found with the stdlib ast, so a name that
@@ -11,8 +12,15 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "cliffharm"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "cliffharm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# Public names that only the tests call, kept because README.md documents
+# them as API; each must appear there in backticks.
+DOCUMENTED_API = {
+    "center", "xi", "triple_identity", "triple_multiply", "triple_action",
+    "gaussian_from_json",
+}
 
 
 def unused_imports(source: str) -> list:
@@ -30,8 +38,8 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-def _private_definitions(tree):
-    """(name, statement) for each module-level _name def, class or assignment."""
+def _definitions(tree):
+    """(name, statement) for each module-level def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -41,8 +49,7 @@ def _private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+            yield name, node
 
 
 def _references(node) -> set:
@@ -58,20 +65,39 @@ def _references(node) -> set:
     return refs
 
 
-def stranded_private_names(sources: dict) -> list:
-    """(module, name) for each private module-level name that no module
-    references outside the statement that defines it."""
+def _unreferenced(sources: dict, wanted, used_elsewhere=frozenset()) -> list:
+    """(module, name) for each module-level name with wanted(name) that no
+    module references outside the statement that defines it and that is not
+    in used_elsewhere."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
     refs = {id(stmt): _references(stmt) for stmt in statements}
     return sorted(
         (module, name)
         for module, tree in trees.items()
-        for name, definition in _private_definitions(tree)
-        if not any(
+        for name, definition in _definitions(tree)
+        if wanted(name)
+        and name not in used_elsewhere
+        and not any(
             name in refs[id(stmt)] for stmt in statements if stmt is not definition
         )
     )
+
+
+def stranded_private_names(sources: dict) -> list:
+    """(module, name) for each private module-level name that no module
+    references outside the statement that defines it."""
+    return _unreferenced(
+        sources, lambda name: name.startswith("_") and not name.startswith("__")
+    )
+
+
+def names_only_tests_use(library: dict, users: list) -> list:
+    """(module, name) for each public name of the library modules that no
+    other library statement and no user source (demos, benchmark)
+    references; re-exports in __init__.py do not count."""
+    used = set().union(*(_references(ast.parse(u)) for u in users))
+    return _unreferenced(library, lambda name: not name.startswith("_"), used)
 
 
 def test_private_name_scanner():
@@ -93,6 +119,37 @@ def test_private_name_scanner():
 def test_no_stranded_private_names():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
     assert stranded_private_names(sources) == []
+
+
+def test_public_name_scanner():
+    library = {
+        "a": (
+            "def helper():\n    return 1\n"
+            "def api():\n    return helper()\n"
+            "def for_tests():\n    return 2\n"
+            "class Oracle:\n    pass\n"
+            "LIMIT = 3\n_private = 4\n"
+        ),
+        "b": "from .a import LIMIT\n",
+    }
+    users = ["import cliffharm\ncliffharm.a.api()\n"]
+    assert names_only_tests_use(library, users) == [
+        ("a", "Oracle"), ("a", "for_tests")
+    ]
+
+
+def test_public_names_are_used_outside_the_tests():
+    library = {p.stem: p.read_text() for p in MODULES}
+    users = [
+        p.read_text() for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py")
+    ]
+    found = {name for _, name in names_only_tests_use(library, users)}
+    assert found - DOCUMENTED_API == set()
+
+
+def test_documented_api_is_in_the_readme():
+    readme = (ROOT / "README.md").read_text()
+    assert [name for name in sorted(DOCUMENTED_API) if f"`{name}`" not in readme] == []
 
 
 def test_scanner_flags_unused_names():

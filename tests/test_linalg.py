@@ -10,11 +10,10 @@ from cliffharm.linalg import (
     Monomial,
     ScaledMatrix,
     gain_graph_nullspace,
-    gram_schmidt,
     hs_inner,
     scaled_hs_inner,
 )
-from oracles import UNITS, satisfies, sparse_nullspace
+from oracles import UNITS, gram_schmidt, satisfies, sparse_nullspace
 
 
 def _rand_matrix(rng, rows, cols):

@@ -11,13 +11,12 @@ from cliffharm.elements import (
     multiply,
 )
 from cliffharm.characters import character_value, chi, irreps, rho
-from cliffharm.gelfand import diagonal_invariant_dim, permutation_character_eta
+from cliffharm.gelfand import diagonal_invariant_dim
 from cliffharm.elements import TripleElement, embed
-from cliffharm.linalg import Matrix, Monomial, gram_schmidt, hs_inner
+from cliffharm.linalg import Matrix, Monomial, hs_inner
 from cliffharm.matrix_models import (
     EtaRep,
     FrobeniusContext,
-    RegularRep,
     build_matrix_rep,
     clifford_generators,
     intertwiner_space,
@@ -26,7 +25,14 @@ from cliffharm.matrix_models import (
     triple_generators,
 )
 from cliffharm.verify import frobenius_mismatch
-from oracles import fixed_vector_rows, intertwiner_rows, satisfies, sparse_nullspace
+from oracles import (
+    fixed_vector_rows,
+    gram_schmidt,
+    intertwiner_rows,
+    permutation_character_eta,
+    satisfies,
+    sparse_nullspace,
+)
 
 
 def test_reps_are_homomorphisms():
@@ -71,22 +77,14 @@ def test_schur():
                 assert space.dimension == (1 if a == b else 0)
 
 
-def test_regular_rep():
-    n = 2
-    reg = RegularRep(n)
-    order = 1 << (n + 1)
-    assert reg.dim == order
-    for g in enumerate_group(n):
-        t = reg.image(g).trace()
-        assert t == gr(order if g == identity(n) else 0)
-
-
 def test_eta_traces_are_fixed_point_counts():
-    n = m = 1
-    eta_rep = EtaRep(n, m)
-    eta_char = permutation_character_eta(n, m)
-    for rep_elem, value in zip(eta_char.reps, eta_char.values):
-        assert eta_rep.image(rep_elem).trace() == gr(value)
+    # the oracle counts fixed points with multiply; the images gather from
+    # mult_table
+    for n, m in ((1, 1), (1, 0), (2, 2), (2, 1)):
+        eta_rep = EtaRep(n, m)
+        eta_char = permutation_character_eta(n, m)
+        for rep_elem, value in zip(eta_char.reps, eta_char.values):
+            assert eta_rep.image(rep_elem).trace() == gr(value)
 
 
 def test_invariant_tensor_count():
@@ -236,8 +234,6 @@ def test_images_carry_exponent_phases():
             rep = build_matrix_rep(lab)
             assert all(_exponent_phases(rep.image(g)) for g in clifford_generators(n))
     for n in (1, 2):
-        reg = RegularRep(n)
-        assert all(_exponent_phases(reg.image(g)) for g in clifford_generators(n))
         for m in (n, n - 1):
             eta = EtaRep(n, m)
             assert all(_exponent_phases(eta.image(t)) for t in triple_generators(n, m))

@@ -9,11 +9,12 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import assume, given, strategies as st
 
-from cliffharm import orbits
 from cliffharm.exact import I, ONE, ZERO, gr
 from cliffharm.elements import (
     MAX_DEGREE,
     CliffordElement,
+    _minus_one_to,
+    _xi_parity,
     class_key,
     conjugate,
     conjugation_sign,
@@ -85,12 +86,24 @@ def test_is_central_is_the_sign_flip_lemma(data):
     assert is_central(a, n) == fixed
 
 
-@given(st.lists(st.integers(0, (1 << MAX_DEGREE) - 1), min_size=1, max_size=8))
+masks16 = st.integers(0, (1 << MAX_DEGREE) - 1)
+
+
+@given(st.lists(masks16, min_size=1, max_size=8))
 def test_parity_fold_is_the_parity_of_the_mask(masks):
     # the closed forms' shift-XOR fold, on ints and on int64 arrays
     want = [(-1) ** mask.bit_count() for mask in masks]
-    assert [orbits._minus_one_to(mask) for mask in masks] == want
-    assert orbits._minus_one_to(np.array(masks, dtype=np.int64)).tolist() == want
+    assert [_minus_one_to(mask) for mask in masks] == want
+    assert _minus_one_to(np.array(masks, dtype=np.int64)).tolist() == want
+
+
+@given(st.lists(st.tuples(masks16, masks16), min_size=1, max_size=8))
+def test_xi_parity_fold_is_xi_mod_2(pairs):
+    # the fold behind mult_table and the closed forms, on ints and arrays
+    want = [xi(a, b) & 1 for a, b in pairs]
+    assert [_xi_parity(a, b) for a, b in pairs] == want
+    a, b = np.array(pairs, dtype=np.int64).T
+    assert _xi_parity(a, b).tolist() == want
 
 
 # -- Q(i): GaussianRational is a field, and hashes like the numbers it equals
