@@ -34,7 +34,6 @@ from .characters import (
     irreps,
     character_value,
     irrep_character,
-    inner_product,
     tensor_character,
     restrict_character,
     decompose,

@@ -5,29 +5,44 @@ of dimension 2^(n/2) for n even (rho), or two of dimension 2^((n-1)/2) for
 n odd (rho+, rho-).  Character values are computed from the closed formulas;
 the matrix-models module provides the independent trace oracle.
 
-All values live in Z[i] and all inner products in Q(i); arithmetic is exact.
+A class function is a pair of int64 arrays over the classes, so a tensor
+product is a pointwise product and a restriction an index gather.
+decompose reads the multiplicities off the character table's structure:
+chi_A(+/- gamma_T) = (-1)^|A & T| is a Sylvester-Hadamard matrix, so the
+chi multiplicities are one fast Walsh-Hadamard transform, and the spin
+characters vanish off the centre, so each spin multiplicity is a sum over
+at most four central elements.  Every sum is an exact integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .exact import GaussianRational, gr
 from .elements import (
     CliffordElement,
     DegreeMismatchError,
     _check_degree,
+    _minus_one_to,
+    class_index,
     class_key,
-    conjugacy_classes,
-    embed,
+    class_keys,
+    is_central,
     mask_of,
     subset_of,
 )
 
-# decompose() walks irreps x classes: 15 s at n = 9 and 62 s at n = 10
-# (2-CPU VM).
-MAX_CHARACTER_DEGREE = 9
+# Class function values stay below 2^31 in absolute value, so a pointwise
+# product of two stays below 2^63 and a Walsh-Hadamard sum of 2^n
+# size-weighted values below 2^(n + 32) <= 2^48: every int64 path is exact.
+# The tensor square of a spin character reaches 2^16 at n = 16, where its
+# Walsh-Hadamard sums stay below 2^34.
+_VALUE_BOUND = 1 << 31
 
 
 class NotACharacterError(ValueError):
@@ -133,15 +148,32 @@ def character_value(label: IrrepLabel, g: CliffordElement) -> GaussianRational:
 # -- class functions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassFunction:
-    """A function CL(n) -> Q(i) constant on conjugacy classes.
-
-    values maps the class representative key (sign, mask) to the value.
-    """
+    """A function CL(n) -> Q(i) constant on conjugacy classes: its value on
+    the k-th class of conjugacy_classes(n) is (re[k] + i im[k]) / 2^shift,
+    with re and im read-only int64 arrays."""
 
     degree: int
-    values: dict = field(compare=False)
+    re: np.ndarray
+    im: np.ndarray
+    shift: int = 0
+
+    def __post_init__(self):
+        size = len(class_keys(self.degree)[0])
+        both = np.array((self.re, self.im), dtype=np.int64)
+        if both.shape != (2, size) or (np.abs(both) >= _VALUE_BOUND).any():
+            raise ValueError(f"re and im need {size} values each, below 2^31 in absolute value")
+        both.setflags(write=False)
+        object.__setattr__(self, "re", both[0])
+        object.__setattr__(self, "im", both[1])
+        if not 0 <= self.shift < 32:
+            raise ValueError(f"denominator 2^{self.shift} outside 2^0..2^31")
+
+    @property
+    def values(self) -> Mapping:
+        """Read-only mapping from class keys (sign, mask) to GaussianRational."""
+        return _ClassValues(self)
 
     def value_at(self, g: CliffordElement) -> GaussianRational:
         if g.degree != self.degree:
@@ -153,33 +185,49 @@ class ClassFunction:
             raise DegreeMismatchError("cannot multiply class functions of different degree")
         return ClassFunction(
             self.degree,
-            {k: v * other.values[k] for k, v in self.values.items()},
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+            self.shift + other.shift,
         )
 
 
-def _class_keys(n: int):
-    return [(c.representative.sign, c.representative.mask) for c in conjugacy_classes(n)]
+class _ClassValues(Mapping):
+    """ClassFunction.values; compares two class functions on their arrays."""
+
+    def __init__(self, f: ClassFunction):
+        self._f = f
+
+    def __getitem__(self, key):
+        f, (sign, mask) = self._f, key
+        central_negative = sign == -1 and is_central(mask, f.degree)
+        if not (central_negative or sign == 1 and 0 <= mask < 1 << f.degree):
+            raise KeyError(key)
+        k, den = int(class_index(f.degree, sign, mask)), 1 << f.shift
+        return gr(Fraction(int(f.re[k]), den), Fraction(int(f.im[k]), den))
+
+    def __iter__(self):
+        return zip(*(a.tolist() for a in class_keys(self._f.degree)))
+
+    def __len__(self):
+        return len(self._f.re)
+
+    def __eq__(self, other):
+        f, g = self._f, getattr(other, "_f", None)
+        if isinstance(other, _ClassValues) and (f.degree, f.shift) == (g.degree, g.shift):
+            return np.array_equal(f.re, g.re) and np.array_equal(f.im, g.im)
+        return super().__eq__(other)
 
 
-@lru_cache(maxsize=None)
 def irrep_character(label: IrrepLabel) -> ClassFunction:
     n = label.degree
-    values = {
-        key: gr(*char_re_im(label, key[0], key[1])) for key in _class_keys(n)
-    }
-    return ClassFunction(n, values)
-
-
-def inner_product(f: ClassFunction, g: ClassFunction) -> GaussianRational:
-    """(1/|G|) sum_g f(g) conj(g(g)); exact."""
-    if f.degree != g.degree:
-        raise DegreeMismatchError("class function degrees differ")
-    n = f.degree
-    total = gr(0)
-    for cls in conjugacy_classes(n):
-        key = (cls.representative.sign, cls.representative.mask)
-        total = total + cls.size * f.values[key] * g.values[key].conjugate()
-    return total / (1 << (n + 1))
+    signs, masks = class_keys(n)
+    zero = np.zeros_like(masks)
+    if label.kind == "chi":
+        return ClassFunction(n, _minus_one_to(masks & label.mask), zero)
+    re, im = zero.copy(), zero.copy()
+    for k in np.flatnonzero(is_central(masks, n)).tolist():
+        re[k], im[k] = char_re_im(label, int(signs[k]), int(masks[k]))
+    return ClassFunction(n, re, im)
 
 
 def tensor_character(a: IrrepLabel, b: IrrepLabel) -> ClassFunction:
@@ -190,14 +238,12 @@ def tensor_character(a: IrrepLabel, b: IrrepLabel) -> ClassFunction:
 
 
 def restrict_character(f: ClassFunction, m: int) -> ClassFunction:
-    """Restriction to the embedded subgroup CL(m)."""
+    """Restriction to the embedded subgroup CL(m): each class of CL(m) reads
+    the value of the class of CL(f.degree) that contains it."""
     if m > f.degree:
         raise DegreeMismatchError(f"cannot restrict degree {f.degree} to larger {m}")
-    values = {}
-    for key in _class_keys(m):
-        g = embed(CliffordElement(m, key[0], key[1]), f.degree)
-        values[key] = f.value_at(g)
-    return ClassFunction(m, values)
+    idx = class_index(f.degree, *class_keys(m))
+    return ClassFunction(m, f.re[idx], f.im[idx], f.shift)
 
 
 # -- decompositions ---------------------------------------------------------
@@ -231,19 +277,41 @@ class Decomposition:
         }
 
 
+def _walsh_hadamard(v):
+    """sum_T (-1)^|A & T| v[T] for every A, by log2(len(v)) butterflies."""
+    size, h = len(v), 1
+    while h < size:
+        v = v.reshape(-1, 2, h)
+        v = np.stack((v[:, 0] + v[:, 1], v[:, 0] - v[:, 1]), axis=1)
+        h *= 2
+    return v.reshape(size)
+
+
 def decompose(f: ClassFunction) -> Decomposition:
-    """Multiplicity extraction via the orthogonality relations."""
-    _check_degree(f.degree, MAX_CHARACTER_DEGREE)
+    """Multiplicities <f, chi> = (1/|G|) sum_g f(g) conj chi(g) of every irrep.
+
+    chi_A does not see the sign, so its sum is the Walsh-Hadamard transform
+    at A of v[T] = f(gamma_T) + f(-gamma_T), which weights each class by its
+    size.  A spin sum runs over the central elements, each its own class.
+    """
+    n, half = f.degree, 1 << f.degree
+    masks = class_keys(n)[1]
+    neg = class_index(n, -1, masks[:half])
+    sums_re = _walsh_hadamard(f.re[:half] + f.re[neg]).tolist()
+    sums_im = _walsh_hadamard(f.im[:half] + f.im[neg]).tolist()
+    labels, c = irreps(n), is_central(masks, n)
+    for spin in map(irrep_character, labels[half:]):
+        fre, fim, sre, sim = f.re[c], f.im[c], spin.re[c], spin.im[c]
+        sums_re.append(int(fre @ sre + fim @ sim))  # f times conj(spin)
+        sums_im.append(int(fim @ sre - fre @ sim))
+    order = 1 << (n + 1 + f.shift)
     terms = []
-    for label in irreps(f.degree):
-        ip = inner_product(f, irrep_character(label))
-        if not ip.is_integer() or ip.re < 0:
-            raise NotACharacterError(
-                f"not a character: <f, {format_label(label)}> = {ip}"
-            )
-        mult = int(ip.re)
-        if mult:
-            terms.append((label, mult))
+    for label, re, im in zip(labels, sums_re, sums_im):
+        if im or re % order or re < 0:
+            ip = gr(Fraction(re, order), Fraction(im, order))
+            raise NotACharacterError(f"not a character: <f, {format_label(label)}> = {ip}")
+        if re:
+            terms.append((label, re // order))
     return Decomposition(tuple(terms))
 
 
@@ -265,40 +333,6 @@ def conjugate_label(label: IrrepLabel) -> IrrepLabel:
         return label
     other = "rho-" if label.kind == "rho+" else "rho+"
     return IrrepLabel(label.degree, other)
-
-
-# -- exact integer character table (vectorized consumers) -------------------
-
-
-@lru_cache(maxsize=None)
-def character_table(n: int, m: int | None = None):
-    """(labels, class_keys, sizes, re, im) for the irreps of CL(n) at the
-    class representatives of CL(m) embedded in CL(n); m defaults to n.
-
-    class_keys and sizes describe the classes of CL(m); re and im are int64
-    arrays of shape (|Irr CL(n)|, |classes of CL(m)|).  Values are Gaussian
-    integers well inside int64 range for n <= 12, so this is exact; it backs
-    the vectorized Gelfand checks.  The arrays are read-only, since the
-    result is cached.
-    """
-    import numpy as np
-
-    if m is None:
-        m = n
-    if m > n:
-        raise DegreeMismatchError(f"cannot embed CL({m}) into CL({n})")
-    labels = irreps(n)
-    classes = conjugacy_classes(m)
-    keys = tuple((c.representative.sign, c.representative.mask) for c in classes)
-    sizes = np.array([c.size for c in classes], dtype=np.int64)
-    re = np.empty((len(labels), len(classes)), dtype=np.int64)
-    im = np.empty_like(re)
-    for i, lab in enumerate(labels):
-        for j, (sign, mask) in enumerate(keys):
-            re[i, j], im[i, j] = char_re_im(lab, sign, mask)
-    for arr in (sizes, re, im):
-        arr.setflags(write=False)
-    return labels, keys, sizes, re, im
 
 
 # -- label syntax -----------------------------------------------------------

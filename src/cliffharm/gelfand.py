@@ -5,16 +5,24 @@ equals the dimension of the diagonal invariants in V1 (x) V2 (x) W, which is
 the plain (unconjugated) averaged character product.  The pair is Gelfand
 exactly when every such multiplicity is at most 1.
 
-Two independent verdicts are provided: the character scan here, and the
-brute-force commutativity of the bi-invariant convolution algebra, which
-composes group elements through elements.mult_table.
+The character scan reads each multiplicity off by one rule
+(diagonal_invariant_dim): 0 for an odd number of spin labels, since -1 acts
+as -1; [(A ^ B) & (2^m - 1) == C] for chi_A, chi_B, chi_C; and for two spin
+labels a sum over the at most four central elements of CL(m) where both
+spin characters are nonzero.  Only the O(|Irr|) two-spin triples are
+summed.  The second, independent verdict is the brute-force commutativity
+of the bi-invariant convolution algebra, which composes group elements
+through elements.mult_table.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -22,23 +30,23 @@ from .exact import GaussianRational, gr
 from .elements import (
     DegreeMismatchError,
     _check_degree,
+    _minus_one_to,
     TripleElement,
-    conjugacy_classes,
     mult_table,
     xi_sign,
 )
 from .characters import (
     IrrepLabel,
     char_re_im,
-    character_table,
     conjugate_label,
     format_label,
+    irreps,
 )
 
-# The scan builds an |Irr|^3 int64 table: gelfand_check_characters(8, 8)
-# takes 20 s and 166 MB (2-CPU VM); n = 9 would need a 514^3 table, 1.1 GB.
-MAX_CHARACTER_METHOD_DEGREE = 8
 MAX_CONVOLUTION_DEGREE = 3
+# GelfandReport.table() builds one dict entry per triple, |Irr|^2 |Irr H|:
+# 39,304 in 0.26 s at n = 5 (2-CPU VM); n = 6 would build 287,496.
+MAX_TABLE_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -70,32 +78,70 @@ class TripleIrrepLabel:
         )
 
 
+def _label_index(label: IrrepLabel) -> int:
+    """Position of label in irreps(label.degree)."""
+    if label.kind == "chi":
+        return label.mask
+    return (1 << label.degree) + (label.kind == "rho-")
+
+
+def _spin_pair_multiplicity(a: IrrepLabel, b: IrrepLabel, x, m: int):
+    """(1/|H|) sum_h a(h) b(h) chi_x(h) over H = CL(m), for spin labels a, b
+    and a chi mask x, an int or an int64 array of masks.
+
+    A spin character of CL(k) vanishes at gamma_T unless T is central in
+    CL(k), and T lies in X_m, so only T = 0 and T = X_m can contribute: at
+    most four elements h = s gamma_T.  Spin values have modulus at most
+    2^(n/2), so each sum stays below 2^(n+3) in absolute value: exact in
+    int64 up to n = 16.
+    """
+    acc_re = acc_im = x & 0  # an int or an array of zeros, like x
+    for t in {0, (1 << m) - 1}:
+        for s in (1, -1):
+            are, aim = char_re_im(a, s, t)
+            bre, bim = char_re_im(b, s, t)
+            pre, pim = are * bre - aim * bim, are * bim + aim * bre
+            if pre or pim:
+                sign = _minus_one_to(x & t)
+                acc_re = acc_re + pre * sign
+                acc_im = acc_im + pim * sign
+    order = 1 << (m + 1)
+    if np.any(acc_im):
+        raise AssertionError("invariant dimension acquired an imaginary part")
+    if np.any(acc_re % order) or np.any(acc_re < 0):
+        raise AssertionError("invariant dimension not a non-negative integer")
+    return acc_re // order
+
+
 def diagonal_invariant_dim(rho1: IrrepLabel, rho2: IrrepLabel, theta: IrrepLabel) -> int:
     """dim (V1 (x) V2 (x) W)^(H~) = (1/|H|) sum_h chi1(h) chi2(h) chi_theta(h).
 
     This equals the multiplicity of theta' in Res_{CL(m)} (rho1 (x) rho2);
-    note the absence of conjugates.
+    note the absence of conjugates.  The sum is read off by the rule in the
+    module docstring.
     """
     TripleIrrepLabel(rho1, rho2, theta)  # degree validation
     m = theta.degree
-    total = gr(0)
-    for cls in conjugacy_classes(m):
-        sign, mask = cls.representative.sign, cls.representative.mask
-        v1 = gr(*char_re_im(rho1, sign, mask))
-        v2 = gr(*char_re_im(rho2, sign, mask))
-        vt = gr(*char_re_im(theta, sign, mask))
-        total = total + cls.size * v1 * v2 * vt
-    total = total / (1 << (m + 1))
-    if not total.is_integer() or total.re < 0:
-        raise AssertionError(f"invariant dimension not in Z>=0: {total}")
-    return int(total.re)
+    labels = (rho1, rho2, theta)
+    spins = [lab for lab in labels if lab.kind != "chi"]
+    if len(spins) % 2:
+        return 0
+    if not spins:
+        return int((rho1.mask ^ rho2.mask) & ((1 << m) - 1) == theta.mask)
+    (x,) = (lab.mask for lab in labels if lab.kind == "chi")
+    return _spin_pair_multiplicity(*spins, x, m)
 
 
 @dataclass(frozen=True)
 class GelfandReport:
     """Outcome of the character-multiplicity scan over all irrep triples.
 
-    Reports are cached, so they are immutable and mult_array is read-only.
+    two_spin holds the multiplicities of the triples with two spin labels,
+    O(|Irr|) of them, by block: the key (p, a, b) names the chi label's
+    position p (0, 1, 2 for rho1, rho2, theta) and the positions a, b of the
+    two spin labels in their irreps lists, and the value is the read-only
+    int64 array of the multiplicities over the chi label's mask.  Reports
+    are cached, so they are immutable and two_spin is a read-only mapping.
     """
 
     n: int
@@ -104,21 +150,29 @@ class GelfandReport:
     max_multiplicity: int
     witness: TripleIrrepLabel | None
     witness_multiplicity: int
-    labels_g: tuple
-    labels_h: tuple
-    mult_array: np.ndarray  # shape (|Irr G|, |Irr G|, |Irr H|)
+    two_spin: Mapping
 
     @property
     def pair_name(self) -> str:
         return f"(CL({self.n})xCL({self.n})xCL({self.m}), diag)"
 
+    def multiplicity(self, t: TripleIrrepLabel) -> int:
+        """The multiplicity of one triple, in O(1)."""
+        if (t.rho1.degree, t.theta.degree) != (self.n, self.m):
+            raise DegreeMismatchError(f"{t} is not a triple of {self.pair_name}")
+        labels = (t.rho1, t.rho2, t.theta)
+        spin = [lab.kind != "chi" for lab in labels]
+        if sum(spin) != 2:
+            return diagonal_invariant_dim(*labels)
+        p = spin.index(False)
+        a, b = (_label_index(lab) for lab in labels if lab.kind != "chi")
+        return int(self.two_spin[(p, a, b)][labels[p].mask])
+
     def table(self) -> dict:
-        out = {}
-        for i, a in enumerate(self.labels_g):
-            for j, b in enumerate(self.labels_g):
-                for k, c in enumerate(self.labels_h):
-                    out[TripleIrrepLabel(a, b, c)] = int(self.mult_array[i, j, k])
-        return out
+        _check_degree(self.n, MAX_TABLE_DEGREE)
+        g, h = irreps(self.n), irreps(self.m)
+        triples = (TripleIrrepLabel(*t) for t in product(g, g, h))
+        return {t: self.multiplicity(t) for t in triples}
 
     def to_json(self) -> dict:
         d = {
@@ -145,40 +199,36 @@ class GelfandReport:
 
 @lru_cache(maxsize=None)
 def gelfand_check_characters(n: int, m: int) -> GelfandReport:
-    """Multiplicity table for all triples via vectorized exact integer sums.
-
-    Character values are Gaussian integers of magnitude <= 2^(n/2) and class
-    sizes are <= 2, so every intermediate stays far inside int64: the numpy
-    arithmetic is exact.
-    """
+    """Every multiplicity of the pair: each two-spin sum runs over the chi
+    label in the remaining position as one int64 array."""
     if m not in (n, n - 1) and not (n == 0 and m == 0):
         raise ValueError(f"subgroup degree must be n or n-1, got m={m}")
-    _check_degree(n, MAX_CHARACTER_METHOD_DEGREE)
-    labels_g, _, sizes, E_re, E_im = character_table(n, m)
-    labels_h, _, _, T_re, T_im = character_table(m)
-    order_h = 1 << (m + 1)
-    lg, lh = len(labels_g), len(labels_h)
-    mult = np.empty((lg, lg, lh), dtype=np.int64)
-    wT_re = T_re * sizes
-    wT_im = T_im * sizes
-    for i in range(lg):
-        p_re = E_re[i] * E_re - E_im[i] * E_im  # (lg, classes)
-        p_im = E_re[i] * E_im + E_im[i] * E_re
-        s_re = p_re @ wT_re.T - p_im @ wT_im.T  # (lg, lh)
-        s_im = p_re @ wT_im.T + p_im @ wT_re.T
-        if s_im.any():
-            raise AssertionError("invariant dimension acquired an imaginary part")
-        if (s_re % order_h).any() or (s_re < 0).any():
-            raise AssertionError("invariant dimension not a non-negative integer")
-        mult[i] = s_re // order_h
-    max_mult = int(mult.max())
+    _check_degree(n)
+    degrees = (n, n, m)
+    two_spin = {}
+    for p in range(3):  # the chi label's position
+        q, r = (k for k in range(3) if k != p)
+        chis = np.arange(1 << degrees[p])
+        spins_q, spins_r = (irreps(degrees[k])[1 << degrees[k]:] for k in (q, r))
+        for a, b in product(spins_q, spins_r):
+            mult = _spin_pair_multiplicity(a, b, chis, m)
+            mult.setflags(write=False)
+            two_spin[(p, _label_index(a), _label_index(b))] = mult
+    # chi-chi-chi multiplicities reach 1 and no further, so the first triple
+    # in label order with multiplicity >= 2 is the least of the first such
+    # triples of the blocks
+    max_mult = max([1] + [int(mult.max()) for mult in two_spin.values()])
+    firsts = []
+    for (p, a, b), mult in two_spin.items():
+        big = np.flatnonzero(mult >= 2)
+        if len(big):
+            key = [a, b]
+            key.insert(p, int(big[0]))
+            firsts.append((tuple(key), int(mult[big[0]])))
+    first, witness_mult = min(firsts, default=(None, 0))
     witness = None
-    witness_mult = 0
-    if max_mult > 1:
-        i, j, k = np.argwhere(mult >= 2)[0]
-        witness = TripleIrrepLabel(labels_g[i], labels_g[j], labels_h[k])
-        witness_mult = int(mult[i, j, k])
-    mult.setflags(write=False)
+    if first is not None:
+        witness = TripleIrrepLabel(*(irreps(d)[i] for d, i in zip(degrees, first)))
     return GelfandReport(
         n=n,
         m=m,
@@ -186,9 +236,7 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
         max_multiplicity=max_mult,
         witness=witness,
         witness_multiplicity=witness_mult,
-        labels_g=labels_g,
-        labels_h=labels_h,
-        mult_array=mult,
+        two_spin=MappingProxyType(two_spin),
     )
 
 

@@ -13,6 +13,15 @@ O(|G|^2); the library reads the partition off the sign-flip lemma instead.
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.
 
+`character_table` is the dense int64 table of every irrep at every class.
+`dense_multiplicity_cube` fills the whole |Irr|^3 multiplicity cube of the
+Gelfand scan from it through int64 matmuls, `class_sum_invariant_dim` sums
+one triple over all the classes, `inner_product` pairs two class functions
+class by class in GaussianRational arithmetic, and `orthogonality_decompose` runs the orthogonality relations
+against the whole dense table.  The library reads the same numbers off the
+Sylvester-Hadamard structure of the linear characters and the central
+support of the spin characters instead.
+
 `permutation_character_eta` counts the fixed points of the two-sided action
 with `multiply`, so it is an oracle for the traces of `EtaRep`, whose images
 are gathers from `elements.mult_table`.  `gram_schmidt` and
@@ -21,11 +30,23 @@ CL(n) x CL(n) x CL(m).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
-from cliffharm.characters import character_value
+import numpy as np
+
+from cliffharm.characters import (
+    Decomposition,
+    NotACharacterError,
+    char_re_im,
+    character_value,
+    format_label,
+    irreps,
+)
 from cliffharm.elements import (
     CliffordElement,
     ConjugacyClass,
+    DegreeMismatchError,
     TripleElement,
     conjugacy_classes,
     conjugate,
@@ -249,3 +270,111 @@ def permutation_character_eta(n, m):
                 sizes.append(c1.size * c2.size * c3.size)
                 values.append(fixed_left * fixed_right)
     return EtaCharacter(n, m, reps, sizes, values)
+
+
+@lru_cache(maxsize=None)
+def character_table(n, m=None):
+    """(labels, class_keys, sizes, re, im) for the irreps of CL(n) at the
+    class representatives of CL(m) embedded in CL(n); m defaults to n.
+
+    class_keys and sizes describe the classes of CL(m); re and im are int64
+    arrays of shape (|Irr CL(n)|, |classes of CL(m)|), read-only since the
+    result is cached.  Values are Gaussian integers of modulus at most
+    2^(n/2).
+    """
+    if m is None:
+        m = n
+    if m > n:
+        raise DegreeMismatchError(f"cannot embed CL({m}) into CL({n})")
+    labels = irreps(n)
+    classes = conjugacy_classes(m)
+    keys = tuple((c.representative.sign, c.representative.mask) for c in classes)
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    re = np.empty((len(labels), len(classes)), dtype=np.int64)
+    im = np.empty_like(re)
+    for i, lab in enumerate(labels):
+        for j, (sign, mask) in enumerate(keys):
+            re[i, j], im[i, j] = char_re_im(lab, sign, mask)
+    for arr in (sizes, re, im):
+        arr.setflags(write=False)
+    return labels, keys, sizes, re, im
+
+
+def dense_multiplicity_cube(n, m):
+    """The (|Irr G|, |Irr G|, |Irr H|) int64 array of every multiplicity
+    (1/|H|) sum_h chi1(h) chi2(h) chi_theta(h), by int64 matmuls over the
+    classes of H.  Terms are below 2^(2n) in modulus, so nothing overflows
+    for n <= 8."""
+    labels_g, _, sizes, E_re, E_im = character_table(n, m)
+    labels_h, _, _, T_re, T_im = character_table(m)
+    order_h = 1 << (m + 1)
+    lg, lh = len(labels_g), len(labels_h)
+    mult = np.empty((lg, lg, lh), dtype=np.int64)
+    wT_re = T_re * sizes
+    wT_im = T_im * sizes
+    for i in range(lg):
+        p_re = E_re[i] * E_re - E_im[i] * E_im  # (lg, classes)
+        p_im = E_re[i] * E_im + E_im[i] * E_re
+        s_re = p_re @ wT_re.T - p_im @ wT_im.T  # (lg, lh)
+        s_im = p_re @ wT_im.T + p_im @ wT_re.T
+        if s_im.any():
+            raise AssertionError("invariant dimension acquired an imaginary part")
+        if (s_re % order_h).any() or (s_re < 0).any():
+            raise AssertionError("invariant dimension not a non-negative integer")
+        mult[i] = s_re // order_h
+    return mult
+
+
+def class_sum_invariant_dim(rho1, rho2, theta):
+    """(1/|H|) sum over the classes of H of size * chi1 chi2 chi_theta, in
+    exact integers until the final division."""
+    m = theta.degree
+    acc_re = acc_im = 0
+    for cls in conjugacy_classes(m):
+        sign, mask = cls.representative.sign, cls.representative.mask
+        re, im = cls.size, 0
+        for lab in (rho1, rho2, theta):
+            vre, vim = char_re_im(lab, sign, mask)
+            re, im = re * vre - im * vim, re * vim + im * vre
+        acc_re += re
+        acc_im += im
+    order = 1 << (m + 1)
+    if acc_im or acc_re % order or acc_re < 0:
+        raise AssertionError(f"invariant dimension not in Z>=0: {acc_re} + {acc_im}i over {order}")
+    return acc_re // order
+
+
+def inner_product(f, g):
+    """(1/|G|) sum_g f(g) conj(g(g)), class by class; exact."""
+    if f.degree != g.degree:
+        raise DegreeMismatchError("class function degrees differ")
+    n = f.degree
+    fv, gv = f.values, g.values
+    total = gr(0)
+    for cls in conjugacy_classes(n):
+        key = (cls.representative.sign, cls.representative.mask)
+        total = total + cls.size * fv[key] * gv[key].conjugate()
+    return total / (1 << (n + 1))
+
+
+def orthogonality_decompose(f):
+    """Multiplicities by the orthogonality relations, class by class: one
+    int64 product of the size-weighted values with the conjugated dense
+    character table, then the exact division by 2^(n+1) per label.  Values
+    below 2^31, table entries of modulus at most 2^8 and 2^17 classes keep
+    every sum below 2^57."""
+    labels, _, sizes, re, im = character_table(f.degree)
+    w_re, w_im = f.re * sizes, f.im * sizes
+    ip_re = w_re @ re.T + w_im @ im.T  # f times conj(chi)
+    ip_im = w_im @ re.T - w_re @ im.T
+    order = 1 << (f.degree + 1 + f.shift)
+    terms = []
+    for label, a, b in zip(labels, ip_re.tolist(), ip_im.tolist()):
+        ip = gr(Fraction(a, order), Fraction(b, order))
+        if not ip.is_integer() or ip.re < 0:
+            raise NotACharacterError(
+                f"not a character: <f, {format_label(label)}> = {ip}"
+            )
+        if ip.re:
+            terms.append((label, int(ip.re)))
+    return Decomposition(tuple(terms))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,14 @@ from cliffharm.elements import (
     enumerate_group,
 )
 from cliffharm.characters import (
+    ClassFunction,
     IrrepLabel,
     NotACharacterError,
-    character_table,
     character_value,
     chi,
     conjugate_label,
     decompose,
     format_label,
-    inner_product,
     irrep_character,
     irreps,
     parse_label,
@@ -31,6 +31,7 @@ from cliffharm.characters import (
     rho,
     tensor_character,
 )
+from oracles import character_table, inner_product, orthogonality_decompose
 
 
 def test_irrep_census():
@@ -50,9 +51,9 @@ def test_irreps_degree_guard():
 
 
 def test_decompose_degree_guard():
-    # one past MAX_CHARACTER_DEGREE = 9; the character itself is cheap
-    with pytest.raises(GuardError, match=r"degree 10 outside supported range \[0, 9\]"):
-        decompose(tensor_character(rho(10), rho(10)))
+    # one past MAX_DEGREE = 16: the class function of degree 17 is refused
+    with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
+        decompose(tensor_character(rho(17, "+"), rho(17, "+")))
 
 
 def test_label_validation():
@@ -176,9 +177,19 @@ def test_tensor_linear_with_spin():
 
 def test_decompose_rejects_non_characters():
     f = irrep_character(rho(2))
-    bad = type(f)(f.degree, {k: v + gr(Fraction(1, 3)) for k, v in f.values.items()})
-    with pytest.raises(NotACharacterError):
+    # f + 1/2: a non-integer multiplicity
+    bad = ClassFunction(f.degree, 2 * f.re + 1, 2 * f.im, shift=1)
+    assert bad.values[(1, 0)] == gr(2) + gr(Fraction(1, 2))
+    with pytest.raises(NotACharacterError, match=r"<f, chi:\{\}> = 1/2"):
         decompose(bad)
+    # -f: a negative multiplicity; i f: an imaginary one
+    with pytest.raises(NotACharacterError, match=r"<f, rho> = -1"):
+        decompose(ClassFunction(f.degree, -f.re, -f.im))
+    with pytest.raises(NotACharacterError, match=r"<f, rho> = i"):
+        decompose(ClassFunction(f.degree, -f.im, f.re))
+    # a sum that 2^(n+1) does not divide, on integer values
+    with pytest.raises(NotACharacterError, match=r"<f, chi:\{\}> = 1/8"):
+        decompose(ClassFunction(2, [1, 0, 0, 0, 0], [0] * 5))
 
 
 def test_restriction_of_irreps():
@@ -236,3 +247,72 @@ def test_decomposition_json():
         "chi:{}", "chi:{1}", "chi:{2}", "chi:{1,2}"
     ]
     assert all(t["mult"] == 1 for t in payload["terms"])
+
+
+def test_class_function_storage():
+    # int64 arrays in conjugacy_classes order, read-only, behind a read-only
+    # mapping of GaussianRational values keyed by the class representatives
+    for n in (0, 1, 4, 5):
+        for lab in irreps(n):
+            f = irrep_character(lab)
+            keys = [(c.representative.sign, c.representative.mask)
+                    for c in conjugacy_classes(n)]
+            assert list(f.values) == keys and len(f.values) == len(keys)
+            for k, (sign, mask) in enumerate(keys):
+                g = CliffordElement(n, sign, mask)
+                assert f.values[(sign, mask)] == character_value(lab, g)
+                assert gr(int(f.re[k]), int(f.im[k])) == character_value(lab, g)
+            assert f.values == dict(f.values.items()) == irrep_character(lab).values
+    f = irrep_character(rho(3, "+"))
+    for arr in (f.re, f.im):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    with pytest.raises(TypeError):
+        f.values[(1, 0)] = gr(0)
+    with pytest.raises(KeyError):
+        f.values[(-1, 1)]  # -gamma_1 is not a class representative of CL(3)
+    assert f.values != irrep_character(rho(3, "-")).values
+    halved = ClassFunction(3, 2 * f.re, 2 * f.im, shift=1)
+    assert halved.values == f.values
+    with pytest.raises(ValueError):
+        ClassFunction(3, f.re[:-1], f.im[:-1])
+    with pytest.raises(ValueError, match="below 2"):
+        ClassFunction(3, f.re << 30, f.im)  # 2^31 at the identity
+
+
+def test_tensor_and_restriction_read_the_embedded_values():
+    # pointwise products gathered at the classes of CL(m) embedded in CL(n)
+    for n in range(0, 5):
+        for m in {n, max(n - 1, 0)}:
+            for a in irreps(n):
+                for b in irreps(n):
+                    f = restrict_character(tensor_character(a, b), m)
+                    assert f.degree == m
+                    for (sign, mask), v in f.values.items():
+                        g = embed(CliffordElement(m, sign, mask), n)
+                        assert v == character_value(a, g) * character_value(b, g)
+
+
+def test_decompose_matches_orthogonality_oracle():
+    # the Walsh-Hadamard and central sums against the dense orthogonality
+    # relations, on every restricted tensor product of two irreps
+    for n in range(0, 6):
+        for m in {n, max(n - 1, 0)}:
+            for a in irreps(n):
+                for b in irreps(n):
+                    f = restrict_character(tensor_character(a, b), m)
+                    assert decompose(f) == orthogonality_decompose(f)
+
+
+def test_decompose_matches_oracle_past_enumeration():
+    # spin (x) spin, and Res(spin (x) chi_A) at seeded A, at n = 6..9
+    rng = random.Random(7)
+    for n in range(6, 10):
+        spins = irreps(n)[1 << n:]
+        for a in spins:
+            for b in spins:
+                f = tensor_character(a, b)
+                assert decompose(f) == orthogonality_decompose(f)
+            for _ in range(4):
+                f = restrict_character(tensor_character(a, chi(n, rng.randrange(1 << n))), n - 1)
+                assert decompose(f) == orthogonality_decompose(f)

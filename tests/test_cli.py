@@ -37,8 +37,8 @@ def test_irreps_degree_guard_exits_1(capsys):
 
 def test_guards_exit_1_without_traceback(capsys):
     cases = {
-        ("gelfand", "9"): "[0, 8]",
-        ("tensor", "10", "rho", "rho"): "[0, 9]",
+        ("gelfand", "17"): "[0, 16]",
+        ("tensor", "17", "rho+", "rho+"): "[0, 16]",
         ("orbits", "-1"): "[0, 7]",
     }
     for argv, bounds in cases.items():

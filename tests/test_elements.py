@@ -12,6 +12,8 @@ from cliffharm.elements import (
     TripleElement,
     center,
     class_key,
+    class_index,
+    class_keys,
     conjugacy_classes,
     conjugate,
     conjugation_sign,
@@ -161,8 +163,30 @@ def test_class_key_matches_enumeration_oracle():
 
 
 def test_class_partition_guard():
+    # the classes are closed form, so they follow MAX_DEGREE = 16
+    with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
+        conjugacy_classes(17)
     with pytest.raises(GuardError):
-        conjugacy_classes(13)
+        class_keys(17)
+    assert len(conjugacy_classes(13)) == (1 << 13) + 2
+
+
+def test_class_keys_and_index():
+    # the array keys list the classes in conjugacy_classes order, and
+    # class_index finds every element's class, for ints and arrays alike
+    for n in range(0, 7):
+        signs, masks = class_keys(n)
+        classes = conjugacy_classes(n)
+        assert [(c.representative.sign, c.representative.mask) for c in classes] == list(
+            zip(signs.tolist(), masks.tolist())
+        )
+        for k, cls in enumerate(classes):
+            for x in cls.members:
+                assert class_index(n, x.sign, x.mask) == k
+        assert list(class_index(n, signs, masks)) == list(range(len(classes)))
+        for arr in (signs, masks):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def test_embed_is_homomorphism():

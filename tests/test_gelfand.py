@@ -1,6 +1,8 @@
 import dataclasses
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
 from cliffharm.exact import gr
@@ -28,7 +30,44 @@ from cliffharm.gelfand import (
     gelfand_check_characters,
     spherical_character,
 )
-from oracles import permutation_character_eta
+from oracles import (
+    class_sum_invariant_dim,
+    dense_multiplicity_cube,
+    permutation_character_eta,
+)
+
+
+def report_cube(rep):
+    """The dense multiplicity array a report describes: the chi-chi-chi
+    indicator [(A ^ B) & (2^m - 1) == C], the stored two-spin blocks, and 0
+    elsewhere."""
+    big, small = 1 << rep.n, 1 << rep.m
+    cube = np.zeros((len(irreps(rep.n)),) * 2 + (len(irreps(rep.m)),), dtype=np.int64)
+    a = np.arange(big)[:, None, None]
+    b = np.arange(big)[None, :, None]
+    cube[:big, :big, :small] = ((a ^ b) & (small - 1)) == np.arange(small)
+    for (p, i, j), mult in rep.two_spin.items():
+        index = [i, j]
+        index.insert(p, slice(len(mult)))
+        cube[tuple(index)] = mult
+    return cube
+
+
+def assert_matches_dense_scan(rep, cube):
+    """Every multiplicity, the verdict, the maximum and the witness (the
+    first triple in label order with multiplicity >= 2) agree with the
+    dense cube."""
+    assert np.array_equal(report_cube(rep), cube)
+    assert rep.max_multiplicity == cube.max()
+    assert rep.gelfand == (cube.max() <= 1)
+    first = np.argwhere(cube >= 2)[:1]
+    if len(first):
+        i, j, k = first[0]
+        g, h = irreps(rep.n), irreps(rep.m)
+        assert rep.witness == TripleIrrepLabel(g[i], g[j], h[k])
+        assert rep.witness_multiplicity == cube[i, j, k]
+    else:
+        assert rep.witness is None and rep.witness_multiplicity == 0
 
 
 def test_invariant_dim_equals_restricted_multiplicity():
@@ -100,11 +139,13 @@ def test_cached_report_is_immutable():
     rep = gelfand_check_characters(2, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.gelfand = False
+    with pytest.raises(TypeError):
+        rep.two_spin[next(iter(rep.two_spin))] = np.zeros(4, dtype=np.int64)
     with pytest.raises(ValueError):
-        rep.mult_array[0, 0, 0] = 7
+        next(iter(rep.two_spin.values()))[0] = 7
     again = gelfand_check_characters(2, 2)
     assert again.gelfand and again.max_multiplicity == 1
-    assert int(again.mult_array.max()) == 1
+    assert max(int(mult.max()) for mult in again.two_spin.values()) == 1
 
 
 def test_convolution_agrees_with_characters():
@@ -115,13 +156,16 @@ def test_convolution_agrees_with_characters():
 def test_guards():
     with pytest.raises(GuardError):
         gelfand_check_biinvariant(4, 4)
-    # one past MAX_CHARACTER_METHOD_DEGREE = 8 would build a 514^3 table
-    with pytest.raises(GuardError):
-        gelfand_check_characters(9, 9)
-    with pytest.raises(GuardError):
-        gelfand_check_characters(9, 8)
+    # one past MAX_DEGREE = 16
+    with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
+        gelfand_check_characters(17, 17)
+    with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
+        gelfand_check_characters(17, 16)
     with pytest.raises(ValueError):
         gelfand_check_characters(3, 1)
+    # the |Irr|^3 table dict stops at n = 5
+    with pytest.raises(GuardError, match=r"degree 6 outside supported range \[0, 5\]"):
+        gelfand_check_characters(6, 6).table()
 
 
 def test_eta_multiplicities_match_invariant_dims():
@@ -169,3 +213,45 @@ def test_spherical_bi_invariance():
                 k2 = triple(embed(k2h, n), embed(k2h, n), k2h, m)
                 moved = triple_multiply(triple_multiply(k1, t), k2)
                 assert spherical_character(sigma, moved) == spherical_character(sigma, t)
+
+
+def test_scan_matches_dense_oracle():
+    for n in range(0, 8):
+        for m in {n, max(n - 1, 0)}:
+            rep = gelfand_check_characters(n, m)
+            cube = dense_multiplicity_cube(n, m)
+            assert_matches_dense_scan(rep, cube)
+            if n <= 5:  # every entry of table(), through multiplicity()
+                table = rep.table()
+                assert len(table) == cube.size
+                g, h = list(enumerate(irreps(n))), list(enumerate(irreps(m)))
+                for (i, a), (j, b), (k, c) in product(g, g, h):
+                    assert table[TripleIrrepLabel(a, b, c)] == cube[i, j, k]
+
+
+def test_oracle_comparison_catches_a_flipped_two_spin_multiplicity(monkeypatch):
+    import cliffharm.gelfand as gelfand
+
+    real = gelfand._spin_pair_multiplicity
+    calls = []
+
+    def flipped(a, b, x, m):
+        mult = real(a, b, x, m)
+        if not calls:  # the scan's first two-spin sum: 1 -> 2 at its first chi
+            mult = mult.copy()
+            mult[0] = 3 - mult[0]
+        calls.append(x)
+        return mult
+
+    monkeypatch.setattr(gelfand, "_spin_pair_multiplicity", flipped)
+    rep = gelfand.gelfand_check_characters.__wrapped__(4, 4)
+    assert calls and not rep.gelfand
+    with pytest.raises(AssertionError):
+        assert_matches_dense_scan(rep, dense_multiplicity_cube(4, 4))
+
+
+def test_invariant_dim_matches_class_sum_oracle():
+    for n in range(0, 5):
+        for m in {n, max(n - 1, 0)}:
+            for r1, r2, th in product(irreps(n), irreps(n), irreps(m)):
+                assert diagonal_invariant_dim(r1, r2, th) == class_sum_invariant_dim(r1, r2, th)
