@@ -2,8 +2,10 @@
 
 CL(n) has 2^n one-dimensional characters chi_A plus one further irreducible
 of dimension 2^(n/2) for n even (rho), or two of dimension 2^((n-1)/2) for
-n odd (rho+, rho-).  Character values are computed from the closed formulas;
-the matrix-models module provides the independent trace oracle.
+n odd (rho+, rho-).  Character values come from one closed formula,
+char_re_im, on ints or on int64 arrays of signs and masks: irrep_character
+is a single call of it over the class keys.  The matrix-models module
+provides the independent trace oracle.
 
 A class function is a pair of int64 arrays over the classes, so a tensor
 product is a pointwise product and a restriction an index gather.
@@ -119,21 +121,21 @@ def top_phase_re_im(n: int):
     return (1, 0) if m % 2 == 0 else (0, -1)
 
 
-def char_re_im(label: IrrepLabel, sign: int, mask: int):
-    """Character value at sign*gamma_mask as a pair of ints (re, im)."""
-    n = label.degree
+def char_re_im(label: IrrepLabel, sign, mask):
+    """Character value at sign*gamma_mask as (re, im), for ints or int64
+    arrays sign and mask, broadcast against each other.
+
+    chi_A reads (-1)^|A & mask| and does not see the sign.  A spin
+    character vanishes off the centre: it is sign*2^(n//2) at mask 0 and,
+    for odd n, sign*eta*c*2^(n//2) at X_n, with eta = -1 for rho- and c
+    the top phase.
+    """
+    n, zero = label.degree, 0 * sign * mask
     if label.kind == "chi":
-        return (-1 if (label.mask & mask).bit_count() & 1 else 1, 0)
-    if label.kind == "rho":
-        return (sign << (n // 2), 0) if mask == 0 else (0, 0)
-    m = (n - 1) // 2
-    if mask == 0:
-        return (sign << m, 0)
-    if mask == (1 << n) - 1:
-        cr, ci = top_phase_re_im(n)
-        s = sign if label.kind == "rho+" else -sign
-        return (s * cr << m, s * ci << m) if m else (s * cr, s * ci)
-    return (0, 0)
+        return _minus_one_to(label.mask & mask) + zero, zero
+    top = (mask == (1 << n) - 1) * (n % 2) * (-1 if label.kind == "rho-" else 1)
+    cr, ci = top_phase_re_im(n)
+    return ((mask == 0) + top * cr) * sign << n // 2, top * ci * sign << n // 2
 
 
 def character_value(label: IrrepLabel, g: CliffordElement) -> GaussianRational:
@@ -219,15 +221,7 @@ class _ClassValues(Mapping):
 
 
 def irrep_character(label: IrrepLabel) -> ClassFunction:
-    n = label.degree
-    signs, masks = class_keys(n)
-    zero = np.zeros_like(masks)
-    if label.kind == "chi":
-        return ClassFunction(n, _minus_one_to(masks & label.mask), zero)
-    re, im = zero.copy(), zero.copy()
-    for k in np.flatnonzero(is_central(masks, n)).tolist():
-        re[k], im[k] = char_re_im(label, int(signs[k]), int(masks[k]))
-    return ClassFunction(n, re, im)
+    return ClassFunction(label.degree, *char_re_im(label, *class_keys(label.degree)))
 
 
 def tensor_character(a: IrrepLabel, b: IrrepLabel) -> ClassFunction:

@@ -3,14 +3,15 @@
 Subcommands mirror the library: irreps, multiply, classes, tensor,
 restrict, gelfand, orbits, spherical, verify.  Output is a plain table by
 default or JSON with --format json.  Exit codes: 0 success, 1 domain error
-(bad degree, malformed element, guard violation, failed verification),
-2 usage error.
+(bad degree, malformed element, guard violation, failed verification) or
+an output pipe closed early, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .exact import format_gaussian, gaussian_to_json
@@ -345,7 +346,13 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader left early; devnull keeps the shutdown flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, NotACharacterError) as exc:
         # GuardError / DegreeMismatchError subclass ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,10 @@ spin characters are nonzero.  Only the O(|Irr|) two-spin triples are
 summed.  The second, independent verdict is the brute-force commutativity
 of the bi-invariant convolution algebra, which composes group elements
 through elements.mult_table.
+
+Spherical characters have one direct sum over H: conj_summands tabulates
+conj chi(h g) by h and point; spherical_character sums the products of its
+columns, and the closed-form grid comparison in orbits reads it too.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .elements import (
     DegreeMismatchError,
     _check_degree,
     _minus_one_to,
+    _xi_parity,
     TripleElement,
     mult_table,
-    xi_sign,
 )
 from .characters import (
     IrrepLabel,
@@ -243,33 +247,39 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
 # -- spherical characters ---------------------------------------------------
 
 
+def conj_summands(label: IrrepLabel, m: int, sign, mask):
+    """conj chi_label(h g) as int64 (re, im), with one row per h = s gamma_D
+    in CL(m) (s = +1 first, then -1; D ascending) and one column per point
+    g = sign gamma_mask, for ints or 1-D int64 arrays sign and mask.
+
+    h g = s sign (-1)^xi(D, T) gamma_(D xor T) for T = mask.  A summand has
+    modulus at most 2^(n/2) <= 2^8, so a product of three is at most 2^24
+    and a sum of one over all 2^17 elements h stays below 2^41: int64 is
+    exact up to n = 16.
+    """
+    h = np.arange(2 << m, dtype=np.int64)[:, None]  # element_index order
+    d, s = h & ((1 << m) - 1), 1 - 2 * (h >> m)
+    re, im = char_re_im(label, s * sign * (1 - 2 * _xi_parity(d, mask)), d ^ mask)
+    return re, -im
+
+
 def spherical_character(sigma: TripleIrrepLabel, at: TripleElement) -> GaussianRational:
     """psi(g1, g2, h1) = (1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1).
 
-    The sum runs over h = s gamma_D in H = CL(m), m = theta's degree, with
-    h g = s e (-1)^xi(D, T) gamma_(D xor T) for g = e gamma_T, in exact
+    The sum runs over h in H = CL(m), m = theta's degree: the three slots'
+    conj_summands columns are multiplied and summed over h, in exact
     integers until the final division by |H|.
     """
     n = sigma.rho1.degree
     m = sigma.theta.degree
     if at.degree != n or at.subgroup_degree != m:
         raise DegreeMismatchError("evaluation point degrees do not match the label")
-    labels = (sigma.rho1, sigma.rho2, sigma.theta)
-    args = (at.g1, at.g2, at.h)
-    acc_re = acc_im = 0
-    for s in (1, -1):
-        for d in range(1 << m):
-            re, im = 1, 0
-            for lab, g in zip(labels, args):
-                vre, vim = char_re_im(lab, s * g.sign * xi_sign(d, g.mask), d ^ g.mask)
-                if vre == 0 and vim == 0:
-                    re, im = 0, 0
-                    break
-                re, im = re * vre + im * vim, im * vre - re * vim  # times conj(v)
-            acc_re += re
-            acc_im += im
+    re, im = 1, 0
+    for lab, g in zip((sigma.rho1, sigma.rho2, sigma.theta), (at.g1, at.g2, at.h)):
+        vre, vim = conj_summands(lab, m, g.sign, g.mask)
+        re, im = re * vre - im * vim, re * vim + im * vre
     order = 1 << (m + 1)
-    return gr(Fraction(acc_re, order), Fraction(acc_im, order))
+    return gr(Fraction(int(re.sum()), order), Fraction(int(im.sum()), order))
 
 
 # -- convolution-algebra verdict --------------------------------------------

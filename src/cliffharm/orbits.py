@@ -10,8 +10,9 @@ formulas.  The case formulas are written once, as exact integer code on
 ints or int64 arrays (_closed_scaled): spherical_closed_form evaluates them
 at one point, and the full-grid comparison evaluates them on whole slabs of
 the grid.  That comparison scales both sides by 2^(n+1) and checks them one
-slab of the first slot at a time; the direct side sums the library's one
-character formula, characters.char_re_im, over every h in CL(n).
+slab of the first slot at a time; the direct side sums the summand table
+gelfand.conj_summands over every h in CL(n), the table that
+spherical_value sums at one point.
 
 The closed forms below are the oracle-validated versions.  Three published
 case displays carry transcription slips (a wrong intersection set in the
@@ -41,10 +42,9 @@ from .elements import (
     inverse,
     is_central,
     multiply,
-    xi_sign,
 )
-from .characters import IrrepLabel, char_re_im, irreps, top_phase_re_im
-from .gelfand import TripleIrrepLabel, spherical_character
+from .characters import IrrepLabel, irreps, top_phase_re_im
+from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
 
 MAX_PAIR_ORBIT_DEGREE = 7
 MAX_GRID_DEGREE = 4
@@ -258,30 +258,18 @@ def _slot(n: int, spin: bool):
     """(summands, points) for one slot of the grid, over the chi labels of
     irreps(n) or over its spin labels.
 
-    The slot's grid points are its (label, T, sign) triples, the sign held
-    at +1 when no label's character depends on it; points lists them as the
-    (label parameter, T, sign) rows that _closed_scaled reads.  summands =
-    (re, im) has a row per h = (-1)^s gamma_D in CL(n) and a column per
-    point g = e gamma_T, holding conj chi_label(h g), where
-    h g = (-1)^s e (-1)^xi(D, T) gamma_(D xor T).
+    The slot's grid points are its (label, T, sign) triples, label-major,
+    with the sign held at +1 for chi labels, which do not see it; points
+    lists them as the (label parameter, T, sign) rows that _closed_scaled
+    reads.  summands = (re, im) is gelfand.conj_summands for each label,
+    side by side: a row per h in CL(n) and a column per grid point.
     """
     labels = [lab for lab in irreps(n) if (lab.kind != "chi") == spin]
-    masks = range(1 << n)
-    sign_relevant = any(
-        char_re_im(lab, 1, e) != char_re_im(lab, -1, e) for lab in labels for e in masks
-    )
-    grid = list(product(labels, masks, (1, -1)[: 1 + sign_relevant]))
-    values = np.array(
-        [
-            [char_re_im(lab, s * e * xi_sign(d, t), d ^ t) for lab, t, e in grid]
-            for s, d in product((1, -1), masks)
-        ],
-        dtype=np.int64,
-    )
-    points = np.array(
-        [(_label_parameter(lab), t, e) for lab, t, e in grid], dtype=np.int64
-    ).T
-    return (values[..., 0], -values[..., 1]), points
+    params = [_label_parameter(lab) for lab in labels]
+    grid = np.meshgrid(params, np.arange(1 << n), (1, -1)[: 1 + spin], indexing="ij")
+    points = np.stack([a.reshape(len(labels), -1) for a in grid])  # by label
+    tables = [conj_summands(lab, n, e, t) for lab, t, e in zip(labels, points[1], points[2])]
+    return tuple(np.hstack(part) for part in zip(*tables)), points.reshape(3, -1)
 
 
 def _complex_matmul(x, y):

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .elements import CliffordElement, TripleElement, conjugacy_classes, format_element
+from .elements import MAX_DEGREE, CliffordElement, TripleElement, conjugacy_classes, format_element
 from .characters import (
     IrrepLabel,
     chi,
@@ -317,7 +317,7 @@ def check_deep_extras(seed=0, samples=10_000):
 
 
 @_check("D2", "sampled spherical closed forms equal direct summation")
-def check_sampled_spherical(degrees=range(5, 13), seed=0):
+def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
     """spherical_closed_form against spherical_value at 32 seeded points per
     degree, cycling over the analyzed families.
 

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +172,21 @@ def test_error_exits(capsys):
         main(["tensor", "2"])  # missing positional labels -> usage error
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # the JSON (about 130 kB) outgrows the pipe buffer, so the writer is
+    # still printing when the reader goes away after five lines, as `| head -5`
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["tensor", "12", "rho", "rho", "--subgroup", "11", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cliffharm.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = [proc.stdout.readline() for _ in range(5)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head[0] == b"{\n" and err == b""

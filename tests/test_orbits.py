@@ -12,7 +12,7 @@ from cliffharm.elements import (
 )
 from cliffharm.characters import chi, rho
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
-from cliffharm import orbits
+from cliffharm import gelfand, orbits
 from cliffharm.orbits import (
     SphericalQuery,
     closed_vs_direct_grids,
@@ -216,6 +216,31 @@ def test_point_and_grid_share_one_closed_form(monkeypatch):
     q = _query(n, sigma, element(n, 1, (1,)), g2, g2)  # T2 = T3
     assert spherical_value(q) != gr(0)
     assert spherical_closed_form(q).value != spherical_value(q)
+    agree = {r.family: r.agree for r in closed_vs_direct_grids(n)}
+    assert agree == {
+        "chi-chi-chi": True, "rho-rho-rho": True,
+        "chi-rho-rho": False, "chi-chi-rho": True,
+    }
+
+
+def test_point_and_grid_share_one_direct_sum(monkeypatch):
+    # a slip in gelfand.conj_summands must show up both at a point and on
+    # the grid: spin summands times i turn a two-spin sum into its negative
+    real = gelfand.conj_summands
+
+    def times_i(label, m, sign, mask):
+        re, im = real(label, m, sign, mask)
+        return (re, im) if label.kind == "chi" else (-im, re)
+
+    n = 2
+    sigma = TripleIrrepLabel(chi(n, (1,)), rho(n), rho(n))
+    g2 = element(n, 1, (1, 2))
+    q = _query(n, sigma, element(n, 1, (1,)), g2, g2)  # T2 = T3
+    closed = spherical_closed_form(q).value
+    assert spherical_value(q) == closed != gr(0)
+    monkeypatch.setattr(gelfand, "conj_summands", times_i)
+    monkeypatch.setattr(orbits, "conj_summands", times_i)
+    assert spherical_value(q) == -closed
     agree = {r.family: r.agree for r in closed_vs_direct_grids(n)}
     assert agree == {
         "chi-chi-chi": True, "rho-rho-rho": True,

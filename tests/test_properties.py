@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import assume, given, strategies as st
 
 from cliffharm.exact import I, ONE, ZERO, gr
+from cliffharm.characters import IrrepLabel, char_re_im
 from cliffharm.elements import (
     MAX_DEGREE,
     CliffordElement,
@@ -104,6 +105,41 @@ def test_xi_parity_fold_is_xi_mod_2(pairs):
     assert [_xi_parity(a, b) for a, b in pairs] == want
     a, b = np.array(pairs, dtype=np.int64).T
     assert _xi_parity(a, b).tolist() == want
+
+
+@st.composite
+def labels_and_points(draw):
+    """A label of any kind valid at its degree, with lists of signs and of
+    masks; the masks favour 0 and X_n, where spin characters live."""
+    n = draw(degrees)
+    full = (1 << n) - 1
+    kind = draw(st.sampled_from(("chi", "rho") if n % 2 == 0 else ("chi", "rho+", "rho-")))
+    label = IrrepLabel(n, kind, draw(st.integers(0, full)) if kind == "chi" else 0)
+    mask = st.sampled_from((0, full)) | st.integers(0, full)
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=6))
+    return label, signs, draw(st.lists(mask, min_size=1, max_size=6))
+
+
+@given(labels_and_points())
+def test_char_re_im_on_arrays_is_its_scalar_calls(case):
+    # scalar/array sign x mask, elementwise pairs and a 2-D outer broadcast
+    label, signs, masks = case
+    sign_arr, mask_arr = np.array(signs), np.array(masks)
+
+    def scalar_calls(sign, mask):
+        sign, mask = np.broadcast_arrays(sign, mask)
+        values = [char_re_im(label, int(s), int(m)) for s, m in zip(sign.flat, mask.flat)]
+        assert all(type(v) is int for pair in values for v in pair)
+        return np.moveaxis(np.array(values).reshape(*sign.shape, 2), -1, 0)
+
+    k = min(len(signs), len(masks))
+    for sign, mask in [
+        (signs[0], mask_arr),
+        (sign_arr, masks[0]),
+        (sign_arr[:k], mask_arr[:k]),
+        (sign_arr[:, None], mask_arr[None, :]),
+    ]:
+        assert np.array_equal(np.array(char_re_im(label, sign, mask)), scalar_calls(sign, mask))
 
 
 # -- Q(i): GaussianRational is a field, and hashes like the numbers it equals
