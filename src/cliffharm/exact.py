@@ -1,8 +1,9 @@
-"""Exact Gaussian-rational arithmetic.
+"""Exact Gaussian-rational scalars.
 
-Every inner product, character value and matrix entry in this package is a
-complex number a + b*i with rational a, b.  No floating point is used
-anywhere; equality tests are exact.
+Every inner product, character value and spherical value in this package is
+a complex number a + b*i with rational a, b.  Matrix entries are Gaussian
+integers held in int64 arrays instead (cliffharm.linalg).  No floating
+point is used anywhere; equality tests are exact.
 """
 
 from __future__ import annotations
@@ -65,17 +66,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def times_i(self, k: int) -> "GaussianRational":
-        """self * i^k (k taken mod 4), by swapping and negating the parts."""
-        k &= 3
-        if k == 0:
-            return self
-        if k == 1:
-            return GaussianRational(-self.im, self.re)
-        if k == 2:
-            return GaussianRational(-self.re, -self.im)
-        return GaussianRational(self.im, -self.re)
-
     def abs2(self):
         """|z|^2 as an exact non-negative rational."""
         return self.re * self.re + self.im * self.im
@@ -120,10 +110,6 @@ def _coerce(x) -> GaussianRational:
 
 
 ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-MINUS_ONE = GaussianRational(-1)
-UNITS = (ONE, I, MINUS_ONE, -I)  # UNITS[k] = i^k
 
 
 def gr(re=0, im=0) -> GaussianRational:

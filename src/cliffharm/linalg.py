@@ -1,21 +1,25 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian integers, in int64 arrays.
 
 Three matrix flavours:
 
-* Matrix    -- dense, entries GaussianRational; used for intertwiners.
+* Matrix    -- dense Gaussian-integer matrix: read-only int64 arrays re and
+               im of one 2-D shape; used for intertwiners.
 * Monomial  -- one nonzero per row/column, each a power of i stored as its
                exponent k in range(4); every representation matrix in this
                package (gamma products, permutation images) is monomial, so
                products, Kronecker products and conjugates are integer
-               additions and negations mod 4.  Exponents become Gaussian
-               rationals (exact.UNITS, GaussianRational.times_i) only where a
-               monomial meets a dense Matrix.
-* ScaledMatrix -- a Matrix together with a power of sqrt(2); the only
-               irrationals in the theory are sqrt(2^k) normalization factors.
+               additions and negations mod 4.  Exponents act on int64
+               arrays through the one rotation times_i, where a monomial
+               meets a dense Matrix.
+* ScaledMatrix -- sqrt(2)^half times a Matrix; the only irrationals in the
+               theory are sqrt(2^k) normalization factors.
 
 Every intertwiner constraint between monomial images reads x[a] = i^k x[b];
 such a system is a gain graph over Z/4, solved by gain_graph_nullspace with a
-union-find on the same integer exponents.  No floating point anywhere.
+union-find on the same integer exponents.  All intertwiner entries are units
+or zero, and a monomial only rotates them, so no entry grows.  Scalars
+(hs_inner, scaled_hs_inner, Monomial.trace) are GaussianRational, with one
+exact division at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -23,110 +27,86 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational, ZERO, ONE, UNITS, gr
+import numpy as np
+
+from .exact import GaussianRational, ZERO, gr
+
+_COS = np.array([1, 0, -1, 0], dtype=np.int64)  # re(i^k)
+_SIN = np.array([0, 1, 0, -1], dtype=np.int64)  # im(i^k)
+
+
+def times_i(re, im, k):
+    """i^k (re + i im) on ints or int64 arrays; k is an int or an int64 array
+    broadcast against them.  Entries keep their size: i^k only swaps and
+    negates the parts."""
+    k = np.bitwise_and(k, 3)
+    c, s = _COS[k], _SIN[k]
+    return c * re - s * im, s * re + c * im
+
+
+def complex_matmul(x, y):
+    """x @ y for Gaussian-integer matrices given as (re, im) int64 pairs;
+    a product with an all-zero factor is skipped, so real tables cost one
+    integer matmul.  Callers bound the sums they form."""
+    (x_re, x_im), (y_re, y_im) = x, y
+
+    def mm(p, q):
+        if p.any() and q.any():
+            return p @ q
+        return np.zeros((p.shape[0], q.shape[1]), dtype=np.int64)
+
+    return mm(x_re, y_re) - mm(x_im, y_im), mm(x_re, y_im) + mm(x_im, y_re)
 
 
 class Matrix:
-    """Dense matrix with GaussianRational entries (immutable by convention)."""
+    """Dense Gaussian-integer matrix: read-only int64 arrays re and im."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("re", "im")
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+    def __init__(self, re, im):
+        re, im = np.array(re, dtype=np.int64), np.array(im, dtype=np.int64)
+        if re.ndim != 2 or re.shape != im.shape:
+            raise ValueError("a Matrix needs re and im of one 2-D shape")
+        re.setflags(write=False)
+        im.setflags(write=False)
+        self.re, self.im = re, im
 
-    @staticmethod
-    def zero(nrows, ncols):
-        return Matrix([[ZERO] * ncols for _ in range(nrows)])
-
-    @staticmethod
-    def identity(n):
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+    @property
+    def shape(self):
+        return self.re.shape
 
     def __eq__(self, other):
-        return isinstance(other, Matrix) and self.rows == other.rows
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (
+            self.shape == other.shape
+            and np.array_equal(self.re, other.re)
+            and np.array_equal(self.im, other.im)
+        )
 
     def __hash__(self):
-        return hash(self.rows)
-
-    def __add__(self, other):
-        return Matrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        return Matrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows])
-
-    def scale(self, s):
-        return Matrix([[a * s for a in r] for r in self.rows])
-
-    def __matmul__(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shape mismatch")
-        ot = list(zip(*other.rows))
-        out = []
-        for r in self.rows:
-            out.append(
-                [
-                    sum((a * b for a, b in zip(r, col) if a and b), ZERO)
-                    for col in ot
-                ]
-            )
-        return Matrix(out)
-
-    def conj_transpose(self):
-        return Matrix(
-            [
-                [self.rows[i][j].conjugate() for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ]
-        )
-
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), ZERO)
+        return hash((self.shape, self.re.tobytes(), self.im.tobytes()))
 
     def is_zero(self):
-        return all(not a for r in self.rows for a in r)
-
-    def kron(self, other):
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
-
-    def flatten(self):
-        return [a for r in self.rows for a in r]
+        return not (self.re.any() or self.im.any())
 
     def __repr__(self):
-        return f"Matrix({self.nrows}x{self.ncols})"
+        return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
 
 def hs_inner(t1: Matrix, t2: Matrix) -> GaussianRational:
-    """Normalized Hilbert-Schmidt product (1/ncols) tr(t2* t1)."""
-    if t1.ncols != t2.ncols or t1.nrows != t2.nrows:
+    """Normalized Hilbert-Schmidt product (1/ncols) tr(t2* t1).
+
+    The int64 sums have one term per entry.  On intertwiners every entry is
+    a unit or zero, so at n = 3 a sum has at most |G|^2 d1 d2 dtheta <= 2^11
+    unit products and cannot overflow.
+    """
+    if t1.shape != t2.shape:
         raise ValueError("shape mismatch in Hilbert-Schmidt product")
-    total = ZERO
-    for r1, r2 in zip(t1.rows, t2.rows):
-        for a, b in zip(r1, r2):
-            if a and b:
-                total = total + a * b.conjugate()
-    return total / t1.ncols
+    re = int((t1.re * t2.re).sum() + (t1.im * t2.im).sum())
+    im = int((t1.im * t2.re).sum() - (t1.re * t2.im).sum())
+    ncols = t1.shape[1]
+    return gr(Fraction(re, ncols), Fraction(im, ncols))
 
 
 @dataclass(frozen=True)
@@ -180,55 +160,57 @@ class Monomial:
         return Monomial(sz, tuple(perm), tuple(phase))
 
     def trace(self) -> GaussianRational:
-        return sum(
-            (UNITS[self.phase[j]] for j in range(self.size) if self.perm[j] == j), ZERO
-        )
+        fixed = [p for j, p in enumerate(self.phase) if self.perm[j] == j]
+        re, im = times_i(1, 0, np.array(fixed, dtype=np.int64))
+        return gr(int(re.sum()), int(im.sum()))
 
     def dense(self) -> Matrix:
-        rows = [[ZERO] * self.size for _ in range(self.size)]
-        for j in range(self.size):
-            rows[self.perm[j]][j] = UNITS[self.phase[j]]
-        return Matrix(rows)
+        re = np.zeros((self.size, self.size), dtype=np.int64)
+        im = np.zeros_like(re)
+        cols = np.arange(self.size)
+        re[self.perm, cols], im[self.perm, cols] = times_i(1, 0, np.array(self.phase))
+        return Matrix(re, im)
 
     def apply_left(self, mat: Matrix) -> Matrix:
-        """self @ mat without densifying self."""
-        out = [None] * self.size
-        for j in range(self.size):
-            out[self.perm[j]] = [a.times_i(self.phase[j]) for a in mat.rows[j]]
-        return Matrix(out)
+        """self @ mat without densifying self: row j of mat, times
+        i^phase[j], becomes row perm[j]."""
+        re, im = times_i(mat.re, mat.im, np.array(self.phase)[:, None])
+        order = np.argsort(self.perm)
+        return Matrix(re[order], im[order])
 
     def apply_right(self, mat: Matrix) -> Matrix:
-        """mat @ self without densifying self."""
-        out = []
-        for r in mat.rows:
-            out.append([r[self.perm[j]].times_i(self.phase[j]) for j in range(self.size)])
-        return Matrix(out)
+        """mat @ self without densifying self: column perm[j] of mat, times
+        i^phase[j], becomes column j."""
+        perm = list(self.perm)
+        return Matrix(*times_i(mat.re[:, perm], mat.im[:, perm], np.array(self.phase)))
 
 
 @dataclass(frozen=True)
 class ScaledMatrix:
-    """2^(half/2) * matrix; keeps sqrt(2) factors exact.
+    """sqrt(2)^half * matrix; keeps sqrt(2) factors exact.
 
-    half is an integer exponent of sqrt(2).  Construction normalises it to
-    {0, 1} by absorbing whole powers of two into the matrix, and to 0 for a
-    zero matrix, so equal values have equal fields and the generated
-    equality and hashing compare them.
+    half is an integer exponent of sqrt(2).  Construction moves the largest
+    power of two 2^k that divides every entry of the matrix into half
+    (2^k M = sqrt(2)^(2k) M) by integer shifts, and sets half = 0 for a zero
+    matrix.  Since sqrt(2) is not in Q(i), equal values then have equal
+    fields, and the generated equality and hashing compare them.
     """
 
     half: int
     matrix: Matrix
 
     def __post_init__(self):
-        if self.matrix.is_zero():
+        re, im = self.matrix.re, self.matrix.im
+        # the lowest set bit of the OR of all entries (negatives included)
+        # is the largest power of two dividing every one of them
+        low = int(np.bitwise_or.reduce(re | im, axis=None))
+        if not low:
             object.__setattr__(self, "half", 0)  # zero at any scale is zero
             return
-        k, r = divmod(self.half, 2)
+        k = (low & -low).bit_length() - 1
         if k:
-            object.__setattr__(self, "half", r)
-            object.__setattr__(self, "matrix", self.matrix.scale(gr(Fraction(2) ** k)))
-
-    def is_zero(self):
-        return self.matrix.is_zero()
+            object.__setattr__(self, "half", self.half + 2 * k)
+            object.__setattr__(self, "matrix", Matrix(re >> k, im >> k))
 
 
 def scaled_hs_inner(t1: ScaledMatrix, t2: ScaledMatrix) -> GaussianRational:
@@ -255,8 +237,9 @@ def gain_graph_nullspace(edges, ncols):
     by a union-find.  A component is inconsistent, and forced to zero, when
     a cycle's gains disagree; a self-loop (c, c, k) with k != 0 is such a
     cycle, so (c, c, 2) is how a caller forces x[c] = 0.  Returns one vector
-    per consistent component, in order of its smallest column, with entries
-    in {0, +/-1, +/-i} and 1 at that column.
+    per consistent component, in order of its smallest column, as a pair
+    (re, im) of read-only int64 arrays with entries in {0, +/-1, +/-i} and
+    1 at that column.
 
     The solve is exact with no rational arithmetic: potentials are integers
     reduced mod 4, so nothing overflows and nothing is divided.
@@ -288,13 +271,18 @@ def gain_graph_nullspace(edges, ncols):
             pot[ra] = (k + pot[b] - pot[a]) & 3
             dead[rb] = dead[rb] or dead[ra]
 
-    basis = {}  # root -> (vector, potential of the component's smallest column)
+    heads = {}  # root -> (row, potential of the component's smallest column)
+    cells = []  # (row, column, exponent of i)
     for c in range(ncols):
         r = find(c)
-        if dead[r]:
-            continue
-        if r not in basis:
-            basis[r] = ([ZERO] * ncols, pot[c])
-        vec, p0 = basis[r]
-        vec[c] = UNITS[(pot[c] - p0) & 3]
-    return [vec for vec, _ in basis.values()]
+        if not dead[r]:
+            row, p0 = heads.setdefault(r, (len(heads), pot[c]))
+            cells.append((row, c, pot[c] - p0))
+    re = np.zeros((len(heads), ncols), dtype=np.int64)
+    im = np.zeros_like(re)
+    if cells:
+        rows, cols, exps = np.array(cells, dtype=np.int64).T
+        re[rows, cols], im[rows, cols] = times_i(1, 0, exps)
+    re.setflags(write=False)
+    im.setflags(write=False)
+    return list(zip(re, im))

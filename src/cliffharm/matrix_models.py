@@ -8,10 +8,12 @@ intertwiner space is the nullspace of that gain graph over Z/4, one basis
 vector per consistent component (linalg.gain_graph_nullspace); invariant
 tensors are solved the same way.  A Monomial stores each phase as its
 exponent k in range(4) (meaning i^k), so the images, their products and the
-constraint gains are all integers mod 4; phases become Gaussian rationals
-only where they meet a dense Matrix (traces, hat, the coset formula).
-Traces are checked against the closed-form characters, which keeps the two
-modules mutually verifying.
+constraint gains are all integers mod 4.  Intertwiners are Gaussian-integer
+int64 arrays (linalg.Matrix); phases act on them through the one rotation
+linalg.times_i, and hat and the coefficient checks gather whole image
+tables of perms and phases through elements.mult_table.  Traces are
+checked against the closed-form characters, which keeps the two modules
+mutually verifying.
 
 The only irrational scalars in the theory are sqrt(2)^k normalization
 factors; those ride along symbolically in ScaledMatrix.
@@ -22,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exact import ZERO, gr
+import numpy as np
+
+from .exact import gr
 from .elements import (
     CliffordElement,
     TripleElement,
@@ -35,7 +39,14 @@ from .elements import (
     mult_table,
 )
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
-from .linalg import Matrix, Monomial, ScaledMatrix, gain_graph_nullspace
+from .linalg import (
+    Matrix,
+    Monomial,
+    ScaledMatrix,
+    complex_matmul,
+    gain_graph_nullspace,
+    times_i,
+)
 
 MAX_RHO_MODEL_DEGREE = 6
 MAX_ETA_DEGREE = 3
@@ -204,6 +215,18 @@ def build_matrix_rep(label: IrrepLabel) -> CliffordMatrixRep:
     return CliffordMatrixRep(label)
 
 
+@lru_cache(maxsize=None)
+def _image_arrays(label: IrrepLabel):
+    """(perm, phase): read-only int64 arrays of shape (|G|, dim) whose row
+    element_index(g) holds the perm and phase exponents of the image of g."""
+    images = [build_matrix_rep(label).image(g) for g in enumerate_group(label.degree)]
+    perm = np.array([m.perm for m in images], dtype=np.int64)
+    phase = np.array([m.phase for m in images], dtype=np.int64)
+    perm.setflags(write=False)
+    phase.setflags(write=False)
+    return perm, phase
+
+
 def clifford_generators(n: int):
     """-1 together with gamma_1..gamma_n generates CL(n)."""
     gens = [CliffordElement(n, -1, 0)]
@@ -267,9 +290,7 @@ def intertwiner_space(src_rep, dst_rep, generators, verify_on=()) -> Intertwiner
                 (a0 + c, b0 + src.perm[c], (src.phase[c] - q) & 3) for c in range(ds)
             )
     vecs = gain_graph_nullspace(edges, dd * ds)
-    basis = [
-        Matrix([vec[r * ds : (r + 1) * ds] for r in range(dd)]) for vec in vecs
-    ]
+    basis = [Matrix(re.reshape(dd, ds), im.reshape(dd, ds)) for re, im in vecs]
     for t in basis:
         for g in verify_on:
             if not intertwines(t, src_rep, dst_rep, g):
@@ -307,9 +328,6 @@ class FrobeniusContext:
         self.theta_prime = ConjugateRep(self.rep_theta)
         self.d1, self.d2, self.dt = self.rep1.dim, self.rep2.dim, self.rep_theta.dim
         self.group_order = 1 << (n + 1)
-        group = enumerate_group(n)
-        self._images1 = [self.rep1.image(g) for g in group]
-        self._images2 = [self.rep2.image(g) for g in group]
 
     # Hom(rho1 x rho2 x theta, eta) and Hom(Res(rho1 (x) rho2), theta')
 
@@ -326,53 +344,51 @@ class FrobeniusContext:
 
     # coordinate maps
 
-    def _col(self, i, j, ell) -> int:
-        return (i * self.d2 + j) * self.dt + ell
+    def _by_theta(self, re, im) -> Matrix:
+        """A row over the columns (i, j, ell) of (V1 (x) V2 (x) W), laid out
+        as the dt x (d1 d2) matrix with entry [ell, (i, j)]."""
+        return Matrix(re.reshape(-1, self.dt).T, im.reshape(-1, self.dt).T)
 
     def tilde(self, t) -> ScaledMatrix:
         """T -> T~ with [T~(v1 (x) v2)](w) = (|G|/sqrt(d_theta)) [T(...)](1,1).
 
-        The pair of identities is row 0 of T (EtaRep's coordinates).
+        The pair of identities is row 0 of T (EtaRep's coordinates); the
+        entries are those of T, unchanged.
         """
         if isinstance(t, Matrix):
             t = ScaledMatrix(0, t)
-        rows = [
-            [
-                t.matrix[0, self._col(i, j, ell)]
-                for i in range(self.d1)
-                for j in range(self.d2)
-            ]
-            for ell in range(self.dt)
-        ]
         half = 2 * _log2(self.group_order) - _log2(self.dt)
-        return ScaledMatrix(t.half + half, Matrix(rows))
+        return ScaledMatrix(t.half + half, self._by_theta(t.matrix.re[0], t.matrix.im[0]))
 
     def hat(self, s) -> ScaledMatrix:
-        """S -> S^ mapping Hom(Res(rho1 (x) rho2), theta') back into Hom(.., eta)."""
+        """S -> S^ mapping Hom(Res(rho1 (x) rho2), theta') back into Hom(.., eta).
+
+        Row (g1, g2), column (i, j, ell) of S^ is i^k S[ell, src], where
+        rho1(g2^-1 g1^-1) (x) rho2(g2^-1) takes column (i, j) to row src
+        with phase i^k: the images are gathered from their perm and phase
+        tables by the mult_table rows, for all (g1, g2) at once.  Entries
+        are units times entries of S, so nothing grows.
+        """
         if isinstance(s, Matrix):
             s = ScaledMatrix(0, s)
         tab, inv = mult_table(self.n)
-        rows = []
-        for i1 in range(self.group_order):
-            for i2 in range(self.group_order):
-                # rho1(g2^-1 g1^-1) and rho2(g2^-1)
-                m1 = self._images1[tab[inv[i2], inv[i1]]]
-                m2 = self._images2[inv[i2]]
-                row = []
-                for i in range(self.d1):
-                    for j in range(self.d2):
-                        k = m1.phase[i] + m2.phase[j]
-                        src = m1.perm[i] * self.d2 + m2.perm[j]
-                        for ell in range(self.dt):
-                            row.append(s.matrix[ell, src].times_i(k))
-                rows.append(row)
+        perm1, phase1 = _image_arrays(self.rho1)
+        perm2, phase2 = _image_arrays(self.rho2)
+        left = tab[inv, inv[:, None]]  # [i1, i2] = index of g2^-1 g1^-1
+        src = perm1[left][..., None] * self.d2 + perm2[inv][:, None, :]
+        k = phase1[left][..., None] + phase2[inv][:, None, :]  # (G, G, d1, d2)
+        re, im = times_i(s.matrix.re.T[src], s.matrix.im.T[src], k[..., None])
+        rows = self.group_order**2
         half = _log2(self.dt) - 2 * _log2(self.group_order)
-        return ScaledMatrix(s.half + half, Matrix(rows))
+        return ScaledMatrix(
+            s.half + half, Matrix(re.reshape(rows, -1), im.reshape(rows, -1))
+        )
 
     # invariant tensors and the Prop-3.3 style operators
 
     def invariant_tensors(self):
-        """Basis of (V1 (x) V2 (x) W)^(H~): fixed vectors of the diagonal action."""
+        """Basis of (V1 (x) V2 (x) W)^(H~): fixed vectors of the diagonal
+        action, each an (re, im) pair of int64 vectors."""
         edges = []
         for h in enumerate_group(self.m):
             hh = embed(h, self.n)
@@ -399,33 +415,21 @@ class FrobeniusContext:
         """
         n = self.n
         g_elements = enumerate_group(n)
-        dim_sigma = self.triple_rep.dim
+        column = Matrix(b[0][:, None], b[1][:, None])
         rows = []
         for g1 in g_elements:
             for g2 in g_elements:
                 gx = TripleElement(multiply(g1, g2), g2, identity(n), self.m)
-                mono = self.triple_rep.image(gx)
-                # sigma(g_x) b, then row entries <e_col, sigma(g_x) b> = conj
-                w = [ZERO] * dim_sigma
-                for c in range(dim_sigma):
-                    coeff = b[c]
-                    if coeff:
-                        w[mono.perm[c]] = coeff.times_i(mono.phase[c])
-                rows.append([w[c].conjugate() for c in range(dim_sigma)])
-        half = _log2(dim_sigma) - _log2(self.eta.dim)
-        return ScaledMatrix(half, Matrix(rows))
+                # row entries <e_col, sigma(g_x) b>: the conjugate of sigma(g_x) b
+                rows.append(self.triple_rep.image(gx).apply_left(column))
+        re = np.hstack([w.re for w in rows]).T
+        im = np.hstack([w.im for w in rows]).T
+        half = _log2(self.triple_rep.dim) - _log2(self.eta.dim)
+        return ScaledMatrix(half, Matrix(re, -im))
 
     def tilde_from_invariant(self, b) -> ScaledMatrix:
         """Corollary form: [T~_B(v1 (x) v2)](w) = sqrt(d1 d2) conj B(v1,v2,w)."""
-        rows = [
-            [
-                b[(i * self.d2 + j) * self.dt + ell]
-                for i in range(self.d1)
-                for j in range(self.d2)
-            ]
-            for ell in range(self.dt)
-        ]
-        return ScaledMatrix(_log2(self.d1 * self.d2), Matrix(rows))
+        return ScaledMatrix(_log2(self.d1 * self.d2), self._by_theta(*b))
 
 
 # -- matrix coefficient identities ------------------------------------------
@@ -445,53 +449,52 @@ class MatrixCoefficientReport:
 
 def matrix_coefficient_checks(n: int) -> MatrixCoefficientReport:
     """Verify the orthogonality and convolution identities for all matrix
-    coefficients of all irreps of CL(n), exactly."""
+    coefficients of all irreps of CL(n), exactly.
+
+    The coefficient (rho, i, j) is the row u(g) = rho(g)[i, j] of one
+    Gaussian-integer table with a column per group element.  Both identities
+    are multiplied by d = dim rho1, so integers are compared:
+    d sum_g u1(g) conj u2(g) = |G| [u1 = u2], one matmul; and
+    d sum_x u1(x) u2(x^-1 g) = |G| [rho1 = rho2, j = h] u_(rho1, i, k)(g),
+    one gather of u2 through mult_table and one matmul.  Each sum has at
+    most |G| <= 16 unit terms, so nothing overflows int64.
+    """
     if n > MAX_ETA_DEGREE:
         raise GuardError(f"matrix coefficient checks guarded at n <= {MAX_ETA_DEGREE}")
-    elements = enumerate_group(n)
-    order = len(elements)
-    coeffs = []  # (label, dim, i, j, values over the group)
-    for label in irreps(n):
-        rep = build_matrix_rep(label)
-        dense = [rep.image(g).dense() for g in elements]
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                vals = [d[i, j] for d in dense]
-                coeffs.append((label, rep.dim, i, j, vals))
-    tab, inv = (a.tolist() for a in mult_table(n))
+    order = 1 << (n + 1)
+    labels = irreps(n)
+    rows = [
+        (a, i, j) for a, lab in enumerate(labels) for i in range(lab.dim) for j in range(lab.dim)
+    ]
+    lab_of, i_of, j_of = np.array(rows, dtype=np.int64).T
+    dim = np.array([lab.dim for lab in labels], dtype=np.int64)[lab_of]
+    first = np.searchsorted(lab_of, lab_of)  # the label's first row
+    tables = []
+    for label in labels:
+        perm, phase = _image_arrays(label)
+        # image(g) holds i^phase[g, j] at (perm[g, j], j): table [i, j, g]
+        hit = (perm.T == np.arange(label.dim)[:, None, None]).astype(np.int64)
+        tables.append(times_i(hit, 0, phase.T))
+    u = [np.concatenate([t.reshape(-1, order) for t in part]) for part in zip(*tables)]
+    gram_re, gram_im = complex_matmul(u, (u[0].T, -u[1].T))
+    ort_ok = (dim[:, None] * gram_re == order * np.eye(len(rows), dtype=np.int64)) & (gram_im == 0)
+    tab, inv = mult_table(n)
+    # [x, (b, g)]: u_b(x^-1 g), with tab[inv][x, g] the index of x^-1 g
+    conv = complex_matmul(u, [p[:, tab[inv]].transpose(1, 0, 2).reshape(order, -1) for p in u])
+    same = (lab_of[:, None] == lab_of) & (j_of[:, None] == i_of)
+    target = np.where(same, first[:, None] + i_of[:, None] * dim[:, None] + j_of, 0)
+    con_ok = np.ones_like(same)
+    for c, p in zip(conv, u):
+        expect = np.where(same[..., None], order * p[target], 0)
+        con_ok &= (dim[:, None, None] * c.reshape(expect.shape) == expect).all(axis=2)
     failures = []
-    n_ort = n_con = 0
-    for a, (lab1, d1, i, j, u1) in enumerate(coeffs):
-        for lab2, d2, h, k, u2 in coeffs:
-            n_ort += 1
-            expect = (
-                gr(order) / d1
-                if (lab1 == lab2 and i == h and j == k)
-                else ZERO
-            )
-            got = sum((u1[g] * u2[g].conjugate() for g in range(order)), ZERO)
-            if got != expect:
-                failures.append(
-                    ("ORT", format_label(lab1), (i, j), format_label(lab2), (h, k))
-                )
-            n_con += 1
-            conv = [
-                sum(
-                    (u1[x] * u2[tab[inv[x]][g]] for x in range(order)),
-                    ZERO,
-                )
-                for g in range(order)
-            ]
-            if lab1 == lab2 and j == h:
-                u_ik = next(
-                    v for (l3, _, a3, b3, v) in coeffs
-                    if l3 == lab1 and a3 == i and b3 == k
-                )
-                expect_fun = [gr(order) / d1 * v for v in u_ik]
-            else:
-                expect_fun = [ZERO] * order
-            if conv != expect_fun:
-                failures.append(
-                    ("CON", format_label(lab1), (i, j), format_label(lab2), (h, k))
-                )
-    return MatrixCoefficientReport(n, n_ort, n_con, failures)
+    for a, b in zip(*np.nonzero(~(ort_ok & con_ok))):
+        where = (
+            format_label(labels[lab_of[a]]), (int(i_of[a]), int(j_of[a])),
+            format_label(labels[lab_of[b]]), (int(i_of[b]), int(j_of[b])),
+        )
+        if not ort_ok[a, b]:
+            failures.append(("ORT", *where))
+        if not con_ok[a, b]:
+            failures.append(("CON", *where))
+    return MatrixCoefficientReport(n, len(rows) ** 2, len(rows) ** 2, failures)

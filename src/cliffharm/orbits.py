@@ -45,6 +45,7 @@ from .elements import (
 )
 from .characters import IrrepLabel, irreps, top_phase_re_im
 from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
+from .linalg import complex_matmul
 
 MAX_PAIR_ORBIT_DEGREE = 7
 MAX_GRID_DEGREE = 4
@@ -272,34 +273,19 @@ def _slot(n: int, spin: bool):
     return tuple(np.hstack(part) for part in zip(*tables)), points.reshape(3, -1)
 
 
-def _complex_matmul(x, y):
-    """x @ y for Gaussian-integer matrices given as (re, im) int64 pairs;
-    a product with an all-zero factor is skipped, so real tables cost one
-    integer matmul."""
-    (x_re, x_im), (y_re, y_im) = x, y
-
-    def mm(p, q):
-        if p.any() and q.any():
-            return p @ q
-        return np.zeros((p.shape[0], q.shape[1]), dtype=np.int64)
-
-    return mm(x_re, y_re) - mm(x_im, y_im), mm(x_re, y_im) + mm(x_im, y_re)
-
-
 def _direct_grid(slots):
     """2^(n+1) * psi over the full grid by literal summation over h, one
     slab per point i of the first slot.
 
     With rows h and columns grid points, slab i is
-    sum_h a[h, i] outer(b[h], c[h]) = b^T diag(a[:, i]) c.  All arithmetic
-    is int64 and exact: terms are at most 2^(3n/2) in size and there are
-    2^(n+1) of them.
+    sum_h a[h, i] outer(b[h], c[h]) = (a[:, i, None] * b)^T c.  All
+    arithmetic is int64 and exact: terms are at most 2^(3n/2) in size and
+    there are 2^(n+1) of them.
     """
     (a_re, a_im), (b_re, b_im), c = slots
-    b_t = (b_re.T, b_im.T)
     for i in range(a_re.shape[1]):
-        a_diag = (np.diag(a_re[:, i]), np.diag(a_im[:, i]))
-        yield _complex_matmul(_complex_matmul(b_t, a_diag), c)
+        ar, ai = a_re[:, i, None], a_im[:, i, None]
+        yield complex_matmul(((ar * b_re - ai * b_im).T, (ar * b_im + ai * b_re).T), c)
 
 
 @dataclass

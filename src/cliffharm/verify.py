@@ -35,7 +35,12 @@ from .gelfand import (
     gelfand_check_characters,
     gelfand_check_biinvariant,
 )
-from .matrix_models import FrobeniusContext, build_matrix_rep, matrix_coefficient_checks
+from .matrix_models import (
+    MAX_ETA_DEGREE,
+    FrobeniusContext,
+    build_matrix_rep,
+    matrix_coefficient_checks,
+)
 from .linalg import ScaledMatrix, hs_inner, scaled_hs_inner
 from .orbits import (
     ANALYZED_FAMILIES,
@@ -287,7 +292,7 @@ def check_method_agreement(pairs=((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))):
 
 
 @_check("C9", "matrix-model traces match characters; coefficient identities hold")
-def check_oracles(trace_n_max=4, coeff_n_max=2):
+def check_oracles(trace_n_max=4, coeff_n_max=MAX_ETA_DEGREE):
     for n in range(0, trace_n_max + 1):
         for lab in irreps(n):
             rep = build_matrix_rep(lab)

@@ -5,7 +5,9 @@ rationals.  The library solves its unit-phase monomial systems by a gain
 graph over Z/4 (`cliffharm.linalg.gain_graph_nullspace`); this elimination
 knows nothing of that structure, which makes it the oracle for it.  The row
 builders turn a Monomial's phase exponents into Gaussian rationals through
-their own table UNITS, not through the library's conversions.
+their own table UNITS, not through the library's rotation, and `as_gaussian`
+reads the library's int64 (re, im) vectors and matrices as
+Gaussian-rational lists to compare with them.
 
 `enumerated_conjugacy_classes` conjugates every element by the whole group,
 O(|G|^2); the library reads the partition off the sign-flip lemma instead.
@@ -24,9 +26,8 @@ support of the spin characters instead.
 
 `permutation_character_eta` counts the fixed points of the two-sided action
 with `multiply`, so it is an oracle for the traces of `EtaRep`, whose images
-are gathers from `elements.mult_table`.  `gram_schmidt` and
-`triple_inverse` serve tests that need an orthogonal basis or inverses in
-CL(n) x CL(n) x CL(m).
+are gathers from `elements.mult_table`.  `triple_inverse` serves tests that
+need inverses in CL(n) x CL(n) x CL(m).
 """
 
 from dataclasses import dataclass
@@ -55,10 +56,16 @@ from cliffharm.elements import (
     inverse,
     multiply,
 )
-from cliffharm.exact import ONE, ZERO, gr
-from cliffharm.linalg import hs_inner
+from cliffharm.exact import ZERO, gr
 
+ONE = gr(1)
 UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
+
+
+def as_gaussian(re, im):
+    """The entries of int64 arrays re and im, row-major, as a list of
+    GaussianRational."""
+    return [gr(a, b) for a, b in zip(np.ravel(re).tolist(), np.ravel(im).tolist())]
 
 
 def sparse_nullspace(rows, ncols):
@@ -190,24 +197,6 @@ def generic_spherical_character(sigma, at):
 
 def triple_inverse(t):
     return TripleElement(inverse(t.g1), inverse(t.g2), inverse(t.h), t.subgroup_degree)
-
-
-def gram_schmidt(mats):
-    """Orthogonalize matrices w.r.t. the normalized Hilbert-Schmidt product.
-
-    Returns an orthogonal (not normalized) basis; norms are rational and
-    generally not perfect squares, so unit normalization would leave Q(i).
-    """
-    basis = []
-    for m in mats:
-        v = m
-        for b in basis:
-            coeff = hs_inner(v, b) / hs_inner(b, b)
-            if coeff:
-                v = v - b.scale(coeff)
-        if not v.is_zero():
-            basis.append(v)
-    return basis
 
 
 @dataclass

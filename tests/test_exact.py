@@ -1,18 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cliffharm.exact import (
     GaussianRational,
-    I,
-    ONE,
-    UNITS,
     ZERO,
     format_gaussian,
     gaussian_from_json,
     gaussian_to_json,
     gr,
 )
+from cliffharm.linalg import times_i
+
+ONE, I = gr(1), gr(0, 1)
 
 
 def test_basic_arithmetic():
@@ -34,12 +35,14 @@ def test_i_squares_to_minus_one():
 
 
 def test_times_i_is_repeated_multiplication_by_i():
-    for z in (ONE, gr(Fraction(3, 4), Fraction(-5, 7)), gr(0, -2), ZERO):
+    # linalg.times_i, the rotation of Gaussian integers held as int parts
+    for z in (ONE, gr(3, -5), gr(0, -2), ZERO):
         w = z
         for k in range(8):  # k >= 4 is unreduced
-            assert z.times_i(k) == w
+            assert gr(*(int(a) for a in times_i(int(z.re), int(z.im), k))) == w
             w = w * I
-    assert [ONE.times_i(k) for k in range(4)] == list(UNITS)
+    re, im = times_i(np.ones(4, dtype=np.int64), 0, np.arange(4))
+    assert [gr(a, b) for a, b in zip(re.tolist(), im.tolist())] == [ONE, I, -ONE, -I]
 
 
 def test_division_by_zero():

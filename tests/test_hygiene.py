@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 module-level private name is used somewhere in the package, and every
-module-level public name is used outside the tests or is documented API.
+module-level public name and every public method of a library class is used
+outside the tests or is documented API.
 
 The package's __init__.py is skipped by the import scan: its imports are the
 public re-exports.  Names are found with the stdlib ast, so a name that
@@ -8,6 +9,7 @@ appears only in a comment or a string does not count as used.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,11 +17,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "cliffharm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# Public names that only the tests call, kept because README.md documents
-# them as API; each must appear there in backticks.
+# Public names and methods that only the tests call, kept because README.md
+# documents them as API; each must appear there in backticks.
 DOCUMENTED_API = {
     "center", "xi", "triple_identity", "triple_multiply", "triple_action",
-    "gaussian_from_json",
+    "gaussian_from_json", "abs2", "is_rational", "is_integer", "table",
+    "conj_transpose", "dense", "is_zero",
 }
 
 
@@ -100,6 +103,30 @@ def names_only_tests_use(library: dict, users: list) -> list:
     return _unreferenced(library, lambda name: not name.startswith("_"), used)
 
 
+def _attributes(node):
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def methods_only_tests_use(library: dict, users: list) -> list:
+    """(module, class, method) for each public method defined in a class
+    body of the library modules whose name no attribute access outside its
+    own definition uses, in the library or in a user source (demos,
+    benchmark)."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    used = sum((_attributes(t) for t in trees.values()), Counter())
+    used += sum((_attributes(ast.parse(u)) for u in users), Counter())
+    return sorted(
+        (module, cls.name, node.name)
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and used[node.name] <= _attributes(node)[node.name]
+    )
+
+
 def test_private_name_scanner():
     sources = {
         "a": (
@@ -144,6 +171,35 @@ def test_public_names_are_used_outside_the_tests():
         p.read_text() for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py")
     ]
     found = {name for _, name in names_only_tests_use(library, users)}
+    assert found - DOCUMENTED_API == set()
+
+
+def test_method_scanner():
+    library = {
+        "a": (
+            "class Num:\n"
+            "    def used(self):\n        return 0\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "    def for_tests(self):\n        return 1\n"
+            "    def _private(self):\n        return 2\n"
+            "    def __eq__(self, other):\n        return True\n"
+            "def for_tests():\n    return 3\n"
+        ),
+        "b": "from .a import Num\nNum().used()\n",
+    }
+    users = ["import cliffharm\ncliffharm.a.Num().for_tests\n"]
+    assert methods_only_tests_use(library, []) == [
+        ("a", "Num", "for_tests"), ("a", "Num", "recursive")
+    ]
+    assert methods_only_tests_use(library, users) == [("a", "Num", "recursive")]
+
+
+def test_public_methods_are_used_outside_the_tests():
+    library = {p.stem: p.read_text() for p in MODULES}
+    users = [
+        p.read_text() for d in ("demos", "perfbench") for p in (ROOT / d).glob("*.py")
+    ]
+    found = {name for _, _, name in methods_only_tests_use(library, users)}
     assert found - DOCUMENTED_API == set()
 
 

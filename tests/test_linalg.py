@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cliffharm.exact import I, ONE, ZERO, gr
+from cliffharm.exact import ZERO, gr
 from cliffharm.linalg import (
     Matrix,
     Monomial,
@@ -13,51 +14,49 @@ from cliffharm.linalg import (
     hs_inner,
     scaled_hs_inner,
 )
-from oracles import UNITS, gram_schmidt, satisfies, sparse_nullspace
+from oracles import ONE, UNITS, as_gaussian, satisfies, sparse_nullspace
+
+I = gr(0, 1)
+
+
+def _real(rows):
+    return Matrix(rows, np.zeros_like(rows))
+
+
+def _identity(n):
+    return _real(np.eye(n, dtype=np.int64))
 
 
 def _rand_matrix(rng, rows, cols):
     return Matrix(
-        [
-            [gr(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                rng.randint(-2, 2)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
+        *([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)] for _ in "ri")
     )
 
 
-def test_matrix_ring_ops():
-    rng = random.Random(0)
-    a = _rand_matrix(rng, 3, 3)
-    b = _rand_matrix(rng, 3, 3)
-    c = _rand_matrix(rng, 3, 3)
-    ident = Matrix.identity(3)
-    assert a @ ident == a and ident @ a == a
-    assert (a @ b) @ c == a @ (b @ c)
-    assert a @ (b + c) == a @ b + a @ c
-    assert (a + b).conj_transpose() == a.conj_transpose() + b.conj_transpose()
-    assert (a @ b).conj_transpose() == b.conj_transpose() @ a.conj_transpose()
-    assert (a @ b).trace() == (b @ a).trace()
-    assert (-a + a).is_zero()
+def _mul(x, y):
+    """The dense product, written out on the (re, im) arrays."""
+    return Matrix(x.re @ y.re - x.im @ y.im, x.re @ y.im + x.im @ y.re)
 
 
-def test_kron_mixed_product():
-    rng = random.Random(1)
-    a = _rand_matrix(rng, 2, 2)
-    b = _rand_matrix(rng, 3, 3)
-    c = _rand_matrix(rng, 2, 2)
-    d = _rand_matrix(rng, 3, 3)
-    assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
-    assert a.kron(b).trace() == a.trace() * b.trace()
+def _kron(x, y):
+    return Matrix(
+        np.kron(x.re, y.re) - np.kron(x.im, y.im), np.kron(x.re, y.im) + np.kron(x.im, y.re)
+    )
+
+
+def _conj_transpose(x):
+    return Matrix(x.re.T, -x.im.T)
 
 
 def test_hs_inner_normalization():
-    ident = Matrix.identity(4)
+    ident = _identity(4)
     assert hs_inner(ident, ident) == gr(1)
-    a = Matrix([[gr(0, 1), gr(0)], [gr(0), gr(0)]])
+    a = Matrix([[0, 0], [0, 0]], [[1, 0], [0, 0]])
     assert hs_inner(a, a) == gr(Fraction(1, 2))
-    b = Matrix([[gr(0), gr(1)], [gr(0), gr(0)]])
+    b = _real([[0, 1], [0, 0]])
     assert hs_inner(a, b) == gr(0)
+    c = Matrix([[1, 2], [0, 0]], [[1, 0], [0, 3]])
+    assert hs_inner(c, a) == gr(Fraction(1, 2), Fraction(-1, 2))  # (1 + i) conj(i) / 2
 
 
 def test_monomial_matches_dense():
@@ -70,58 +69,78 @@ def test_monomial_matches_dense():
         phases2 = [rng.randrange(4) for _ in range(size)]
         m1 = Monomial(size, tuple(p1), tuple(phases))
         m2 = Monomial(size, tuple(p2), tuple(phases2))
-        assert (m1 @ m2).dense() == m1.dense() @ m2.dense()
-        assert m1.conj_transpose().dense() == m1.dense().conj_transpose()
-        assert m1.kron(m2).dense() == m1.dense().kron(m2.dense())
-        assert m1.trace() == m1.dense().trace()
+        d1 = m1.dense()
+        assert (m1 @ m2).dense() == _mul(d1, m2.dense())
+        assert m1.conj_transpose().dense() == _conj_transpose(d1)
+        assert m1.kron(m2).dense() == _kron(d1, m2.dense())
+        assert m1.trace() == gr(int(np.trace(d1.re)), int(np.trace(d1.im)))
         mat = _rand_matrix(rng, size, size)
-        assert m1.apply_left(mat) == m1.dense() @ mat
-        assert m1.apply_right(mat) == mat @ m1.dense()
+        assert m1.apply_left(mat) == _mul(d1, mat)
+        assert m1.apply_right(mat) == _mul(mat, d1)
         k = rng.randrange(8)
-        assert m1.times_i(k).dense() == m1.dense().scale(_i_power(k))
-        assert m1.conj().dense() == Matrix(
-            [[a.conjugate() for a in r] for r in m1.dense().rows]
-        )
+        rotated = d1
+        for _ in range(k):  # times i: (re, im) -> (-im, re)
+            rotated = Matrix(-rotated.im, rotated.re)
+        assert m1.times_i(k).dense() == rotated
+        assert m1.conj().dense() == Matrix(d1.re, -d1.im)
         for m in (m1 @ m2, m1.kron(m2), m1.conj(), m1.conj_transpose(), m1.times_i(k)):
             assert all(type(p) is int and 0 <= p < 4 for p in m.phase)
-
-
-def _i_power(k):
-    z = ONE
-    for _ in range(k):
-        z = z * I
-    return z
 
 
 def test_monomial_unitarity():
     m = Monomial(3, (1, 0, 2), (1, 2, 0))
     prod = m @ m.conj_transpose()
-    assert prod.dense() == Matrix.identity(3)
+    assert prod.dense() == _identity(3)
 
 
 def test_scaled_matrix_canonical_and_eq():
-    a = Matrix([[gr(2)]])
-    b = Matrix([[gr(1)]])
+    a = _real([[2]])
+    b = _real([[1]])
     assert ScaledMatrix(2, b) == ScaledMatrix(0, a)          # 2 * 1 == 2
-    assert ScaledMatrix(4, b) == ScaledMatrix(0, Matrix([[gr(4)]]))
+    assert ScaledMatrix(4, b) == ScaledMatrix(0, _real([[4]]))
     assert ScaledMatrix(1, b) != ScaledMatrix(0, b)
-    zero = Matrix.zero(1, 1)
+    zero = _real([[0]])
     assert ScaledMatrix(3, zero) == ScaledMatrix(-5, zero)   # zero at any scale
-    assert ScaledMatrix(5, b).half in (0, 1)
+    assert ScaledMatrix(3, zero).half == 0
+    # the largest power of two dividing every entry moves into half
+    s = ScaledMatrix(-3, Matrix([[4, -8]], [[0, 12]]))
+    assert (s.half, s.matrix) == (1, Matrix([[1, -2]], [[0, 3]]))
+    assert ScaledMatrix(5, b).half == 5  # an odd entry keeps the scale
+    assert ScaledMatrix(0, Matrix([[2]], [[1]])).half == 0
 
 
 def test_scaled_matrix_hash_agrees_with_eq():
-    zero = Matrix.zero(2, 2)
+    zero = _real([[0, 0], [0, 0]])
     zeros = {ScaledMatrix(0, zero), ScaledMatrix(1, zero), ScaledMatrix(-3, zero)}
     assert len(zeros) == 1
-    b = Matrix([[gr(1)]])
-    assert hash(ScaledMatrix(2, b)) == hash(ScaledMatrix(0, Matrix([[gr(2)]])))
-    assert hash(ScaledMatrix(5, b)) == hash(ScaledMatrix(1, Matrix([[gr(4)]])))
-    assert len({ScaledMatrix(2, b), ScaledMatrix(0, Matrix([[gr(2)]]))}) == 1
+    b = _real([[1]])
+    assert hash(ScaledMatrix(2, b)) == hash(ScaledMatrix(0, _real([[2]])))
+    assert hash(ScaledMatrix(5, b)) == hash(ScaledMatrix(1, _real([[4]])))
+    assert len({ScaledMatrix(2, b), ScaledMatrix(0, _real([[2]]))}) == 1
+
+
+@st.composite
+def _gaussian_matrices(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.integers(-8, 8)
+    return Matrix(*([[draw(entry) for _ in range(cols)] for _ in range(rows)] for _ in "ri"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_gaussian_matrices(), st.integers(-6, 6), st.integers(0, 4))
+@example(_real([[0]]), 0, 0)
+@example(_real([[6, -2]]), 1, 3)
+def test_scaled_matrix_fields_are_canonical(m, h, k):
+    a, b = ScaledMatrix(h + 2 * k, m), ScaledMatrix(h, Matrix(m.re << k, m.im << k))
+    assert a == b and hash(a) == hash(b)
+    zero = Matrix(0 * m.re, 0 * m.im)
+    assert ScaledMatrix(h, zero) == ScaledMatrix(h + k + 1, zero)
+    if not m.is_zero():  # sqrt(2) is not in Q(i)
+        assert ScaledMatrix(h + 1, m) != ScaledMatrix(h, m)
 
 
 def test_scaled_matrix_eq_with_other_types():
-    s = ScaledMatrix(0, Matrix([[gr(1)]]))
+    s = ScaledMatrix(0, _real([[1]]))
     assert s.__eq__(1) is NotImplemented
     assert (s == 1) is False
     assert s != "S"
@@ -129,7 +148,7 @@ def test_scaled_matrix_eq_with_other_types():
 
 
 def test_scaled_hs_inner():
-    b = Matrix([[gr(1)]])
+    b = _real([[1]])
     # (sqrt2 * 1, sqrt2 * 1) = 2
     assert scaled_hs_inner(ScaledMatrix(1, b), ScaledMatrix(1, b)) == gr(2)
     assert scaled_hs_inner(ScaledMatrix(2, b), ScaledMatrix(0, b)) == gr(2)
@@ -172,18 +191,6 @@ def test_sparse_nullspace_random_verification():
                 assert s == gr(0)
 
 
-def test_gram_schmidt():
-    rng = random.Random(8)
-    mats = [_rand_matrix(rng, 2, 3) for _ in range(3)]
-    ortho = gram_schmidt(mats)
-    assert len(ortho) == len(mats)
-    for i, a in enumerate(ortho):
-        for j, b in enumerate(ortho):
-            if i != j:
-                assert hs_inner(a, b) == gr(0)
-        assert hs_inner(a, a) != gr(0)
-
-
 # -- the gain-graph solver against the elimination oracle -------------------
 
 
@@ -200,8 +207,13 @@ def _oracle_rows(edges):
     return rows
 
 
+def _solve(edges, ncols):
+    """gain_graph_nullspace with each vector as a list of GaussianRational."""
+    return [as_gaussian(re, im) for re, im in gain_graph_nullspace(edges, ncols)]
+
+
 def _assert_matches_oracle(edges, ncols):
-    basis = gain_graph_nullspace(edges, ncols)
+    basis = _solve(edges, ncols)
     rows = _oracle_rows(edges)
     assert len(basis) == len(sparse_nullspace(rows, ncols))
     supports = []
@@ -221,17 +233,17 @@ def _assert_matches_oracle(edges, ncols):
 
 def test_gain_graph_small_systems():
     # x0 = i x1, x1 = i x2: one component, (1, -i, -1)
-    assert gain_graph_nullspace([(0, 1, 1), (1, 2, 1)], 3) == [[ONE, -I, gr(-1)]]
+    assert _solve([(0, 1, 1), (1, 2, 1)], 3) == [[ONE, -I, gr(-1)]]
     # closing the triangle consistently keeps it, inconsistently kills it
-    assert len(gain_graph_nullspace([(0, 1, 1), (1, 2, 1), (0, 2, 2)], 3)) == 1
-    assert gain_graph_nullspace([(0, 1, 1), (1, 2, 1), (0, 2, 0)], 3) == []
+    assert len(_solve([(0, 1, 1), (1, 2, 1), (0, 2, 2)], 3)) == 1
+    assert _solve([(0, 1, 1), (1, 2, 1), (0, 2, 0)], 3) == []
     # self-loops: x = x is no constraint, x = -x and x = i x force zero
-    assert len(gain_graph_nullspace([(1, 1, 0)], 2)) == 2
-    assert gain_graph_nullspace([(0, 1, 3), (1, 1, 2)], 3) == [[ZERO, ZERO, ONE]]
-    assert gain_graph_nullspace([(2, 2, 1)], 3) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
+    assert len(_solve([(1, 1, 0)], 2)) == 2
+    assert _solve([(0, 1, 3), (1, 1, 2)], 3) == [[ZERO, ZERO, ONE]]
+    assert _solve([(2, 2, 1)], 3) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
     # a forced zero, written as the self-loop x = -x, kills its whole component
-    assert gain_graph_nullspace([(0, 2, 0), (2, 2, 2)], 3) == [[ZERO, ONE, ZERO]]
-    assert len(gain_graph_nullspace([], 4)) == 4
+    assert _solve([(0, 2, 0), (2, 2, 2)], 3) == [[ZERO, ONE, ZERO]]
+    assert len(_solve([], 4)) == 4
 
 
 @st.composite

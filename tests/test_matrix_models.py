@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from cliffharm.exact import I, ONE, gr
+from cliffharm import matrix_models
+from cliffharm.exact import gr
 from cliffharm.elements import (
     element_index,
     enumerate_group,
@@ -26,13 +28,22 @@ from cliffharm.matrix_models import (
 )
 from cliffharm.verify import frobenius_mismatch
 from oracles import (
+    ONE,
+    as_gaussian,
     fixed_vector_rows,
-    gram_schmidt,
     intertwiner_rows,
     permutation_character_eta,
     satisfies,
     sparse_nullspace,
 )
+
+
+def _identity(d):
+    return Matrix(np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64))
+
+
+def _adjoint(t):
+    return Matrix(t.re.T, -t.im.T)
 
 
 def test_reps_are_homomorphisms():
@@ -42,7 +53,7 @@ def test_reps_are_homomorphisms():
         pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(30)]
         for lab in irreps(n):
             rep = build_matrix_rep(lab)
-            assert rep.image(identity(n)).dense() == Matrix.identity(rep.dim)
+            assert rep.image(identity(n)).dense() == _identity(rep.dim)
             for x, y in pairs:
                 assert rep.image(multiply(x, y)) == rep.image(x) @ rep.image(y)
 
@@ -53,7 +64,7 @@ def test_reps_are_unitary():
             rep = build_matrix_rep(lab)
             for g in enumerate_group(n):
                 mono = rep.image(g)
-                assert (mono @ mono.conj_transpose()).dense() == Matrix.identity(rep.dim)
+                assert (mono @ mono.conj_transpose()).dense() == _identity(rep.dim)
                 assert rep.image(inverse(g)) == mono.conj_transpose()
 
 
@@ -113,18 +124,23 @@ def test_operator_formulas_agree():
 
 def test_scalar_relation_on_orthogonal_intertwiners():
     # for T_i in an orthogonal basis of Hom(sigma, eta), sigma irreducible:
-    # T_j^* T_i = <T_i, T_j> I  (normalized Hilbert-Schmidt product)
+    # T_j^* T_i = <T_i, T_j> I  (normalized Hilbert-Schmidt product).  The
+    # gain-graph basis is orthogonal: its vectors have disjoint supports.
     n, m = 2, 1
     ctx = FrobeniusContext(n, m, rho(2), rho(2), chi(1))
-    basis = gram_schmidt(ctx.hom_triple_eta().basis)
+    basis = ctx.hom_triple_eta().basis
     assert len(basis) == 2
-    ident = Matrix.identity(ctx.triple_rep.dim)
+    ident = _identity(ctx.triple_rep.dim)
     for i, ti in enumerate(basis):
         for j, tj in enumerate(basis):
-            prod = tj.conj_transpose() @ ti
-            assert prod == ident.scale(hs_inner(ti, tj))
+            prod = Matrix(
+                tj.re.T @ ti.re + tj.im.T @ ti.im, tj.re.T @ ti.im - tj.im.T @ ti.re
+            )
+            z = hs_inner(ti, tj)
+            assert z.re.denominator == z.im.denominator == 1
+            assert prod == Matrix(int(z.re) * ident.re, int(z.im) * ident.re)
             if i != j:
-                assert prod.is_zero()
+                assert z == 0 and prod.is_zero()
 
 
 def test_adjoint_scaling():
@@ -137,17 +153,17 @@ def test_adjoint_scaling():
     factor = gr(d_src) / gr(d_dst)
     for t1 in basis:
         for t2 in basis:
-            lhs = hs_inner(t1.conj_transpose(), t2.conj_transpose())
+            lhs = hs_inner(_adjoint(t1), _adjoint(t2))
             assert lhs == factor * hs_inner(t2, t1)
 
 
 def test_intertwines_predicate():
     n = 2
     rep = build_matrix_rep(rho(2))
-    ident = Matrix.identity(rep.dim)
+    ident = _identity(rep.dim)
     for g in enumerate_group(n):
         assert intertwines(ident, rep, rep, g)
-    bad = Matrix([[gr(1), gr(0)], [gr(0), gr(0)]])
+    bad = Matrix([[1, 0], [0, 0]], [[0, 0], [0, 0]])
     assert not all(intertwines(bad, rep, rep, g) for g in enumerate_group(n))
 
 
@@ -157,6 +173,30 @@ def test_matrix_coefficient_identities():
         assert report.ok
         assert report.orthogonality_checked > 0
         assert report.convolution_checked > 0
+
+
+def test_hat_and_coefficient_checks_see_a_phase_slip(monkeypatch):
+    # one extra factor of i in the rotation hat applies breaks the round trip
+    # on a triple of multiplicity 2
+    rotate = matrix_models.times_i
+    with monkeypatch.context() as mp:
+        mp.setattr(matrix_models, "times_i", lambda re, im, k: rotate(re, im, k + 1))
+        assert diagonal_invariant_dim(rho(2), rho(2), chi(1)) == 2
+        assert frobenius_mismatch(2, 1, rho(2), rho(2), chi(1)) == "hat(tilde) != id"
+    # one coefficient of chi:{1} with its phase flipped at one element
+    images = matrix_models._image_arrays
+
+    def flipped(label):
+        perm, phase = images(label)
+        if label == chi(1, (1,)):
+            phase = phase.copy()
+            phase[1, 0] ^= 2
+        return perm, phase
+
+    with monkeypatch.context() as mp:
+        mp.setattr(matrix_models, "_image_arrays", flipped)
+        assert matrix_coefficient_checks(1).failures
+    assert matrix_coefficient_checks(1).ok
 
 
 def _assert_solver_matches_elimination(vectors, rows, ncols):
@@ -174,7 +214,7 @@ def test_intertwiner_solves_match_elimination():
             for rb in reps:
                 rows = intertwiner_rows(ra, rb, gens)
                 space = intertwiner_space(ra, rb, gens)
-                vecs = [t.flatten() for t in space.basis]
+                vecs = [as_gaussian(t.re, t.im) for t in space.basis]
                 _assert_solver_matches_elimination(vecs, rows, ra.dim * rb.dim)
     # every C7 system at (1,1) and (1,0)
     for n, m in ((1, 1), (1, 0)):
@@ -189,7 +229,7 @@ def test_intertwiner_solves_match_elimination():
                          ctx.hom_res_theta_prime()),
                     ):
                         rows = intertwiner_rows(src, dst, gens)
-                        vecs = [t.flatten() for t in space.basis]
+                        vecs = [as_gaussian(t.re, t.im) for t in space.basis]
                         _assert_solver_matches_elimination(vecs, rows, src.dim * dst.dim)
 
 
@@ -205,9 +245,8 @@ def test_invariant_tensors_match_elimination():
                         hh = embed(h, n)
                         diagonal.append(ctx.triple_rep.image(TripleElement(hh, hh, hh, m)))
                     rows = fixed_vector_rows(diagonal)
-                    _assert_solver_matches_elimination(
-                        ctx.invariant_tensors(), rows, ctx.triple_rep.dim
-                    )
+                    vecs = [as_gaussian(*b) for b in ctx.invariant_tensors()]
+                    _assert_solver_matches_elimination(vecs, rows, ctx.triple_rep.dim)
 
 
 def test_invariant_tensors_solve_for_fixed_not_conjugate_vectors():
@@ -221,7 +260,7 @@ def test_invariant_tensors_solve_for_fixed_not_conjugate_vectors():
 
     ctx = FrobeniusContext(1, 0, irreps(1)[0], irreps(1)[0], irreps(0)[0])
     ctx.triple_rep = Swap()
-    assert ctx.invariant_tensors() == [[ONE, I]]
+    assert [as_gaussian(*b) for b in ctx.invariant_tensors()] == [[ONE, gr(0, 1)]]
 
 
 def _exponent_phases(mono):

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import assume, given, strategies as st
 
-from cliffharm.exact import I, ONE, ZERO, gr
+from cliffharm.exact import ZERO, gr
+from cliffharm.linalg import times_i
 from cliffharm.characters import IrrepLabel, char_re_im
 from cliffharm.elements import (
     MAX_DEGREE,
@@ -27,6 +28,8 @@ from cliffharm.elements import (
     xi,
     xi_sign,
 )
+from oracles import UNITS
+
 
 degrees = st.integers(0, MAX_DEGREE)
 
@@ -153,7 +156,7 @@ def test_gaussian_ring_laws(x, y, z):
     assert (x + y) + z == x + (y + z) and x + y == y + x
     assert (x * y) * z == x * (y * z) and x * y == y * x
     assert x * (y + z) == x * y + x * z
-    assert x + ZERO == x and x * ONE == x and x + (-x) == ZERO
+    assert x + ZERO == x and x * 1 == x and x + (-x) == ZERO
     assert x - y == x + (-y)
 
 
@@ -170,12 +173,17 @@ def test_conjugate_and_abs2_are_multiplicative(x, y):
     assert x * x.conjugate() == x.abs2()
 
 
-@given(gaussians, st.integers(-8, 8))
-def test_times_i_is_multiplication_by_a_power_of_i(x, k):
-    power = ONE
-    for _ in range(k % 4):
-        power = power * I
-    assert x.times_i(k) == x * power
+int_parts = st.integers(-(1 << 40), 1 << 40)
+gaussian_integers = st.builds(gr, int_parts, int_parts)
+
+
+@given(st.lists(st.tuples(gaussian_integers, st.integers(-8, 8)), min_size=1, max_size=6))
+def test_times_i_is_multiplication_by_a_power_of_i(terms):
+    # linalg.times_i rotates int64 arrays, one exponent per entry
+    parts = zip(*((int(x.re), int(x.im), k) for x, k in terms))
+    re, im, k = (np.array(col, dtype=np.int64) for col in parts)
+    out = zip(*(a.tolist() for a in times_i(re, im, k)))
+    assert [gr(a, b) for a, b in out] == [x * UNITS[k % 4] for x, k in terms]
 
 
 @given(gaussians)
