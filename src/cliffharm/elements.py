@@ -190,29 +190,28 @@ def _xi_parity(a, b):
     return _xor_fold(_xor_fold(a >> 1) & b) & 1
 
 
+def index_product(i, j, n: int):
+    """Index of x_i * x_j on element indices sign_bit << n | mask, ints or
+    int64 arrays: the masks XOR, and the sign bits XOR with xi(a, b) mod 2.
+    x^2 = +/-1 is index_product(i, i, n), so x^-1 = x^2 x is i ^ that.
+    Indices are below 2^17 and the fold reads masks below 2^16, so nothing
+    overflows int64; multiply is the oracle."""
+    full = (1 << n) - 1
+    return i ^ j ^ (_xi_parity(i & full, j & full) << n)
+
+
 @lru_cache(maxsize=None)
 def mult_table(n: int):
     """(tab, inv): read-only int64 arrays on element_index positions, with
-    tab[i, j] the index of x_i * x_j and inv[i] the index of x_i^-1.
-
-    The index is sign_bit << n | mask.  A product's mask is a ^ b and its
-    sign bit is sa ^ sb ^ parity(xi(a, b)), so tab = i ^ j ^ xi_bit << n,
-    for all pairs at once.  x^2 = +/-1 is tab's diagonal, and x^-1 = x^2 x
-    flips x's sign bit by it.  Entries are below 2^(n+1) and every fold
-    intermediate is a mask below 2^n, so nothing overflows int64.
-    """
+    tab[i, j] the index of x_i * x_j and inv[i] the index of x_i^-1, by one
+    broadcast index_product."""
     _check_degree(n, MAX_TABLE_DEGREE)
     idx = np.arange(2 << n, dtype=np.int64)
-    mask = idx & ((1 << n) - 1)
-    tab = idx[:, None] ^ idx ^ (_xi_parity(mask[:, None], mask) << n)
+    tab = index_product(idx[:, None], idx, n)
     inv = idx ^ tab.diagonal()
     tab.setflags(write=False)
     inv.setflags(write=False)
     return tab, inv
-
-
-def element_order_key(x: CliffordElement):
-    return (x.sign < 0, x.mask)
 
 
 def is_central(mask, n: int):

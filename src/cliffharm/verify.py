@@ -44,6 +44,7 @@ from .matrix_models import (
 from .linalg import ScaledMatrix, hs_inner, scaled_hs_inner
 from .orbits import (
     ANALYZED_FAMILIES,
+    MAX_PAIR_ORBIT_DEGREE,
     SphericalQuery,
     closed_vs_direct_grids,
     enumerate_pair_orbits,
@@ -209,7 +210,7 @@ def check_restriction_rules(n_max=6, sampled_ns=(), seed=0):
 
 
 @_check("C5", "orbit case analysis matches brute force on all pairs")
-def check_orbits(n_max=5):
+def check_orbits(n_max=6):
     for n in range(1, n_max + 1):
         orbits = enumerate_pair_orbits(n)
         if sum(o.size for o in orbits) != 1 << (2 * n + 2):
@@ -307,18 +308,22 @@ def check_oracles(trace_n_max=4, coeff_n_max=MAX_ETA_DEGREE):
     return True, f"traces n <= {trace_n_max}, coefficients n <= {coeff_n_max}"
 
 
-@_check("D1", "sampled orbits n=6,7")
-def check_deep_extras(seed=0, samples=10_000):
+@_check("D1", "sampled orbits n=6..16")
+def check_deep_extras(seed=0, samples=10_000, high_samples=500):
+    """`samples` seeded pairs at n = 6, 7 and `high_samples` per n = 8..16,
+    whose second mask cycles through a free draw, the first mask, its
+    complement and 0, so that every branch of the case analysis is hit."""
     rng = random.Random(seed)
-    for n in (6, 7):
-        for _ in range(samples):
-            p = tuple(
-                CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n))
-                for _ in range(2)
+    for n in range(6, MAX_DEGREE + 1):
+        for k in range(samples if n < 8 else high_samples):
+            x, y = (
+                CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(2)
             )
-            if predicted_orbit(p, n) != orbit_of(p, n):
-                return False, f"orbit mismatch at n={n}, pair {p}"
-    return True, f"{samples} sampled pairs at n=6,7 (seed {seed})"
+            if n >= 8:
+                y = CliffordElement(n, y.sign, (y.mask, x.mask, ~x.mask & (1 << n) - 1, 0)[k % 4])
+            if predicted_orbit((x, y), n) != orbit_of((x, y), n):
+                return False, f"orbit mismatch at n={n}, pair {(x, y)}"
+    return True, f"{samples} pairs at n=6,7, {high_samples} per n=8..{MAX_DEGREE} (seed {seed})"
 
 
 @_check("D2", "sampled spherical closed forms equal direct summation")
@@ -391,7 +396,7 @@ def run_suite(level="desk", seed=0):
             if deep else check_restriction_rules(),
         ]
         checks += [
-            check_orbits(),
+            check_orbits(n_max=MAX_PAIR_ORBIT_DEGREE) if deep else check_orbits(),
             check_spherical_grids(),
             check_frobenius(pairs=frobenius_pairs),
             check_method_agreement(),

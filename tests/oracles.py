@@ -51,7 +51,7 @@ from cliffharm.elements import (
     TripleElement,
     conjugacy_classes,
     conjugate,
-    element_order_key,
+    element_index,
     enumerate_group,
     inverse,
     multiply,
@@ -173,7 +173,7 @@ def enumerated_conjugacy_classes(n):
     for x in elements:
         if x in seen:
             continue
-        members = tuple(sorted({conjugate(x, c) for c in elements}, key=element_order_key))
+        members = tuple(sorted({conjugate(x, c) for c in elements}, key=element_index))
         seen.update(members)
         classes.append(ConjugacyClass(members[0], members))
     return tuple(classes)

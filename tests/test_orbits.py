@@ -1,19 +1,26 @@
 import random
+from itertools import product
 
 import pytest
 
 from cliffharm.exact import gr
 from cliffharm.elements import (
+    MAX_DEGREE,
     CliffordElement,
+    DegreeMismatchError,
     GuardError,
     TripleElement,
+    conjugate,
     element,
+    element_index,
+    enumerate_group,
     identity,
 )
 from cliffharm.characters import chi, rho
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
 from cliffharm import gelfand, orbits
 from cliffharm.orbits import (
+    PairOrbit,
     SphericalQuery,
     closed_vs_direct_grids,
     enumerate_pair_orbits,
@@ -46,6 +53,33 @@ def test_prediction_matches_brute_force():
             for p in o.members:
                 assert predicted_orbit(p, n) == o
                 assert orbit_of(p, n) == o
+
+
+def test_pair_orbits_match_scalar_conjugation():
+    # the index-array brute force against orbits built one conjugator at a
+    # time with elements.conjugate, list order included
+    for n in range(0, 5):
+        group = enumerate_group(n)
+        want, seen = [], set()
+        for x, y in product(group, group):
+            if (x, y) not in seen:
+                members = {(conjugate(x, c), conjugate(y, c)) for c in group}
+                seen |= members
+                members = sorted(members, key=lambda p: tuple(map(element_index, p)))
+                want.append(PairOrbit(members[0], tuple(members)))
+        assert enumerate_pair_orbits(n) == want
+
+
+def test_orbit_of_input_errors():
+    p = (element(2, 1, (1,)), element(2, -1, (2,)))
+    for bad in (3, 0):
+        with pytest.raises(DegreeMismatchError):
+            orbit_of(p, bad)
+    with pytest.raises(DegreeMismatchError):
+        orbit_of((p[0], element(3, 1, (1,))), 2)
+    for n in (-1, MAX_DEGREE + 1):
+        with pytest.raises(GuardError):
+            orbit_of(p, n)
 
 
 def test_singleton_orbits_are_central_pairs():

@@ -7,7 +7,7 @@ Elements are drawn as (sign, mask) pairs; nothing here enumerates a group.
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cliffharm.exact import ZERO, gr
 from cliffharm.linalg import times_i
@@ -20,14 +20,17 @@ from cliffharm.elements import (
     class_key,
     conjugate,
     conjugation_sign,
+    element_index,
     embed,
     identity,
+    index_product,
     inverse,
     is_central,
     multiply,
     xi,
     xi_sign,
 )
+from cliffharm.orbits import orbit_of, predicted_orbit
 from oracles import UNITS
 
 
@@ -108,6 +111,34 @@ def test_xi_parity_fold_is_xi_mod_2(pairs):
     assert [_xi_parity(a, b) for a, b in pairs] == want
     a, b = np.array(pairs, dtype=np.int64).T
     assert _xi_parity(a, b).tolist() == want
+
+
+@given(st.data())
+def test_index_product_on_arrays_is_multiply(data):
+    # the array group law behind mult_table and orbit_of, elementwise, and
+    # the inverse read off the square
+    n = data.draw(degrees)
+    xs = data.draw(st.lists(elements(n), min_size=1, max_size=8))
+    ys = [data.draw(elements(n)) for _ in xs]
+    i, j = (np.array([element_index(x) for x in zs], dtype=np.int64) for zs in (xs, ys))
+    assert index_product(i, j, n).tolist() == [
+        element_index(multiply(x, y)) for x, y in zip(xs, ys)
+    ]
+    assert (i ^ index_product(i, i, n)).tolist() == [element_index(inverse(x)) for x in xs]
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_orbit_of_is_the_predicted_orbit(data):
+    # the brute force against the case analysis past enumeration; the second
+    # mask favours 0, X_n, the first mask and its complement, where the
+    # case analysis branches
+    n = data.draw(degrees)
+    x = data.draw(elements(n))
+    full = (1 << n) - 1
+    b = st.sampled_from((0, full, x.mask, full ^ x.mask)) | st.integers(0, full)
+    y = CliffordElement(n, data.draw(st.sampled_from((1, -1))), data.draw(b))
+    assert orbit_of((x, y), n) == predicted_orbit((x, y), n)
 
 
 @st.composite
