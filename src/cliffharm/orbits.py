@@ -125,19 +125,17 @@ def predicted_orbit(pair, n: int) -> PairOrbit:
     if x.degree != n or y.degree != n:
         raise DegreeMismatchError("pair degree mismatch")
     a, b = x.mask, y.mask
-    fx, fy = 1 << (2 * n + 1), 1 << n  # x's and y's sign bits in a pair key
+    nx, ny = CliffordElement(n, -x.sign, a), CliffordElement(n, -y.sign, b)
     if is_central(a, n):
-        flips = (0,) if is_central(b, n) else (0, fy)
+        members = [(x, y)] if is_central(b, n) else [(x, y), (x, ny)]
     elif is_central(b, n):
-        flips = (0, fx)
+        members = [(x, y), (nx, y)]
     elif a == b or (n % 2 == 1 and a & b == 0 and a | b == (1 << n) - 1):
-        flips = (0, fx | fy)
+        members = [(x, y), (nx, ny)]
     else:
-        flips = (0, fx, fy, fx | fy)
-    key = element_index(x) << (n + 1) | element_index(y)
-    signed = (x, y, CliffordElement(n, -x.sign, a), CliffordElement(n, -y.sign, b))
-    at = {element_index(z): z for z in signed}
-    return _orbit_from_keys(sorted(key ^ f for f in flips), n, at)
+        members = [(x, y), (nx, y), (x, ny), (nx, ny)]
+    members = tuple(sorted(members, key=lambda p: (element_index(p[0]), element_index(p[1]))))
+    return PairOrbit(members[0], members)
 
 
 # -- spherical characters on CL(n)^3: direct summation ----------------------

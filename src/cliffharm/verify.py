@@ -309,21 +309,23 @@ def check_oracles(trace_n_max=4, coeff_n_max=MAX_ETA_DEGREE):
 
 
 @_check("D1", "sampled orbits n=6..16")
-def check_deep_extras(seed=0, samples=10_000, high_samples=500):
-    """`samples` seeded pairs at n = 6, 7 and `high_samples` per n = 8..16,
-    whose second mask cycles through a free draw, the first mask, its
-    complement and 0, so that every branch of the case analysis is hit."""
+def check_deep_extras(seed=0, samples=10_000):
+    """`samples` seeded pairs at n = 6, 7 and 500 per n = 8..16, whose masks
+    cycle through six shapes (both free; equal; complementary; y's central;
+    x's central; both central), so every branch of the case analysis is hit
+    at every n."""
     rng = random.Random(seed)
     for n in range(6, MAX_DEGREE + 1):
-        for k in range(samples if n < 8 else high_samples):
-            x, y = (
-                CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(2)
-            )
+        for k in range(samples if n < 8 else 500):
+            (sx, a), (sy, b) = ((rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(2))
             if n >= 8:
-                y = CliffordElement(n, y.sign, (y.mask, x.mask, ~x.mask & (1 << n) - 1, 0)[k % 4])
+                z = (1 << n) - 1
+                c = z * (n % 2)  # the central mask other than 0 for odd n
+                a, b = ((a, b), (a, a), (a, a ^ z), (a, 0), (c, b), (c, 0))[k % 6]
+            x, y = CliffordElement(n, sx, a), CliffordElement(n, sy, b)
             if predicted_orbit((x, y), n) != orbit_of((x, y), n):
                 return False, f"orbit mismatch at n={n}, pair {(x, y)}"
-    return True, f"{samples} pairs at n=6,7, {high_samples} per n=8..{MAX_DEGREE} (seed {seed})"
+    return True, f"{samples} pairs at n=6,7, 500 per n=8..{MAX_DEGREE} (seed {seed})"
 
 
 @_check("D2", "sampled spherical closed forms equal direct summation")
