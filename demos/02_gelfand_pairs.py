@@ -35,7 +35,7 @@ print("Res_3(rho (x) rho) =",
 print("theta' for the witness:", conjugate_label(w.theta))
 
 print("\n== independent check: commutativity of the bi-invariant algebra ==\n")
-for n, m in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3)):
+for n, m in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4)):
     conv = gelfand_check_biinvariant(n, m)
     char = gelfand_check_characters(n, m).gelfand
     marker = "ok" if conv == char else "MISMATCH"

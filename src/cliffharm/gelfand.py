@@ -11,7 +11,8 @@ as -1; [(A ^ B) & (2^m - 1) == C] for chi_A, chi_B, chi_C; and for two spin
 labels a sum over the at most four central elements of CL(m) where both
 spin characters are nonzero.  Only the O(|Irr|) two-spin triples are
 summed.  The second, independent verdict is the brute-force commutativity
-of the bi-invariant convolution algebra, which composes group elements
+of the bi-invariant convolution algebra, read off its structure constants
+at one representative per double coset; it composes group elements
 through elements.mult_table.
 
 Spherical characters have one direct sum over H: conj_summands tabulates
@@ -47,7 +48,11 @@ from .characters import (
     irreps,
 )
 
-MAX_CONVOLUTION_DEGREE = 3
+# gelfand_check_biinvariant reads one c x c table per double coset, each a
+# bincount of |K| keys: 0.16 s and a 34 MB peak RSS at (4, 4), and 0.04 s at
+# (4, 3), where the first table is already asymmetric (2-CPU VM); n = 5 takes
+# 12-14 s with a 66 MB peak.
+MAX_CONVOLUTION_DEGREE = 4
 # GelfandReport.table() builds one dict entry per triple, |Irr|^2 |Irr H|:
 # 39,304 in 0.26 s at n = 5 (2-CPU VM); n = 6 would build 287,496.
 MAX_TABLE_DEGREE = 5
@@ -289,58 +294,46 @@ def gelfand_check_biinvariant(n: int, m: int) -> bool:
     """Brute-force verdict: is the H~-bi-invariant convolution algebra on
     K = CL(n) x CL(n) x CL(m) commutative?
 
-    Works on the double-coset indicator basis; convolutions are compared as
-    integer count vectors (exact).
+    The indicators 1_a of the double cosets a = H~ k H~ span the algebra.
+    Each 1_a * 1_b is bi-invariant, so its value at one representative r
+    per double coset fixes it: (1_a * 1_b)(r) = #{x in a : x^-1 r in b}.
+    The algebra commutes exactly when every table N_r[a, b] of these
+    structure constants is symmetric.  Elements of K are int64 keys
+    (i1 |G| + i2) |H| + i3 on element indices, composed through
+    elements.mult_table; nothing here reads a character.
     """
     _check_degree(n, MAX_CONVOLUTION_DEGREE)
     if m not in (n, n - 1) and not (n == 0 and m == 0):
         raise ValueError(f"subgroup degree must be n or n-1, got m={m}")
-    tg, _ = mult_table(n)
-    th, _ = mult_table(m)
+    tg, inv_g = mult_table(n)
+    th, inv_h = mult_table(m)
     og, oh = 1 << (n + 1), 1 << (m + 1)
-    order = og * og * oh
-    idx1, idx2, idx3 = np.meshgrid(
-        np.arange(og), np.arange(og), np.arange(oh), indexing="ij"
-    )
-    idx1, idx2, idx3 = idx1.ravel(), idx2.ravel(), idx3.ravel()
 
-    def compose(a1, a2, a3, b1, b2, b3):
-        return (tg[a1, b1] * og + tg[a2, b2]) * oh + th[a3, b3]
+    def keys(a1, a2, a3):  # of (a1[i1], a2[i2], a3[i3]) over K, in key order
+        return ((a1[:, None, None] * og + a2[:, None]) * oh + a3).ravel()
 
-    # double cosets of the diagonal copy of CL(m); the first two components
-    # see the CL(m) element through its CL(n) index (sign bit moves)
-    h_idx = np.arange(oh)
-    emb = ((h_idx >> m) << n) | (h_idx & ((1 << m) - 1))
-    coset_of = np.full(order, -1, dtype=np.int64)
-    cosets = []
-    for t in range(order):
-        if coset_of[t] >= 0:
-            continue
-        t1, t2, t3 = idx1[t], idx2[t], idx3[t]
-        members = set()
-        for a in range(oh):
-            l1, l2, l3 = tg[emb[a], t1], tg[emb[a], t2], th[a, t3]
-            members.update(compose(l1, l2, l3, emb, emb, h_idx))
-        members = np.fromiter(members, dtype=np.int64)
-        coset_of[members] = len(cosets)
-        cosets.append(members)
-    # pairwise convolution commutativity of the indicator functions
-    for a in range(len(cosets)):
-        ca = cosets[a]
-        t1a, t2a, t3a = idx1[ca], idx2[ca], idx3[ca]
-        for b in range(a + 1, len(cosets)):
-            cb = cosets[b]
-            ab = compose(
-                t1a[:, None], t2a[:, None], t3a[:, None],
-                idx1[cb][None, :], idx2[cb][None, :], idx3[cb][None, :],
-            )
-            ba = compose(
-                idx1[cb][:, None], idx2[cb][:, None], idx3[cb][:, None],
-                t1a[None, :], t2a[None, :], t3a[None, :],
-            )
-            if not np.array_equal(
-                np.bincount(ab.ravel(), minlength=order),
-                np.bincount(ba.ravel(), minlength=order),
-            ):
-                return False
+    # the diagonal copy of CL(m); the first two components see an element
+    # through its CL(n) index (the sign bit moves)
+    h = np.arange(oh)
+    emb = ((h >> m) << n) | (h & ((1 << m) - 1))
+    # label every k by the least key of diag(h) k diag(h'): the least over h'
+    # first, then the least of those over h.  Updating in place is exact,
+    # because every value read is a key of the same double coset
+    label = keys(np.arange(og), np.arange(og), h)
+    for b in h:
+        np.minimum(label, keys(tg[:, emb[b]], tg[:, emb[b]], th[:, b]), out=label)
+    for a in h:
+        np.minimum(label, label[keys(tg[emb[a]], tg[emb[a]], th[a])], out=label)
+    reps = np.flatnonzero(label == np.arange(len(label)))  # the least keys
+    coset = np.searchsorted(reps, label)
+    c = len(reps)
+    # N_r[a, b] counts the y with y^-1 in a and y r in b.  Its keys stay
+    # below c^2 <= |K|^2, and |K| = 2^(2n + m + 3) <= 2^15 at the guard, so
+    # int64 is exact
+    rows = coset[keys(inv_g, inv_g, inv_h)] * c
+    for r1, r2, r3 in zip(*np.unravel_index(reps, (og, og, oh))):
+        pairs = rows + coset[keys(tg[:, r1], tg[:, r2], th[:, r3])]
+        counts = np.bincount(pairs, minlength=c * c).reshape(c, c)
+        if not np.array_equal(counts, counts.T):
+            return False
     return True

@@ -157,12 +157,15 @@ class SphericalQuery:
 
 
 def subset_sum_lemma(subset_mask: int, n: int) -> int:
-    """(1/2^n) sum_D (-1)^|U cap D| by direct summation: 1 iff U empty."""
+    """(1/2^n) sum_D (-1)^|U cap D| by direct summation: 1 iff U empty.
+
+    The 2^n masks D are summed in one int64 pass.  _minus_one_to reads masks
+    below 2^16, hence the guard n <= MAX_DEGREE, and the sum stays within
+    +/-2^16."""
+    _check_degree(n)
     if subset_mask >> n:
         raise ValueError("subset not contained in X_n")
-    total = sum(
-        -1 if (subset_mask & d).bit_count() & 1 else 1 for d in range(1 << n)
-    )
+    total = int(_minus_one_to(subset_mask & np.arange(1 << n, dtype=np.int64)).sum())
     if total % (1 << n):
         raise RuntimeError(f"subset sum {total} is not a multiple of 2^{n}")
     return total >> n

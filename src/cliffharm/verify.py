@@ -282,8 +282,12 @@ def check_frobenius(pairs=DESK_FROBENIUS_PAIRS):
     return True, f"(n,m) in {tuple(pairs)}, all irrep triples"
 
 
+DESK_METHOD_PAIRS = ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))
+DEEP_METHOD_PAIRS = DESK_METHOD_PAIRS + ((4, 3), (4, 4))
+
+
 @_check("C8", "character and convolution Gelfand verdicts agree")
-def check_method_agreement(pairs=((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))):
+def check_method_agreement(pairs=DESK_METHOD_PAIRS):
     for n, m in pairs:
         a = gelfand_check_characters(n, m).gelfand
         b = gelfand_check_biinvariant(n, m)
@@ -308,24 +312,23 @@ def check_oracles(trace_n_max=4, coeff_n_max=MAX_ETA_DEGREE):
     return True, f"traces n <= {trace_n_max}, coefficients n <= {coeff_n_max}"
 
 
-@_check("D1", "sampled orbits n=6..16")
-def check_deep_extras(seed=0, samples=10_000):
-    """`samples` seeded pairs at n = 6, 7 and 500 per n = 8..16, whose masks
+@_check("D1", "sampled orbits n=8..16")
+def check_deep_extras(seed=0):
+    """500 seeded pairs per n = 8..16, past the exhaustive C5, whose masks
     cycle through six shapes (both free; equal; complementary; y's central;
     x's central; both central), so every branch of the case analysis is hit
     at every n."""
     rng = random.Random(seed)
-    for n in range(6, MAX_DEGREE + 1):
-        for k in range(samples if n < 8 else 500):
+    for n in range(MAX_PAIR_ORBIT_DEGREE + 1, MAX_DEGREE + 1):
+        z = (1 << n) - 1
+        c = z * (n % 2)  # the central mask other than 0 for odd n
+        for k in range(500):
             (sx, a), (sy, b) = ((rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(2))
-            if n >= 8:
-                z = (1 << n) - 1
-                c = z * (n % 2)  # the central mask other than 0 for odd n
-                a, b = ((a, b), (a, a), (a, a ^ z), (a, 0), (c, b), (c, 0))[k % 6]
+            a, b = ((a, b), (a, a), (a, a ^ z), (a, 0), (c, b), (c, 0))[k % 6]
             x, y = CliffordElement(n, sx, a), CliffordElement(n, sy, b)
             if predicted_orbit((x, y), n) != orbit_of((x, y), n):
                 return False, f"orbit mismatch at n={n}, pair {(x, y)}"
-    return True, f"{samples} pairs at n=6,7, 500 per n=8..{MAX_DEGREE} (seed {seed})"
+    return True, f"500 pairs per n={MAX_PAIR_ORBIT_DEGREE + 1}..{MAX_DEGREE} (seed {seed})"
 
 
 @_check("D2", "sampled spherical closed forms equal direct summation")
@@ -401,7 +404,7 @@ def run_suite(level="desk", seed=0):
             check_orbits(n_max=MAX_PAIR_ORBIT_DEGREE) if deep else check_orbits(),
             check_spherical_grids(),
             check_frobenius(pairs=frobenius_pairs),
-            check_method_agreement(),
+            check_method_agreement(pairs=DEEP_METHOD_PAIRS if deep else DESK_METHOD_PAIRS),
             check_oracles(),
         ]
         if deep:

@@ -24,6 +24,12 @@ against the whole dense table.  The library reads the same numbers off the
 Sylvester-Hadamard structure of the linear characters and the central
 support of the spin characters instead.
 
+`pairwise_convolution_commutes` builds every double coset of the diagonal
+CL(m) in CL(n) x CL(n) x CL(m) as a member set and compares 1_a * 1_b with
+1_b * 1_a for every pair of cosets as full count vectors over the group;
+the library reads the same verdict off the structure constants at one
+representative per double coset.
+
 `permutation_character_eta` counts the fixed points of the two-sided action
 with `multiply`, so it is an oracle for the traces of `EtaRep`, whose images
 are gathers from `elements.mult_table`.  `triple_inverse` serves tests that
@@ -54,6 +60,7 @@ from cliffharm.elements import (
     element_index,
     enumerate_group,
     inverse,
+    mult_table,
     multiply,
 )
 from cliffharm.exact import ZERO, gr
@@ -367,3 +374,52 @@ def orthogonality_decompose(f):
         if ip.re:
             terms.append((label, int(ip.re)))
     return Decomposition(tuple(terms))
+
+
+def pairwise_convolution_commutes(n, m):
+    """Whether 1_a * 1_b == 1_b * 1_a for every pair of double cosets a, b of
+    the diagonal CL(m) in K = CL(n) x CL(n) x CL(m), each convolution one
+    bincount over all of K of the products of a's members with b's."""
+    tg, _ = mult_table(n)
+    th, _ = mult_table(m)
+    og, oh = 1 << (n + 1), 1 << (m + 1)
+    order = og * og * oh
+    idx1, idx2, idx3 = (
+        a.ravel()
+        for a in np.meshgrid(np.arange(og), np.arange(og), np.arange(oh), indexing="ij")
+    )
+
+    def compose(a1, a2, a3, b1, b2, b3):
+        return (tg[a1, b1] * og + tg[a2, b2]) * oh + th[a3, b3]
+
+    h_idx = np.arange(oh)
+    emb = ((h_idx >> m) << n) | (h_idx & ((1 << m) - 1))
+    coset_of = np.full(order, -1, dtype=np.int64)
+    cosets = []
+    for t in range(order):
+        if coset_of[t] >= 0:
+            continue
+        t1, t2, t3 = idx1[t], idx2[t], idx3[t]
+        members = set()
+        for a in range(oh):
+            l1, l2, l3 = tg[emb[a], t1], tg[emb[a], t2], th[a, t3]
+            members.update(compose(l1, l2, l3, emb, emb, h_idx).tolist())
+        members = np.fromiter(members, dtype=np.int64)
+        coset_of[members] = len(cosets)
+        cosets.append(members)
+    for a, ca in enumerate(cosets):
+        for cb in cosets[a + 1:]:
+            ab = compose(
+                idx1[ca][:, None], idx2[ca][:, None], idx3[ca][:, None],
+                idx1[cb], idx2[cb], idx3[cb],
+            )
+            ba = compose(
+                idx1[cb][:, None], idx2[cb][:, None], idx3[cb][:, None],
+                idx1[ca], idx2[ca], idx3[ca],
+            )
+            if not np.array_equal(
+                np.bincount(ab.ravel(), minlength=order),
+                np.bincount(ba.ravel(), minlength=order),
+            ):
+                return False
+    return True

@@ -96,6 +96,10 @@ def test_gelfand(capsys):
     code, out, _ = run(capsys, "gelfand", "1", "--method", "convolution")
     assert code == 0
     assert "Gelfand pair" in out
+    # the README example: both methods at (4, 3)
+    code, out, _ = run(capsys, "gelfand", "4", "--subgroup", "3", "--method", "both")
+    assert code == 0
+    assert "NOT a Gelfand pair" in out
 
 
 def test_orbits(capsys):
@@ -156,6 +160,19 @@ def test_verify_smoke(capsys):
     assert [c["id"] for c in payload["checks"]] == [
         "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9"
     ]
+
+
+def test_verify_smoke_survives_optimize():
+    # python -O strips assert statements; every cross-check must still run
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cliffharm.cli", "verify", "--level", "smoke"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all checks passed" in proc.stdout
 
 
 def test_error_exits(capsys):

@@ -33,6 +33,7 @@ from cliffharm.gelfand import (
 from oracles import (
     class_sum_invariant_dim,
     dense_multiplicity_cube,
+    pairwise_convolution_commutes,
     permutation_character_eta,
 )
 
@@ -149,13 +150,20 @@ def test_cached_report_is_immutable():
 
 
 def test_convolution_agrees_with_characters():
-    for n, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
+    for n, m in ((0, 0), (1, 1), (1, 0), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4)):
         assert gelfand_check_biinvariant(n, m) == gelfand_check_characters(n, m).gelfand
 
 
+def test_structure_constants_match_pairwise_convolutions():
+    # the verdict at one representative per double coset against every
+    # pair of double cosets compared as full count vectors over K
+    for n, m in ((0, 0), (1, 1), (1, 0), (2, 2), (2, 1), (3, 2)):
+        assert gelfand_check_biinvariant(n, m) == pairwise_convolution_commutes(n, m)
+
+
 def test_guards():
-    with pytest.raises(GuardError):
-        gelfand_check_biinvariant(4, 4)
+    with pytest.raises(GuardError, match=r"degree 5 outside supported range \[0, 4\]"):
+        gelfand_check_biinvariant(5, 5)
     # one past MAX_DEGREE = 16
     with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
         gelfand_check_characters(17, 17)

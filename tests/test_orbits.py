@@ -112,6 +112,9 @@ def test_subset_sum_lemma():
             assert subset_sum_lemma(u, n) == (1 if u == 0 else 0)
     with pytest.raises(ValueError):
         subset_sum_lemma(4, 2)
+    assert subset_sum_lemma(0, 16) == 1 and subset_sum_lemma(1 << 15, 16) == 0
+    with pytest.raises(GuardError):
+        subset_sum_lemma(0, 17)
 
 
 def _query(n, sigma, g1, g2, h):
