@@ -51,7 +51,6 @@ from .gelfand import (
     spherical_character,
 )
 from .matrix_models import (
-    CliffordMatrixRep,
     IntertwinerBasis,
     FrobeniusContext,
     build_matrix_rep,

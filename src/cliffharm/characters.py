@@ -31,6 +31,7 @@ from .elements import (
     DegreeMismatchError,
     _check_degree,
     _minus_one_to,
+    _parse_mask,
     class_index,
     class_key,
     class_keys,
@@ -344,9 +345,5 @@ def parse_label(text: str, n: int) -> IrrepLabel:
     if text in ("rho", "rho+", "rho-"):
         return IrrepLabel(n, text)
     if text.startswith("chi:{") and text.endswith("}"):
-        body = text[5:-1].strip()
-        indices = [int(tok) for tok in body.split(",") if tok.strip()] if body else []
-        if any(i < 1 or i > n for i in indices):
-            raise ValueError(f"index out of range in {text!r} for CL({n})")
-        return IrrepLabel(n, "chi", mask_of(indices))
+        return IrrepLabel(n, "chi", _parse_mask(text[5:-1], n, text))
     raise ValueError(f"malformed irrep label {text!r}; expected chi:{{...}}, rho, rho+ or rho-")

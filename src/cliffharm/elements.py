@@ -355,17 +355,28 @@ def triple_action(t: TripleElement, p):
 _ELEMENT_RE = _re.compile(r"^([+-])g\{([0-9,\s]*)\}$")
 
 
+def _parse_mask(body: str, n: int, text: str) -> int:
+    """Mask of a comma-separated list of strictly ascending indices in
+    1..n, the body of `text`; an empty body is the empty set.  An empty
+    token, a repeated or descending index or one outside 1..n is an error."""
+    tokens = [tok.strip() for tok in body.split(",")] if body.strip() else []
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"malformed index list in {text!r}; expected e.g. '{{1,3}}'")
+    indices = [int(tok) for tok in tokens]
+    if any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"indices in {text!r} must be strictly ascending")
+    if any(i < 1 or i > n for i in indices):
+        raise ValueError(f"index out of range in {text!r} for CL({n})")
+    return mask_of(indices)
+
+
 def parse_element(text: str, n: int) -> CliffordElement:
     """Parse `+g{1,3}` / `-g{}` syntax."""
     m = _ELEMENT_RE.match(text.strip())
     if m is None:
         raise ValueError(f"malformed element {text!r}; expected e.g. '+g{{1,3}}'")
     sign = 1 if m.group(1) == "+" else -1
-    body = m.group(2).strip()
-    indices = [int(tok) for tok in body.split(",") if tok.strip()] if body else []
-    if any(i < 1 or i > n for i in indices):
-        raise ValueError(f"index out of range in {text!r} for CL({n})")
-    return CliffordElement(n, sign, mask_of(indices))
+    return CliffordElement(n, sign, _parse_mask(m.group(2), n, text))
 
 
 def format_element(x: CliffordElement) -> str:

@@ -53,9 +53,6 @@ from .characters import (
 # (4, 3), where the first table is already asymmetric (2-CPU VM); n = 5 takes
 # 12-14 s with a 66 MB peak.
 MAX_CONVOLUTION_DEGREE = 4
-# GelfandReport.table() builds one dict entry per triple, |Irr|^2 |Irr H|:
-# 39,304 in 0.26 s at n = 5 (2-CPU VM); n = 6 would build 287,496.
-MAX_TABLE_DEGREE = 5
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,6 @@ class GelfandReport:
         p = spin.index(False)
         a, b = (_label_index(lab) for lab in labels if lab.kind != "chi")
         return int(self.two_spin[(p, a, b)][labels[p].mask])
-
-    def table(self) -> dict:
-        _check_degree(self.n, MAX_TABLE_DEGREE)
-        g, h = irreps(self.n), irreps(self.m)
-        triples = (TripleIrrepLabel(*t) for t in product(g, g, h))
-        return {t: self.multiplicity(t) for t in triples}
 
     def to_json(self) -> dict:
         d = {

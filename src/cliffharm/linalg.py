@@ -1,25 +1,26 @@
 """Exact linear algebra over the Gaussian integers, in int64 arrays.
 
-Three matrix flavours:
+Two matrix flavours, and one format for monomial images:
 
 * Matrix    -- dense Gaussian-integer matrix: read-only int64 arrays re and
                im of one 2-D shape; used for intertwiners.
-* Monomial  -- one nonzero per row/column, each a power of i stored as its
-               exponent k in range(4); every representation matrix in this
-               package (gamma products, permutation images) is monomial, so
-               products, Kronecker products and conjugates are integer
-               additions and negations mod 4.  Exponents act on int64
-               arrays through the one rotation times_i, where a monomial
-               meets a dense Matrix.
 * ScaledMatrix -- sqrt(2)^half times a Matrix; the only irrationals in the
                theory are sqrt(2^k) normalization factors.
+* (perm, phase) -- a pair of int64 arrays whose last axis is the column:
+               column j of a monomial image carries i^phase[j], an exponent
+               in range(4), at row perm[j].  Every representation matrix in
+               this package (gamma products, permutation images) is
+               monomial, and leading axes index group elements, so compose,
+               kron and trace act on whole image tables at once, as
+               integer gathers and sums mod 4.  Exponents act on int64
+               arrays through the one rotation times_i.
 
 Every intertwiner constraint between monomial images reads x[a] = i^k x[b];
 such a system is a gain graph over Z/4, solved by gain_graph_nullspace with a
 union-find on the same integer exponents.  All intertwiner entries are units
 or zero, and a monomial only rotates them, so no entry grows.  Scalars
-(hs_inner, scaled_hs_inner, Monomial.trace) are GaussianRational, with one
-exact division at the end.  No floating point anywhere.
+(hs_inner, scaled_hs_inner) are GaussianRational, with one exact division
+at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -109,80 +110,35 @@ def hs_inner(t1: Matrix, t2: Matrix) -> GaussianRational:
     return gr(Fraction(re, ncols), Fraction(im, ncols))
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Generalized permutation matrix: column j carries i^phase[j] at row perm[j].
+def compose(a, b):
+    """The product A B of monomial images a = (perm, phase) and b, int64
+    arrays whose last axis is the column and whose leading axes broadcast.
+    Column j of B carries i^phase_b[j] at row perm_b[j], which A sends to
+    row perm_a[perm_b[j]] with phase_a[perm_b[j]] more."""
+    pa, ka, pb, kb = np.broadcast_arrays(*a, *b)
+    return np.take_along_axis(pa, pb, -1), (kb + np.take_along_axis(ka, pb, -1)) & 3
 
-    phase holds integer exponents in range(4).
-    """
 
-    size: int
-    perm: tuple
-    phase: tuple
+def kron(a, b):
+    """The Kronecker product A (x) B of monomial images a = (perm, phase)
+    and b, with leading axes broadcast: column (j1, j2) carries
+    i^(phase_a[j1] + phase_b[j2]) at row perm_a[j1] * dim_b + perm_b[j2].
+    Rows stay below dim_a dim_b, so nothing overflows."""
+    (pa, ka), (pb, kb) = a, b
+    perm = pa[..., :, None] * pb.shape[-1] + pb[..., None, :]
+    phase = (ka[..., :, None] + kb[..., None, :]) & 3
+    shape = perm.shape[:-2] + (-1,)
+    return perm.reshape(shape), phase.reshape(shape)
 
-    @staticmethod
-    def identity(size):
-        return Monomial(size, tuple(range(size)), (0,) * size)
 
-    def __matmul__(self, other: "Monomial") -> "Monomial":
-        if self.size != other.size:
-            raise ValueError("monomial size mismatch")
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.size))
-        phase = tuple(
-            (other.phase[j] + self.phase[other.perm[j]]) & 3 for j in range(self.size)
-        )
-        return Monomial(self.size, perm, phase)
-
-    def times_i(self, k: int) -> "Monomial":
-        """i^k * self."""
-        return Monomial(self.size, self.perm, tuple((p + k) & 3 for p in self.phase))
-
-    def conj(self) -> "Monomial":
-        """Entrywise conjugate (same support)."""
-        return Monomial(self.size, self.perm, tuple(-p & 3 for p in self.phase))
-
-    def conj_transpose(self) -> "Monomial":
-        inv = [0] * self.size
-        for j, i in enumerate(self.perm):
-            inv[i] = j
-        phase = tuple(-self.phase[inv[j]] & 3 for j in range(self.size))
-        return Monomial(self.size, tuple(inv), phase)
-
-    def kron(self, other: "Monomial") -> "Monomial":
-        sz = self.size * other.size
-        perm = [0] * sz
-        phase = [0] * sz
-        for j1 in range(self.size):
-            for j2 in range(other.size):
-                col = j1 * other.size + j2
-                perm[col] = self.perm[j1] * other.size + other.perm[j2]
-                phase[col] = (self.phase[j1] + other.phase[j2]) & 3
-        return Monomial(sz, tuple(perm), tuple(phase))
-
-    def trace(self) -> GaussianRational:
-        fixed = [p for j, p in enumerate(self.phase) if self.perm[j] == j]
-        re, im = times_i(1, 0, np.array(fixed, dtype=np.int64))
-        return gr(int(re.sum()), int(im.sum()))
-
-    def dense(self) -> Matrix:
-        re = np.zeros((self.size, self.size), dtype=np.int64)
-        im = np.zeros_like(re)
-        cols = np.arange(self.size)
-        re[self.perm, cols], im[self.perm, cols] = times_i(1, 0, np.array(self.phase))
-        return Matrix(re, im)
-
-    def apply_left(self, mat: Matrix) -> Matrix:
-        """self @ mat without densifying self: row j of mat, times
-        i^phase[j], becomes row perm[j]."""
-        re, im = times_i(mat.re, mat.im, np.array(self.phase)[:, None])
-        order = np.argsort(self.perm)
-        return Matrix(re[order], im[order])
-
-    def apply_right(self, mat: Matrix) -> Matrix:
-        """mat @ self without densifying self: column perm[j] of mat, times
-        i^phase[j], becomes column j."""
-        perm = list(self.perm)
-        return Matrix(*times_i(mat.re[:, perm], mat.im[:, perm], np.array(self.phase)))
+def trace(a):
+    """(re, im): the int64 traces of monomial images a = (perm, phase) over
+    the last axis, each the sum of i^phase[j] over the columns j with
+    perm[j] = j."""
+    perm, phase = a
+    fixed = (perm == np.arange(perm.shape[-1])).astype(np.int64)
+    re, im = times_i(fixed, 0, phase)
+    return re.sum(-1), im.sum(-1)
 
 
 @dataclass(frozen=True)

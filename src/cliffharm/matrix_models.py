@@ -2,18 +2,22 @@
 
 Generator images are built from anticommuting Hermitian unitaries (tensor
 products of 2x2 blocks with entries in {0, +/-1, +/-i}), so every image is a
-generalized permutation matrix whose phases are powers of i.  Each
-intertwiner constraint then ties two cells, T[a] = i^k T[b], and an
+generalized permutation matrix whose phases are powers of i.  Every model
+is held in the one format of linalg: read-only int64 (perm, phase) tables
+whose leading axes index element positions and whose column j carries
+i^phase[j] at row perm[j].  build_matrix_rep tabulates an irrep on all of
+CL(n); the models built from irreps (rho1 x rho2 x theta, theta',
+Res(rho1 (x) rho2) and the permutation model eta) are gathers of those
+rows at element indices, combined by linalg.kron.
+
+Each intertwiner constraint then ties two cells, T[a] = i^k T[b], and an
 intertwiner space is the nullspace of that gain graph over Z/4, one basis
-vector per consistent component (linalg.gain_graph_nullspace); invariant
-tensors are solved the same way.  A Monomial stores each phase as its
-exponent k in range(4) (meaning i^k), so the images, their products and the
-constraint gains are all integers mod 4.  Intertwiners are Gaussian-integer
-int64 arrays (linalg.Matrix); phases act on them through the one rotation
-linalg.times_i, and hat and the coefficient checks gather whole image
-tables of perms and phases through elements.mult_table.  Traces are
-checked against the closed-form characters, which keeps the two modules
-mutually verifying.
+vector per consistent component (linalg.gain_graph_nullspace); the edges of
+all generators come from one broadcast, and invariant tensors are solved
+the same way.  Intertwiners are Gaussian-integer int64 arrays
+(linalg.Matrix); phases act on them through the one rotation
+linalg.times_i.  Traces are checked against the closed-form characters,
+which keeps the two modules mutually verifying.
 
 The only irrational scalars in the theory are sqrt(2)^k normalization
 factors; those ride along symbolically in ScaledMatrix.
@@ -26,224 +30,96 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import gr
-from .elements import (
-    CliffordElement,
-    TripleElement,
-    GuardError,
-    element_index,
-    embed,
-    enumerate_group,
-    identity,
-    multiply,
-    mult_table,
-)
+from .elements import GuardError, _xor_fold, mult_table
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
 from .linalg import (
     Matrix,
-    Monomial,
     ScaledMatrix,
     complex_matmul,
+    compose,
     gain_graph_nullspace,
+    kron,
     times_i,
+    trace,
 )
 
 MAX_RHO_MODEL_DEGREE = 6
 MAX_ETA_DEGREE = 3
 
-_PAULI_X = Monomial(2, (1, 0), (0, 0))
-_PAULI_Y = Monomial(2, (1, 0), (1, 3))
-_PAULI_Z = Monomial(2, (0, 1), (0, 2))
+# (perm, phase) of the 2x2 blocks, by name
+_BLOCKS = {"I": ((0, 1), (0, 0)), "X": ((1, 0), (0, 0)),
+           "Y": ((1, 0), (1, 3)), "Z": ((0, 1), (0, 2))}
 
 
 class PhaseFixError(RuntimeError):
     """The top-element phase could not be matched to the character value."""
 
 
-def _tensor_chain(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.kron(f)
+def _gammas(n: int):
+    """(perm, phase) of shape (n, 2^(n // 2)): n anticommuting Hermitian
+    unitaries, Z..Z X I..I and Z..Z Y I..I for each of the n // 2 tensor
+    slots (Jordan-Wigner), then Z..Z for odd n."""
+    q = n // 2
+    words = ["Z" * j + xy + "I" * (q - j - 1) for j in range(q) for xy in "XY"]
+    words += ["Z" * q] * (n % 2)
+    blocks = np.array([[_BLOCKS[c] for c in w] for w in words], dtype=np.int64).reshape(n, q, 2, 2)
+    out = (np.zeros((n, 1), dtype=np.int64), np.zeros((n, 1), dtype=np.int64))
+    for j in range(q):
+        out = kron(out, (blocks[:, j, 0], blocks[:, j, 1]))
     return out
 
 
-def _pair_gammas(q: int):
-    """2q anticommuting Hermitian unitaries on 2^q dimensions."""
-    gammas = []
-    for j in range(q):
-        pre = [_PAULI_Z] * j
-        post = [Monomial.identity(2)] * (q - j - 1)
-        gammas.append(_tensor_chain(pre + [_PAULI_X] + post))
-        gammas.append(_tensor_chain(pre + [_PAULI_Y] + post))
-    return gammas
-
-
-class CliffordMatrixRep:
-    """Matrix model of a single irrep of CL(n); images are monomial."""
-
-    def __init__(self, label: IrrepLabel):
-        self.label = label
-        self.n = label.degree
-        self.dim = label.dim
-        self._cache = {}
-        if label.kind == "chi":
-            self._gammas = None
-        else:
-            if self.n > MAX_RHO_MODEL_DEGREE:
-                raise GuardError(
-                    f"matrix model for {format_label(label)} guarded at n <= {MAX_RHO_MODEL_DEGREE}"
-                )
-            self._gammas = self._build_gammas()
-
-    def _build_gammas(self):
-        n = self.n
-        if n % 2 == 0:
-            return _pair_gammas(n // 2)
-        m = (n - 1) // 2
-        gammas = _pair_gammas(m)
-        top = (
-            _tensor_chain([_PAULI_Z] * m) if m else Monomial.identity(1)
-        )
-        gammas.append(top)
-        # solve the sign of the last generator so the trace of the image of
-        # gamma_{X_n} matches the character value (the c convention).
-        prod = gammas[0]
-        for g in gammas[1:]:
-            prod = prod @ g
-        cr, ci = top_phase_re_im(n)
-        pm = 1 if self.label.kind == "rho+" else -1
-        target = gr(pm * cr * (1 << m), pm * ci * (1 << m))
-        if prod.trace() == target:
-            return gammas
-        gammas[-1] = top.times_i(2)
-        prod = gammas[0]
-        for g in gammas[1:]:
-            prod = prod @ g
-        if prod.trace() != target:
-            raise PhaseFixError(
-                f"cannot fix top-element phase for {format_label(self.label)}"
-            )
-        return gammas
-
-    def _subset_image(self, mask: int) -> Monomial:
-        if mask == 0:
-            return Monomial.identity(self.dim)
-        key = ("subset", mask)
-        if key not in self._cache:
-            low = mask & -mask
-            rest = mask ^ low
-            g = self._gammas[low.bit_length() - 1]
-            self._cache[key] = g @ self._subset_image(rest) if rest else g
-        return self._cache[key]
-
-    def image(self, g: CliffordElement) -> Monomial:
-        if g.degree != self.n:
-            raise ValueError("element degree does not match representation")
-        if self.label.kind == "chi":
-            odd = (self.label.mask & g.mask).bit_count() & 1
-            return Monomial(1, (0,), (2 * odd,))
-        mono = self._subset_image(g.mask)
-        return mono.times_i(2) if g.sign < 0 else mono
-
-
-class ConjugateRep:
-    """theta': entrywise conjugate matrices (= transpose-inverse, unitary)."""
-
-    def __init__(self, base):
-        self.base = base
-        self.dim = base.dim
-
-    def image(self, g) -> Monomial:
-        return self.base.image(g).conj()
-
-
-class TripleProductRep:
-    """rho1 boxtimes rho2 boxtimes theta on CL(n) x CL(n) x CL(m)."""
-
-    def __init__(self, rep1, rep2, rep_theta, m: int):
-        self.rep1, self.rep2, self.rep_theta = rep1, rep2, rep_theta
-        self.m = m
-        self.dim = rep1.dim * rep2.dim * rep_theta.dim
-
-    def image(self, t: TripleElement) -> Monomial:
-        h = CliffordElement(self.m, t.h.sign, t.h.mask)
-        return (
-            self.rep1.image(t.g1)
-            .kron(self.rep2.image(t.g2))
-            .kron(self.rep_theta.image(h))
-        )
-
-
-class TensorRestrictionRep:
-    """Res_{CL(m)} (rho1 (x) rho2) as a representation of CL(m)."""
-
-    def __init__(self, rep1, rep2, n: int, m: int):
-        self.rep1, self.rep2 = rep1, rep2
-        self.n, self.m = n, m
-        self.dim = rep1.dim * rep2.dim
-
-    def image(self, h: CliffordElement) -> Monomial:
-        g = embed(h, self.n)
-        return self.rep1.image(g).kron(self.rep2.image(g))
-
-
-class EtaRep:
-    """Permutation representation of G x G x H on L(G x G).
-
-    The pair (a, b) sits at element_index(a) * |G| + element_index(b), so
-    the pair of identities is coordinate 0.
-    """
-
-    def __init__(self, n: int, m: int):
-        if n > MAX_ETA_DEGREE:
-            raise GuardError(f"eta matrix model guarded at n <= {MAX_ETA_DEGREE}")
-        self.n, self.m = n, m
-        self.dim = 1 << (2 * n + 2)
-
-    def image(self, t: TripleElement) -> Monomial:
-        """Column (a, b) goes to row (g1 a g2^-1, g2 b h^-1)."""
-        tab, inv = mult_table(self.n)
-        i1, i2, ih = (element_index(g) for g in (t.g1, t.g2, t.h))
-        left = tab[tab[i1], inv[i2]]
-        right = tab[tab[i2], inv[ih]]
-        perm = (left[:, None] * len(left) + right).ravel()
-        return Monomial(self.dim, tuple(perm.tolist()), (0,) * self.dim)
+def _gamma_products(gammas):
+    """The image table of the ordered products gamma_A, row element_index:
+    gamma_A with top index j is gamma_(A - j) gamma_j, so the rows of the
+    masks in [2^j, 2^(j+1)) are one compose, and -x adds 2 to the phase."""
+    n, dim = gammas[0].shape
+    perm = np.empty((2 << n, dim), dtype=np.int64)
+    phase = np.empty_like(perm)
+    perm[0], phase[0] = np.arange(dim), 0
+    for j in range(n):
+        low, high = slice(0, 1 << j), slice(1 << j, 2 << j)
+        perm[high], phase[high] = compose((perm[low], phase[low]), (gammas[0][j], gammas[1][j]))
+    perm[1 << n:], phase[1 << n:] = perm[: 1 << n], (phase[: 1 << n] + 2) & 3
+    return perm, phase
 
 
 @lru_cache(maxsize=None)
-def build_matrix_rep(label: IrrepLabel) -> CliffordMatrixRep:
-    return CliffordMatrixRep(label)
-
-
-@lru_cache(maxsize=None)
-def _image_arrays(label: IrrepLabel):
-    """(perm, phase): read-only int64 arrays of shape (|G|, dim) whose row
-    element_index(g) holds the perm and phase exponents of the image of g."""
-    images = [build_matrix_rep(label).image(g) for g in enumerate_group(label.degree)]
-    perm = np.array([m.perm for m in images], dtype=np.int64)
-    phase = np.array([m.phase for m in images], dtype=np.int64)
+def build_matrix_rep(label: IrrepLabel):
+    """(perm, phase): read-only int64 tables of shape (2^(n+1), dim) whose
+    row element_index(g) is the image of g under the irrep label."""
+    n = label.degree
+    if label.kind == "chi":
+        # chi_A(+/- gamma_T) = (-1)^|A & T| = i^(2 |A & T|)
+        idx = np.arange(2 << n, dtype=np.int64)
+        perm = np.zeros((2 << n, 1), dtype=np.int64)
+        phase = 2 * (_xor_fold(label.mask & idx)[:, None] & 1)
+    else:
+        if n > MAX_RHO_MODEL_DEGREE:
+            msg = f"matrix model for {format_label(label)} guarded at n <= {MAX_RHO_MODEL_DEGREE}"
+            raise GuardError(msg)
+        gammas = _gammas(n)
+        perm, phase = _gamma_products(gammas)
+        if n % 2:
+            # solve the sign of the last generator so the trace of the image
+            # of gamma_{X_n} matches the character value (the c convention)
+            m, top = (n - 1) // 2, (1 << n) - 1
+            cr, ci = top_phase_re_im(n)
+            pm = 1 if label.kind == "rho+" else -1
+            target = (pm * cr << m, pm * ci << m)
+            if trace((perm[top], phase[top])) != target:
+                gammas[1][-1] ^= 2
+                perm, phase = _gamma_products(gammas)
+                if trace((perm[top], phase[top])) != target:
+                    raise PhaseFixError(f"cannot fix top-element phase for {format_label(label)}")
     perm.setflags(write=False)
     phase.setflags(write=False)
     return perm, phase
 
 
-def clifford_generators(n: int):
-    """-1 together with gamma_1..gamma_n generates CL(n)."""
-    gens = [CliffordElement(n, -1, 0)]
-    gens += [CliffordElement(n, 1, 1 << j) for j in range(n)]
-    return gens
-
-
-def triple_generators(n: int, m: int):
-    """Factor-wise generators of CL(n) x CL(n) x CL(m)."""
-    e_n = identity(n)
-    gens = []
-    for g in clifford_generators(n):
-        gens.append(TripleElement(g, e_n, e_n, m))
-        gens.append(TripleElement(e_n, g, e_n, m))
-    for h in clifford_generators(m):
-        gens.append(TripleElement(e_n, e_n, embed(h, n), m))
-    return gens
+def _generators(n: int):
+    """Element indices of -1 and gamma_1..gamma_n, which generate CL(n)."""
+    return np.array([1 << n] + [1 << j for j in range(n)], dtype=np.int64)
 
 
 # -- intertwiner spaces -----------------------------------------------------
@@ -253,49 +129,50 @@ def triple_generators(n: int, m: int):
 class IntertwinerBasis:
     """Exact basis of Hom_G(src, dst) = {T : T src(g) = dst(g) T}."""
 
-    src_dim: int
-    dst_dim: int
-    basis: list  # list[Matrix], dst_dim x src_dim
+    basis: list  # list[Matrix], dim dst x dim src
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
 
-def intertwines(t: Matrix, src_rep, dst_rep, g) -> bool:
-    src_mono = src_rep.image(g)
-    dst_mono = dst_rep.image(g)
-    return src_mono.apply_right(t) == dst_mono.apply_left(t)
+def _cell_pairs(src, dst):
+    """dst(g) T = T src(g) at entry (dst_perm[r], c) reads
+    i^dst_phase[r] T[r, c] = i^src_phase[c] T[dst_perm[r], src_perm[c]]:
+    the row and column gathers and both exponents, each of shape
+    (rows of the tables, dst dim, src dim)."""
+    (sp, sk), (dp, dk) = src, dst
+    return dp[:, :, None], sp[:, None, :], dk[:, :, None], sk[:, None, :]
 
 
-def intertwiner_space(src_rep, dst_rep, generators, verify_on=()) -> IntertwinerBasis:
-    """Exact basis of the intertwiners, from the generator constraints.
+def intertwines(t: Matrix, src, dst) -> bool:
+    """Whether dst(g) T = T src(g) for every row g of the image tables src
+    and dst, in one gather over all rows."""
+    rows, cols, q, p = _cell_pairs(src, dst)
+    lhs = times_i(t.re, t.im, q)
+    rhs = times_i(t.re[rows, cols], t.im[rows, cols], p)
+    return np.array_equal(lhs[0], rhs[0]) and np.array_equal(lhs[1], rhs[1])
 
-    All representation images here are monomial with unit phases, so each
-    constraint ties two cells of T by a power of i and the system is solved
-    as a gain graph.  Basis elements are re-verified on `verify_on` group
-    elements.
+
+def intertwiner_space(src, dst) -> IntertwinerBasis:
+    """Exact basis of the intertwiners from src to dst, image tables with one
+    row per generator.
+
+    Every image is monomial with unit phases, so each constraint ties two
+    cells of T by a power of i, one edge (a, b, k) per generator and cell
+    built by one broadcast, and the system is solved as a gain graph.  The
+    union-find reads the edges as Python ints, which it walks faster than
+    int64 array elements.
     """
-    ds, dd = src_rep.dim, dst_rep.dim
-    edges = []
-    for g in generators:
-        src = src_rep.image(g)
-        dst = dst_rep.image(g)
-        for r in range(dd):
-            # dst(g)T = T src(g) at entry (dst_perm[r], c):
-            #   i^q T[r, c] = i^src_phase[c] T[dst_perm[r], src_perm[c]]
-            q = dst.phase[r]
-            a0, b0 = r * ds, dst.perm[r] * ds
-            edges.extend(
-                (a0 + c, b0 + src.perm[c], (src.phase[c] - q) & 3) for c in range(ds)
-            )
+    rows, cols, q, p = _cell_pairs(src, dst)
+    dd, ds = rows.shape[1], cols.shape[2]
+    cells = np.arange(dd * ds).reshape(dd, ds)
+    a = np.broadcast_to(cells, (len(rows), dd, ds))
+    b, k = rows * ds + cols, (p - q) & 3
+    edges = zip(a.ravel().tolist(), b.ravel().tolist(), k.ravel().tolist())
     vecs = gain_graph_nullspace(edges, dd * ds)
     basis = [Matrix(re.reshape(dd, ds), im.reshape(dd, ds)) for re, im in vecs]
-    for t in basis:
-        for g in verify_on:
-            if not intertwines(t, src_rep, dst_rep, g):
-                raise AssertionError("computed intertwiner fails on a group element")
-    return IntertwinerBasis(ds, dd, basis)
+    return IntertwinerBasis(basis)
 
 
 # -- the Frobenius-reciprocity-type isomorphism -----------------------------
@@ -308,39 +185,85 @@ def _log2(x: int) -> int:
     return k
 
 
+def _rows(table, i):
+    """The images at element indices i (an int or an int64 array)."""
+    return table[0][i], table[1][i]
+
+
 class FrobeniusContext:
     """Everything needed to verify the tilde/hat isometry for one triple.
 
-    Bundles the matrix models of rho1, rho2 (irreps of CL(n)), theta (irrep
-    of CL(m)), the permutation model eta on L(G x G), and the coordinate
-    conventions tying them together.
+    Bundles the image tables of rho1, rho2 (irreps of CL(n)) and theta
+    (irrep of CL(m)), and builds from them, by gathers at element indices,
+    the models rho1 x rho2 x theta, theta', Res(rho1 (x) rho2) and the
+    permutation model eta on L(G x G), with the coordinate conventions tying
+    them together.  Indices i1, i2 are in CL(n) and ih in CL(m).
     """
 
     def __init__(self, n: int, m: int, rho1: IrrepLabel, rho2: IrrepLabel, theta: IrrepLabel):
+        if n > MAX_ETA_DEGREE:
+            raise GuardError(f"eta matrix model guarded at n <= {MAX_ETA_DEGREE}")
         self.n, self.m = n, m
-        self.rho1, self.rho2, self.theta = rho1, rho2, theta
         self.rep1 = build_matrix_rep(rho1)
         self.rep2 = build_matrix_rep(rho2)
         self.rep_theta = build_matrix_rep(theta)
-        self.eta = EtaRep(n, m)
-        self.triple_rep = TripleProductRep(self.rep1, self.rep2, self.rep_theta, m)
-        self.res_rep = TensorRestrictionRep(self.rep1, self.rep2, n, m)
-        self.theta_prime = ConjugateRep(self.rep_theta)
-        self.d1, self.d2, self.dt = self.rep1.dim, self.rep2.dim, self.rep_theta.dim
+        self.d1, self.d2, self.dt = rho1.dim, rho2.dim, theta.dim
         self.group_order = 1 << (n + 1)
+        h = np.arange(2 << m, dtype=np.int64)
+        self._embed = (h >> m) << n | h & ((1 << m) - 1)  # CL(m) index -> CL(n)
+
+    # the derived models, at element indices broadcast against each other
+
+    def _triple(self, i1, i2, ih):
+        """rho1 x rho2 x theta at (g1, g2, h)."""
+        return kron(kron(_rows(self.rep1, i1), _rows(self.rep2, i2)), _rows(self.rep_theta, ih))
+
+    def _eta(self, i1, i2, ih):
+        """eta at (g1, g2, h): column (a, b), at a * |G| + b (so the pair of
+        identities is column 0), goes to row (g1 a g2^-1, g2 b h^-1), the
+        Kronecker product of two permutations of G."""
+        tab, inv = mult_table(self.n)
+        left = tab[tab[i1], inv[i2][..., None]]
+        right = tab[tab[i2], inv[self._embed[ih]][..., None]]
+        return kron((left, 0 * left), (right, 0 * right))
+
+    def _res(self, ih):
+        """Res_{CL(m)} (rho1 (x) rho2) at h."""
+        e = self._embed[ih]
+        return kron(_rows(self.rep1, e), _rows(self.rep2, e))
+
+    def _theta_prime(self, ih):
+        """theta' at h: the entrywise conjugate (= transpose-inverse) of theta."""
+        perm, phase = _rows(self.rep_theta, ih)
+        return perm, -phase & 3
 
     # Hom(rho1 x rho2 x theta, eta) and Hom(Res(rho1 (x) rho2), theta')
 
-    def hom_triple_eta(self, verify_on=()) -> IntertwinerBasis:
-        return intertwiner_space(
-            self.triple_rep, self.eta, triple_generators(self.n, self.m), verify_on
-        )
+    def _triple_eta_generators(self):
+        """(src, dst) at the factor-wise generators of CL(n) x CL(n) x CL(m):
+        (g, 1, 1) and (1, g, 1) for each generator g of CL(n), then
+        (1, 1, h) for each generator h of CL(m)."""
+        gn, gm = _generators(self.n), _generators(self.m)
+        i1, i2, ih = np.zeros((3, 2 * len(gn) + len(gm)), dtype=np.int64)
+        i1[0:2 * len(gn):2], i2[1:2 * len(gn):2], ih[2 * len(gn):] = gn, gn, gm
+        return self._triple(i1, i2, ih), self._eta(i1, i2, ih)
 
-    def hom_res_theta_prime(self, verify_on=None) -> IntertwinerBasis:
-        gens = clifford_generators(self.m)
-        if verify_on is None:
-            verify_on = enumerate_group(self.m)
-        return intertwiner_space(self.res_rep, self.theta_prime, gens, verify_on)
+    def _res_theta_prime_generators(self):
+        gens = _generators(self.m)
+        return self._res(gens), self._theta_prime(gens)
+
+    def hom_triple_eta(self) -> IntertwinerBasis:
+        return intertwiner_space(*self._triple_eta_generators())
+
+    def hom_res_theta_prime(self) -> IntertwinerBasis:
+        """Solved on the generators of CL(m), then re-verified on every
+        element of CL(m) as a safety check."""
+        space = intertwiner_space(*self._res_theta_prime_generators())
+        every = np.arange(2 << self.m)
+        src, dst = self._res(every), self._theta_prime(every)
+        if not all(intertwines(t, src, dst) for t in space.basis):
+            raise AssertionError("computed intertwiner fails on a group element")
+        return space
 
     # coordinate maps
 
@@ -352,7 +275,7 @@ class FrobeniusContext:
     def tilde(self, t) -> ScaledMatrix:
         """T -> T~ with [T~(v1 (x) v2)](w) = (|G|/sqrt(d_theta)) [T(...)](1,1).
 
-        The pair of identities is row 0 of T (EtaRep's coordinates); the
+        The pair of identities is row 0 of T (eta's coordinates); the
         entries are those of T, unchanged.
         """
         if isinstance(t, Matrix):
@@ -365,18 +288,15 @@ class FrobeniusContext:
 
         Row (g1, g2), column (i, j, ell) of S^ is i^k S[ell, src], where
         rho1(g2^-1 g1^-1) (x) rho2(g2^-1) takes column (i, j) to row src
-        with phase i^k: the images are gathered from their perm and phase
-        tables by the mult_table rows, for all (g1, g2) at once.  Entries
-        are units times entries of S, so nothing grows.
+        with phase i^k: the images are gathered from the image tables by
+        the mult_table rows, for all (g1, g2) at once.  Entries are units
+        times entries of S, so nothing grows.
         """
         if isinstance(s, Matrix):
             s = ScaledMatrix(0, s)
         tab, inv = mult_table(self.n)
-        perm1, phase1 = _image_arrays(self.rho1)
-        perm2, phase2 = _image_arrays(self.rho2)
         left = tab[inv, inv[:, None]]  # [i1, i2] = index of g2^-1 g1^-1
-        src = perm1[left][..., None] * self.d2 + perm2[inv][:, None, :]
-        k = phase1[left][..., None] + phase2[inv][:, None, :]  # (G, G, d1, d2)
+        src, k = kron(_rows(self.rep1, left), _rows(self.rep2, inv))
         re, im = times_i(s.matrix.re.T[src], s.matrix.im.T[src], k[..., None])
         rows = self.group_order**2
         half = _log2(self.dt) - 2 * _log2(self.group_order)
@@ -389,13 +309,13 @@ class FrobeniusContext:
     def invariant_tensors(self):
         """Basis of (V1 (x) V2 (x) W)^(H~): fixed vectors of the diagonal
         action, each an (re, im) pair of int64 vectors."""
-        edges = []
-        for h in enumerate_group(self.m):
-            hh = embed(h, self.n)
-            mono = self.triple_rep.image(TripleElement(hh, hh, hh, self.m))
-            # pi(t) v = v at coordinate perm[c]: v[perm[c]] = i^phase[c] v[c]
-            edges.extend(zip(mono.perm, range(mono.size), mono.phase))
-        return gain_graph_nullspace(edges, self.triple_rep.dim)
+        every = np.arange(2 << self.m)
+        e = self._embed[every]
+        perm, phase = self._triple(e, e, every)
+        # pi(t) v = v at coordinate perm[c]: v[perm[c]] = i^phase[c] v[c]
+        cols = np.broadcast_to(np.arange(perm.shape[1]), perm.shape)
+        edges = zip(perm.ravel().tolist(), cols.ravel().tolist(), phase.ravel().tolist())
+        return gain_graph_nullspace(edges, perm.shape[1])
 
     def operator_from_invariant(self, b) -> ScaledMatrix:
         """Prop-3.3 closed form: [T_B(v1 (x) v2 (x) w)](g1,g2) =
@@ -412,19 +332,16 @@ class FrobeniusContext:
 
         Independent route to operator_from_invariant (this is the content of
         the proposition): g_x = (g1 g2, g2, 1) maps the base point to (g1,g2).
+        Row (g1, g2) holds the conjugate of sigma(g_x) b, whose entry
+        perm[j] is i^phase[j] b[j].
         """
-        n = self.n
-        g_elements = enumerate_group(n)
-        column = Matrix(b[0][:, None], b[1][:, None])
-        rows = []
-        for g1 in g_elements:
-            for g2 in g_elements:
-                gx = TripleElement(multiply(g1, g2), g2, identity(n), self.m)
-                # row entries <e_col, sigma(g_x) b>: the conjugate of sigma(g_x) b
-                rows.append(self.triple_rep.image(gx).apply_left(column))
-        re = np.hstack([w.re for w in rows]).T
-        im = np.hstack([w.im for w in rows]).T
-        half = _log2(self.triple_rep.dim) - _log2(self.eta.dim)
+        tab, _ = mult_table(self.n)
+        g1, g2 = np.divmod(np.arange(self.group_order**2), self.group_order)
+        perm, phase = self._triple(tab[g1, g2], g2, 0)
+        re, im = (np.empty_like(perm) for _ in "ri")
+        for out, part in zip((re, im), times_i(b[0], b[1], phase)):
+            np.put_along_axis(out, perm, part, axis=1)
+        half = _log2(perm.shape[1]) - 2 * _log2(self.group_order)
         return ScaledMatrix(half, Matrix(re, -im))
 
     def tilde_from_invariant(self, b) -> ScaledMatrix:
@@ -471,7 +388,7 @@ def matrix_coefficient_checks(n: int) -> MatrixCoefficientReport:
     first = np.searchsorted(lab_of, lab_of)  # the label's first row
     tables = []
     for label in labels:
-        perm, phase = _image_arrays(label)
+        perm, phase = build_matrix_rep(label)
         # image(g) holds i^phase[g, j] at (perm[g, j], j): table [i, j, g]
         hit = (perm.T == np.arange(label.dim)[:, None, None]).astype(np.int64)
         tables.append(times_i(hit, 0, phase.T))

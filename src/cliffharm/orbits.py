@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,11 +66,30 @@ class PairOrbit:
         return len(self.members)
 
 
+@lru_cache(maxsize=None)
+def _conjugators(n: int):
+    """(c, c_inv): read-only int64 element indices of gamma_C and of its
+    inverse, for C = 0..2^n - 1."""
+    c = np.arange(1 << n, dtype=np.int64)
+    c_inv = c ^ index_product(c, c, n)
+    c.setflags(write=False)
+    c_inv.setflags(write=False)
+    return c, c_inv
+
+
 def _conjugates(x, n: int):
     """Indices of gamma_C^-1 x_i gamma_C for every subset C, by
     index_product on ints or int64 arrays: column C for C = 0..2^n - 1."""
-    c = np.arange(1 << n, dtype=np.int64)
-    return index_product(index_product(c ^ index_product(c, c, n), x, n), c, n)
+    c, c_inv = _conjugators(n)
+    return index_product(index_product(c_inv, x, n), c, n)
+
+
+def _distinct(keys):
+    """The distinct values of an int64 array, ascending, as a list: a sort
+    and a neighbour mask (np.unique would import numpy.ma, which costs
+    RSS)."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))].tolist()
 
 
 def _orbit_from_keys(keys, n: int, group=None) -> PairOrbit:
@@ -94,7 +114,7 @@ def orbit_of(pair, n: int) -> PairOrbit:
     if x.degree != n or y.degree != n:
         raise DegreeMismatchError("pair degree mismatch")
     x, y = _conjugates(np.array([[element_index(x)], [element_index(y)]], dtype=np.int64), n)
-    return _orbit_from_keys(sorted(set((x << (n + 1) | y).tolist())), n)
+    return _orbit_from_keys(_distinct(x << (n + 1) | y), n)
 
 
 def enumerate_pair_orbits(n: int):

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .elements import MAX_DEGREE, CliffordElement, TripleElement, conjugacy_classes, format_element
+from .elements import MAX_DEGREE, CliffordElement, TripleElement, format_element
 from .characters import (
     IrrepLabel,
     chi,
@@ -26,7 +26,7 @@ from .characters import (
     restrict_character,
     decompose,
     restricted_kronecker,
-    character_value,
+    char_re_im,
     format_label,
 )
 from .gelfand import (
@@ -37,11 +37,12 @@ from .gelfand import (
 )
 from .matrix_models import (
     MAX_ETA_DEGREE,
+    MAX_RHO_MODEL_DEGREE,
     FrobeniusContext,
     build_matrix_rep,
     matrix_coefficient_checks,
 )
-from .linalg import ScaledMatrix, hs_inner, scaled_hs_inner
+from .linalg import ScaledMatrix, hs_inner, scaled_hs_inner, trace
 from .orbits import (
     ANALYZED_FAMILIES,
     MAX_PAIR_ORBIT_DEGREE,
@@ -297,19 +298,24 @@ def check_method_agreement(pairs=DESK_METHOD_PAIRS):
 
 
 @_check("C9", "matrix-model traces match characters; coefficient identities hold")
-def check_oracles(trace_n_max=4, coeff_n_max=MAX_ETA_DEGREE):
+def check_oracles(trace_n_max=MAX_RHO_MODEL_DEGREE, coeff_n_max=MAX_ETA_DEGREE):
+    """The trace of every image table against char_re_im at every element,
+    one array comparison per irrep, then the coefficient identities."""
     for n in range(0, trace_n_max + 1):
+        idx = np.arange(2 << n)
+        sign, mask = 1 - 2 * (idx >> n), idx & ((1 << n) - 1)
         for lab in irreps(n):
-            rep = build_matrix_rep(lab)
-            for cls in conjugacy_classes(n):
-                g = cls.representative
-                if rep.image(g).trace() != character_value(lab, g):
-                    return False, f"trace mismatch for {format_label(lab)} at {g}"
+            re, im = trace(build_matrix_rep(lab))
+            want_re, want_im = char_re_im(lab, sign, mask)
+            bad = np.flatnonzero((re != want_re) | (im != want_im))
+            if len(bad):
+                g = CliffordElement(n, int(sign[bad[0]]), int(mask[bad[0]]))
+                return False, f"trace mismatch for {format_label(lab)} at {format_element(g)}"
     for n in range(0, coeff_n_max + 1):
         report = matrix_coefficient_checks(n)
         if not report.ok:
             return False, f"coefficient identity failures at n={n}: {report.failures[:3]}"
-    return True, f"traces n <= {trace_n_max}, coefficients n <= {coeff_n_max}"
+    return True, f"traces n <= {trace_n_max} at every element, coefficients n <= {coeff_n_max}"
 
 
 @_check("D1", "sampled orbits n=8..16")

@@ -4,10 +4,12 @@
 rationals.  The library solves its unit-phase monomial systems by a gain
 graph over Z/4 (`cliffharm.linalg.gain_graph_nullspace`); this elimination
 knows nothing of that structure, which makes it the oracle for it.  The row
-builders turn a Monomial's phase exponents into Gaussian rationals through
-their own table UNITS, not through the library's rotation, and `as_gaussian`
-reads the library's int64 (re, im) vectors and matrices as
-Gaussian-rational lists to compare with them.
+builders read monomial images in the library's (perm, phase) format, one
+image per row of the tables, and turn the phase exponents into Gaussian
+rationals through their own table UNITS, not through the library's
+rotation; `dense_monomial` writes one image out as a dense int64 matrix the
+same way, and `as_gaussian` reads the library's int64 (re, im) vectors and
+matrices as Gaussian-rational lists to compare with them.
 
 `enumerated_conjugacy_classes` conjugates every element by the whole group,
 O(|G|^2); the library reads the partition off the sign-flip lemma instead.
@@ -31,8 +33,9 @@ the library reads the same verdict off the structure constants at one
 representative per double coset.
 
 `permutation_character_eta` counts the fixed points of the two-sided action
-with `multiply`, so it is an oracle for the traces of `EtaRep`, whose images
-are gathers from `elements.mult_table`.  `triple_inverse` serves tests that
+with `multiply`, so it is an oracle for the traces of the eta model of
+`matrix_models.FrobeniusContext`, whose images are gathers from
+`elements.mult_table`.  `triple_inverse` serves tests that
 need inverses in CL(n) x CL(n) x CL(m).
 """
 
@@ -124,22 +127,35 @@ def sparse_nullspace(rows, ncols):
     return basis
 
 
-def intertwiner_rows(src_rep, dst_rep, generators):
-    """The rows of dst(g) T = T src(g) over the generators, T flattened
-    row-major, built with Gaussian-rational arithmetic on the phases."""
-    ds, dd = src_rep.dim, dst_rep.dim
+def dense_monomial(perm, phase):
+    """(re, im): the dense int64 matrix of one monomial image, whose column
+    j holds UNITS[phase[j]] at row perm[j]."""
+    size = len(perm)
+    re = np.zeros((size, size), dtype=np.int64)
+    im = np.zeros_like(re)
+    for j, (r, k) in enumerate(zip(np.ravel(perm).tolist(), np.ravel(phase).tolist())):
+        re[r, j], im[r, j] = int(UNITS[k].re), int(UNITS[k].im)
+    return re, im
+
+
+def intertwiner_rows(src, dst):
+    """The rows of dst(g) T = T src(g) for each row g of the image tables
+    src and dst, (perm, phase) pairs of int64 arrays, T flattened row-major,
+    built with Gaussian-rational arithmetic on the phases."""
+    (src_perm, src_phase), (dst_perm, dst_phase) = (
+        [a.tolist() for a in table] for table in (src, dst)
+    )
+    ds, dd = len(src_perm[0]), len(dst_perm[0])
     rows = []
-    for g in generators:
-        src = src_rep.image(g)
-        dst = dst_rep.image(g)
+    for sp, sk, dp, dk in zip(src_perm, src_phase, dst_perm, dst_phase):
         for r in range(dd):
-            i = dst.perm[r]
-            q = UNITS[dst.phase[r]]
+            i = dp[r]
+            q = UNITS[dk[r]]
             for c in range(ds):
                 # q * T[r, c] = src_phase[c] * T[i, src_perm[c]]
                 cell_a = r * ds + c
-                cell_b = i * ds + src.perm[c]
-                p = UNITS[src.phase[c]]
+                cell_b = i * ds + sp[c]
+                p = UNITS[sk[c]]
                 if cell_a == cell_b:
                     coeff = q - p
                     if coeff:
@@ -149,14 +165,15 @@ def intertwiner_rows(src_rep, dst_rep, generators):
     return rows
 
 
-def fixed_vector_rows(monomials):
-    """The rows of (pi - 1) v = 0 for each monomial pi."""
+def fixed_vector_rows(images):
+    """The rows of (pi - 1) v = 0 for each row pi of the image table images,
+    a (perm, phase) pair of int64 arrays."""
     rows = []
-    for mono in monomials:
-        for c in range(mono.size):
+    for perm, phase in zip(*(a.tolist() for a in images)):
+        for c in range(len(perm)):
             # pi e_c = phase[c] e_perm[c]: row perm[c] of pi - 1
-            r = mono.perm[c]
-            row = {c: UNITS[mono.phase[c]]}
+            r = perm[c]
+            row = {c: UNITS[phase[c]]}
             row[r] = row.get(r, ZERO) - ONE
             row = {k: v for k, v in row.items() if v}
             if row:

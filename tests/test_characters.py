@@ -236,6 +236,11 @@ def test_parse_format_labels():
         parse_label("rho+", 2)
     with pytest.raises(ValueError):
         parse_label("spin", 3)
+    for text in ("chi:{1,2,}", "chi:{,1}", "chi:{1,1}", "chi:{3,1}", "chi:{-1}", "chi:{٣}"):
+        with pytest.raises(ValueError, match="index list|ascending"):
+            parse_label(text, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        parse_label("chi:{1,4}", 3)
 
 
 def test_decomposition_json():

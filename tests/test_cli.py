@@ -191,6 +191,18 @@ def test_error_exits(capsys):
     capsys.readouterr()
 
 
+def test_malformed_index_lists_exit_1(capsys):
+    for argv, message in (
+        (("multiply", "3", "+g{1,2,}", "+g{}"), "malformed index list in '+g{1,2,}'"),
+        (("multiply", "3", "+g{,1}", "+g{}"), "malformed index list in '+g{,1}'"),
+        (("multiply", "3", "+g{}", "+g{1,1}"), "indices in '+g{1,1}' must be strictly ascending"),
+        (("tensor", "3", "chi:{2,1}", "rho+"), "indices in 'chi:{2,1}' must be strictly ascending"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 def test_closed_pipe_exits_1_without_traceback():
     # the JSON (about 130 kB) outgrows the pipe buffer, so the writer is
     # still printing when the reader goes away after five lines, as `| head -5`

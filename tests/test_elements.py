@@ -220,6 +220,13 @@ def test_parse_rejects_garbage():
         parse_element("+g{0}", 3)
     with pytest.raises(ValueError):
         parse_element("++g{1}", 3)
+    # an index list must be strictly ascending with no empty token: gamma_1
+    # gamma_1 = 1 and gamma_2 gamma_1 = -gamma_1 gamma_2, so neither a
+    # repeated nor a reordered list names the element it would collapse to
+    for text in ("+g{1,2,}", "+g{,1}", "+g{,}", "+g{1,1}", "+g{2,1}", "+g{1 2}"):
+        with pytest.raises(ValueError, match="index list|ascending"):
+            parse_element(text, 3)
+    assert parse_element(" -g{ 1 , 3 } ", 3) == element(3, -1, (1, 3))
 
 
 def test_degree_guards():

@@ -122,8 +122,8 @@ def test_even_degree_witness():
 
 def test_report_table_and_json():
     rep = gelfand_check_characters(2, 1)
-    table = rep.table()
-    assert max(table.values()) == rep.max_multiplicity == 2
+    triples = [TripleIrrepLabel(*t) for t in product(irreps(2), irreps(2), irreps(1))]
+    assert max(map(rep.multiplicity, triples)) == rep.max_multiplicity == 2
     payload = rep.to_json()
     assert payload["gelfand"] is False
     assert payload["witness"]["multiplicity"] == 2
@@ -171,9 +171,6 @@ def test_guards():
         gelfand_check_characters(17, 16)
     with pytest.raises(ValueError):
         gelfand_check_characters(3, 1)
-    # the |Irr|^3 table dict stops at n = 5
-    with pytest.raises(GuardError, match=r"degree 6 outside supported range \[0, 5\]"):
-        gelfand_check_characters(6, 6).table()
 
 
 def test_eta_multiplicities_match_invariant_dims():
@@ -229,12 +226,10 @@ def test_scan_matches_dense_oracle():
             rep = gelfand_check_characters(n, m)
             cube = dense_multiplicity_cube(n, m)
             assert_matches_dense_scan(rep, cube)
-            if n <= 5:  # every entry of table(), through multiplicity()
-                table = rep.table()
-                assert len(table) == cube.size
+            if n <= 5:  # every triple through multiplicity()
                 g, h = list(enumerate(irreps(n))), list(enumerate(irreps(m)))
                 for (i, a), (j, b), (k, c) in product(g, g, h):
-                    assert table[TripleIrrepLabel(a, b, c)] == cube[i, j, k]
+                    assert rep.multiplicity(TripleIrrepLabel(a, b, c)) == cube[i, j, k]
 
 
 def test_oracle_comparison_catches_a_flipped_two_spin_multiplicity(monkeypatch):

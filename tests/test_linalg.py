@@ -8,13 +8,15 @@ from hypothesis import example, given, settings, strategies as st
 from cliffharm.exact import ZERO, gr
 from cliffharm.linalg import (
     Matrix,
-    Monomial,
     ScaledMatrix,
+    compose,
     gain_graph_nullspace,
     hs_inner,
+    kron,
     scaled_hs_inner,
+    trace,
 )
-from oracles import ONE, UNITS, as_gaussian, satisfies, sparse_nullspace
+from oracles import ONE, UNITS, as_gaussian, dense_monomial, satisfies, sparse_nullspace
 
 I = gr(0, 1)
 
@@ -25,12 +27,6 @@ def _real(rows):
 
 def _identity(n):
     return _real(np.eye(n, dtype=np.int64))
-
-
-def _rand_matrix(rng, rows, cols):
-    return Matrix(
-        *([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)] for _ in "ri")
-    )
 
 
 def _mul(x, y):
@@ -59,38 +55,48 @@ def test_hs_inner_normalization():
     assert hs_inner(c, a) == gr(Fraction(1, 2), Fraction(-1, 2))  # (1 + i) conj(i) / 2
 
 
+def _dense(perm, phase):
+    return Matrix(*dense_monomial(perm, phase))
+
+
+def _random_images(rng, shape, size):
+    """(perm, phase) int64 tables of random monomial images of the given
+    leading shape."""
+    perm = rng.permuted(np.broadcast_to(np.arange(size), shape + (size,)), axis=-1)
+    return perm, rng.integers(0, 4, shape + (size,))
+
+
 def test_monomial_matches_dense():
-    rng = random.Random(2)
-    for _ in range(50):
-        size = 4
-        p1 = list(range(size)); rng.shuffle(p1)
-        p2 = list(range(size)); rng.shuffle(p2)
-        phases = [rng.randrange(4) for _ in range(size)]
-        phases2 = [rng.randrange(4) for _ in range(size)]
-        m1 = Monomial(size, tuple(p1), tuple(phases))
-        m2 = Monomial(size, tuple(p2), tuple(phases2))
-        d1 = m1.dense()
-        assert (m1 @ m2).dense() == _mul(d1, m2.dense())
-        assert m1.conj_transpose().dense() == _conj_transpose(d1)
-        assert m1.kron(m2).dense() == _kron(d1, m2.dense())
-        assert m1.trace() == gr(int(np.trace(d1.re)), int(np.trace(d1.im)))
-        mat = _rand_matrix(rng, size, size)
-        assert m1.apply_left(mat) == _mul(d1, mat)
-        assert m1.apply_right(mat) == _mul(mat, d1)
-        k = rng.randrange(8)
-        rotated = d1
-        for _ in range(k):  # times i: (re, im) -> (-im, re)
-            rotated = Matrix(-rotated.im, rotated.re)
-        assert m1.times_i(k).dense() == rotated
-        assert m1.conj().dense() == Matrix(d1.re, -d1.im)
-        for m in (m1 @ m2, m1.kron(m2), m1.conj(), m1.conj_transpose(), m1.times_i(k)):
-            assert all(type(p) is int and 0 <= p < 4 for p in m.phase)
+    # compose, kron and trace on (perm, phase) tables against the dense int64
+    # products, with the leading axes broadcast
+    rng = np.random.default_rng(2)
+    for sa, sb in (((6,), (6,)), ((3, 1), (1, 4)), ((5,), ()), ((), (2,))):
+        a, b = _random_images(rng, sa, 4), _random_images(rng, sb, 4)
+        c = _random_images(rng, sb, 3)
+        shape = np.broadcast_shapes(sa, sb)
+        ab, ac = compose(a, b), kron(a, c)
+        for p in (ab[1], ac[1]):
+            assert p.dtype == np.int64 and ((0 <= p) & (p < 4)).all()
+        a_, b_, c_ = ([np.broadcast_to(x, shape + x.shape[-1:]) for x in t] for t in (a, b, c))
+        for idx in np.ndindex(shape):
+            da, db, dc = (_dense(*(x[idx] for x in t)) for t in (a_, b_, c_))
+            assert _dense(ab[0][idx], ab[1][idx]) == _mul(da, db)
+            assert _dense(ac[0][idx], ac[1][idx]) == _kron(da, dc)
+        tr_re, tr_im = trace(a)
+        for idx in np.ndindex(sa):
+            da = _dense(a[0][idx], a[1][idx])
+            assert (tr_re[idx], tr_im[idx]) == (np.trace(da.re), np.trace(da.im))
 
 
 def test_monomial_unitarity():
-    m = Monomial(3, (1, 0, 2), (1, 2, 0))
-    prod = m @ m.conj_transpose()
-    assert prod.dense() == _identity(3)
+    # the adjoint of an image is (perm^-1, -phase[perm^-1]), and composing
+    # the two either way gives the identity
+    perm, phase = np.array([1, 0, 2]), np.array([1, 2, 0])
+    inv = np.argsort(perm)
+    adj = (inv, -phase[inv] & 3)
+    assert _dense(*adj) == _conj_transpose(_dense(perm, phase))
+    for prod in (compose((perm, phase), adj), compose(adj, (perm, phase))):
+        assert _dense(*prod) == _identity(3)
 
 
 def test_scaled_matrix_canonical_and_eq():

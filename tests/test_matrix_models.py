@@ -1,35 +1,24 @@
-import random
-
 import numpy as np
 import pytest
 
-from cliffharm import matrix_models
+from cliffharm import matrix_models, verify
 from cliffharm.exact import gr
-from cliffharm.elements import (
-    element_index,
-    enumerate_group,
-    identity,
-    inverse,
-    multiply,
-)
+from cliffharm.elements import CliffordElement, element_index, enumerate_group, mult_table
 from cliffharm.characters import character_value, chi, irreps, rho
 from cliffharm.gelfand import diagonal_invariant_dim
-from cliffharm.elements import TripleElement, embed
-from cliffharm.linalg import Matrix, Monomial, hs_inner
+from cliffharm.linalg import Matrix, compose, hs_inner, trace
 from cliffharm.matrix_models import (
-    EtaRep,
     FrobeniusContext,
     build_matrix_rep,
-    clifford_generators,
     intertwiner_space,
     intertwines,
     matrix_coefficient_checks,
-    triple_generators,
 )
 from cliffharm.verify import frobenius_mismatch
 from oracles import (
     ONE,
     as_gaussian,
+    dense_monomial,
     fixed_vector_rows,
     intertwiner_rows,
     permutation_character_eta,
@@ -46,56 +35,95 @@ def _adjoint(t):
     return Matrix(t.re.T, -t.im.T)
 
 
+def _is_homomorphism(table, n):
+    """table[x y] == table[x] table[y] for every pair, and the identity maps
+    to the identity."""
+    perm, phase = table
+    tab, _ = mult_table(n)
+    prod = compose((perm[:, None], phase[:, None]), (perm[None], phase[None]))
+    return (
+        np.array_equal(perm[0], np.arange(perm.shape[1]))
+        and not phase[0].any()
+        and np.array_equal(prod[0], perm[tab])
+        and np.array_equal(prod[1], phase[tab])
+    )
+
+
 def test_reps_are_homomorphisms():
-    for n in range(0, 4):
-        elems = enumerate_group(n)
-        rng = random.Random(n)
-        pairs = [(rng.choice(elems), rng.choice(elems)) for _ in range(30)]
+    for n in range(0, 5):
         for lab in irreps(n):
-            rep = build_matrix_rep(lab)
-            assert rep.image(identity(n)).dense() == _identity(rep.dim)
-            for x, y in pairs:
-                assert rep.image(multiply(x, y)) == rep.image(x) @ rep.image(y)
+            assert _is_homomorphism(build_matrix_rep(lab), n)
+
+
+def test_a_flipped_generator_phase_fails_the_homomorphism_check_and_c9(monkeypatch):
+    # gamma_1 -> i gamma_1 in rho(2): gamma_1^2 becomes -1, which the
+    # homomorphism check sees, and C9's coefficient identities fail at n = 2
+    real_gammas, real_build = matrix_models._gammas, build_matrix_rep
+
+    def flipped(n):
+        perm, phase = real_gammas(n)
+        phase[0] = (phase[0] + 1) & 3
+        return perm, phase
+
+    with monkeypatch.context() as mp:
+        mp.setattr(matrix_models, "_gammas", flipped)
+        mutated = build_matrix_rep.__wrapped__(rho(2))
+    assert not _is_homomorphism(mutated, 2)
+    assert verify.check_oracles(trace_n_max=4, coeff_n_max=2).ok
+
+    def build(label):
+        return mutated if label == rho(2) else real_build(label)
+
+    monkeypatch.setattr(matrix_models, "build_matrix_rep", build)
+    monkeypatch.setattr(verify, "build_matrix_rep", build)
+    result = verify.check_oracles(trace_n_max=4, coeff_n_max=2)
+    assert not result.ok and "coefficient identity failures at n=2" in result.detail
 
 
 def test_reps_are_unitary():
     for n in (2, 3):
+        _, inv = mult_table(n)
         for lab in irreps(n):
-            rep = build_matrix_rep(lab)
-            for g in enumerate_group(n):
-                mono = rep.image(g)
-                assert (mono @ mono.conj_transpose()).dense() == _identity(rep.dim)
-                assert rep.image(inverse(g)) == mono.conj_transpose()
+            table = build_matrix_rep(lab)
+            for g in range(2 << n):
+                u = Matrix(*dense_monomial(table[0][g], table[1][g]))
+                u_inv = Matrix(*dense_monomial(table[0][inv[g]], table[1][inv[g]]))
+                assert u_inv == _adjoint(u)
+                prod = Matrix(u.re @ u_inv.re - u.im @ u_inv.im, u.re @ u_inv.im + u.im @ u_inv.re)
+                assert prod == _identity(lab.dim)
 
 
 def test_traces_equal_characters():
     for n in range(0, 3):
         for lab in irreps(n):
-            rep = build_matrix_rep(lab)
+            re, im = trace(build_matrix_rep(lab))
             for g in enumerate_group(n):
-                assert rep.image(g).trace() == character_value(lab, g)
+                i = element_index(g)
+                assert gr(int(re[i]), int(im[i])) == character_value(lab, g)
 
 
 def test_schur():
     # End of an irrep is one-dimensional; Hom between distinct irreps is zero
     for n in (1, 2, 3):
-        gens = clifford_generators(n)
-        elems = enumerate_group(n)
-        reps = [build_matrix_rep(lab) for lab in irreps(n)]
-        for a, ra in enumerate(reps):
-            for b, rb in enumerate(reps):
-                space = intertwiner_space(ra, rb, gens, verify_on=elems)
+        gens = matrix_models._generators(n)
+        tables = [build_matrix_rep(lab) for lab in irreps(n)]
+        for a, ta in enumerate(tables):
+            for b, tb in enumerate(tables):
+                space = intertwiner_space(*(tuple(x[gens] for x in t) for t in (ta, tb)))
                 assert space.dimension == (1 if a == b else 0)
+                assert all(intertwines(t, ta, tb) for t in space.basis)
 
 
 def test_eta_traces_are_fixed_point_counts():
     # the oracle counts fixed points with multiply; the images gather from
     # mult_table
     for n, m in ((1, 1), (1, 0), (2, 2), (2, 1)):
-        eta_rep = EtaRep(n, m)
+        ctx = FrobeniusContext(n, m, chi(n), chi(n), chi(m))
         eta_char = permutation_character_eta(n, m)
-        for rep_elem, value in zip(eta_char.reps, eta_char.values):
-            assert eta_rep.image(rep_elem).trace() == gr(value)
+        for t, value in zip(eta_char.reps, eta_char.values):
+            h = CliffordElement(m, t.h.sign, t.h.mask)
+            images = ctx._eta(element_index(t.g1), element_index(t.g2), element_index(h))
+            assert trace(images) == (value, 0)
 
 
 def test_invariant_tensor_count():
@@ -130,7 +158,7 @@ def test_scalar_relation_on_orthogonal_intertwiners():
     ctx = FrobeniusContext(n, m, rho(2), rho(2), chi(1))
     basis = ctx.hom_triple_eta().basis
     assert len(basis) == 2
-    ident = _identity(ctx.triple_rep.dim)
+    ident = _identity(ctx.d1 * ctx.d2 * ctx.dt)
     for i, ti in enumerate(basis):
         for j, tj in enumerate(basis):
             prod = Matrix(
@@ -148,8 +176,8 @@ def test_adjoint_scaling():
     n, m = 2, 1
     ctx = FrobeniusContext(n, m, rho(2), rho(2), chi(1))
     basis = ctx.hom_triple_eta().basis
-    d_src = ctx.triple_rep.dim
-    d_dst = ctx.eta.dim
+    d_src = ctx.d1 * ctx.d2 * ctx.dt
+    d_dst = ctx.group_order**2
     factor = gr(d_src) / gr(d_dst)
     for t1 in basis:
         for t2 in basis:
@@ -158,13 +186,15 @@ def test_adjoint_scaling():
 
 
 def test_intertwines_predicate():
-    n = 2
-    rep = build_matrix_rep(rho(2))
-    ident = _identity(rep.dim)
-    for g in enumerate_group(n):
-        assert intertwines(ident, rep, rep, g)
+    table = build_matrix_rep(rho(2))
+    assert intertwines(_identity(2), table, table)
     bad = Matrix([[1, 0], [0, 0]], [[0, 0], [0, 0]])
-    assert not all(intertwines(bad, rep, rep, g) for g in enumerate_group(n))
+    assert not intertwines(bad, table, table)
+    # one element is enough to fail: the projector commutes with -1 and
+    # gamma_1 gamma_2 = diag(i, -i) but not with gamma_1
+    rows = [1 << 2, 3, 1]
+    assert intertwines(bad, *(tuple(x[rows[:2]] for x in table),) * 2)
+    assert not intertwines(bad, *(tuple(x[rows] for x in table),) * 2)
 
 
 def test_matrix_coefficient_identities():
@@ -184,7 +214,7 @@ def test_hat_and_coefficient_checks_see_a_phase_slip(monkeypatch):
         assert diagonal_invariant_dim(rho(2), rho(2), chi(1)) == 2
         assert frobenius_mismatch(2, 1, rho(2), rho(2), chi(1)) == "hat(tilde) != id"
     # one coefficient of chi:{1} with its phase flipped at one element
-    images = matrix_models._image_arrays
+    images = matrix_models.build_matrix_rep
 
     def flipped(label):
         perm, phase = images(label)
@@ -194,7 +224,7 @@ def test_hat_and_coefficient_checks_see_a_phase_slip(monkeypatch):
         return perm, phase
 
     with monkeypatch.context() as mp:
-        mp.setattr(matrix_models, "_image_arrays", flipped)
+        mp.setattr(matrix_models, "build_matrix_rep", flipped)
         assert matrix_coefficient_checks(1).failures
     assert matrix_coefficient_checks(1).ok
 
@@ -208,89 +238,92 @@ def _assert_solver_matches_elimination(vectors, rows, ncols):
 def test_intertwiner_solves_match_elimination():
     # Schur systems at n <= 3
     for n in (1, 2, 3):
-        gens = clifford_generators(n)
-        reps = [build_matrix_rep(lab) for lab in irreps(n)]
-        for ra in reps:
-            for rb in reps:
-                rows = intertwiner_rows(ra, rb, gens)
-                space = intertwiner_space(ra, rb, gens)
+        gens = matrix_models._generators(n)
+        tables = [tuple(x[gens] for x in build_matrix_rep(lab)) for lab in irreps(n)]
+        for ta in tables:
+            for tb in tables:
+                rows = intertwiner_rows(ta, tb)
+                space = intertwiner_space(ta, tb)
                 vecs = [as_gaussian(t.re, t.im) for t in space.basis]
-                _assert_solver_matches_elimination(vecs, rows, ra.dim * rb.dim)
+                _assert_solver_matches_elimination(vecs, rows, ta[0].shape[1] * tb[0].shape[1])
     # every C7 system at (1,1) and (1,0)
     for n, m in ((1, 1), (1, 0)):
         for r1 in irreps(n):
             for r2 in irreps(n):
                 for th in irreps(m):
                     ctx = FrobeniusContext(n, m, r1, r2, th)
-                    for src, dst, gens, space in (
-                        (ctx.triple_rep, ctx.eta, triple_generators(n, m),
-                         ctx.hom_triple_eta()),
-                        (ctx.res_rep, ctx.theta_prime, clifford_generators(m),
-                         ctx.hom_res_theta_prime()),
+                    for (src, dst), space in (
+                        (ctx._triple_eta_generators(), ctx.hom_triple_eta()),
+                        (ctx._res_theta_prime_generators(), ctx.hom_res_theta_prime()),
                     ):
-                        rows = intertwiner_rows(src, dst, gens)
+                        rows = intertwiner_rows(src, dst)
                         vecs = [as_gaussian(t.re, t.im) for t in space.basis]
-                        _assert_solver_matches_elimination(vecs, rows, src.dim * dst.dim)
+                        ncols = src[0].shape[1] * dst[0].shape[1]
+                        _assert_solver_matches_elimination(vecs, rows, ncols)
 
 
 def test_invariant_tensors_match_elimination():
     # (2,1) and (2,2) reach the phases +/-i of rho(2)
     for n, m in ((1, 1), (1, 0), (2, 1), (2, 2)):
+        every = np.arange(2 << m)
         for r1 in irreps(n):
             for r2 in irreps(n):
                 for th in irreps(m):
                     ctx = FrobeniusContext(n, m, r1, r2, th)
-                    diagonal = []
-                    for h in enumerate_group(m):
-                        hh = embed(h, n)
-                        diagonal.append(ctx.triple_rep.image(TripleElement(hh, hh, hh, m)))
+                    diagonal = ctx._triple(ctx._embed, ctx._embed, every)
                     rows = fixed_vector_rows(diagonal)
                     vecs = [as_gaussian(*b) for b in ctx.invariant_tensors()]
-                    _assert_solver_matches_elimination(vecs, rows, ctx.triple_rep.dim)
+                    _assert_solver_matches_elimination(vecs, rows, diagonal[0].shape[1])
 
 
 def test_invariant_tensors_solve_for_fixed_not_conjugate_vectors():
     # every image swaps e0 -> i e1, e1 -> -i e0; its fixed vectors are the
     # multiples of (1, i), while its conjugate's are those of (1, -i)
-    class Swap:
-        dim = 2
-
-        def image(self, t):
-            return Monomial(2, (1, 0), (1, 3))
+    def swap(i1, i2, ih):
+        shape = np.shape(ih) + (2,)
+        return np.broadcast_to([1, 0], shape), np.broadcast_to([1, 3], shape)
 
     ctx = FrobeniusContext(1, 0, irreps(1)[0], irreps(1)[0], irreps(0)[0])
-    ctx.triple_rep = Swap()
+    ctx._triple = swap
     assert [as_gaussian(*b) for b in ctx.invariant_tensors()] == [[ONE, gr(0, 1)]]
 
 
-def _exponent_phases(mono):
-    return all(type(p) is int and 0 <= p < 4 for p in mono.phase)
+def _exponent_phases(table):
+    perm, phase = table
+    d = perm.shape[-1]
+    return (
+        perm.dtype == phase.dtype == np.int64
+        and ((0 <= phase) & (phase < 4)).all()
+        and (np.sort(perm, axis=-1) == np.arange(d)).all()  # each row a permutation
+    )
 
 
 def test_images_carry_exponent_phases():
     for n in range(0, 5):
         for lab in irreps(n):
-            rep = build_matrix_rep(lab)
-            assert all(_exponent_phases(rep.image(g)) for g in clifford_generators(n))
+            table = build_matrix_rep(lab)
+            assert _exponent_phases(table)
+            assert not (table[0].flags.writeable or table[1].flags.writeable)
     for n in (1, 2):
         for m in (n, n - 1):
-            eta = EtaRep(n, m)
-            assert all(_exponent_phases(eta.image(t)) for t in triple_generators(n, m))
+            ctx = FrobeniusContext(n, m, rho(n, "+" if n % 2 else ""), chi(n), chi(m))
+            for table in ctx._triple_eta_generators() + ctx._res_theta_prime_generators():
+                assert _exponent_phases(table)
 
 
 def test_non_unit_phase_is_rejected():
-    # a phase that is not an exponent of i, here the Gaussian rational 2
-    class Scaled:
-        dim = 1
-
-        def image(self, g):
-            return Monomial(1, (0,), (gr(2),))
-
-    rep = build_matrix_rep(chi(1))
-    with pytest.raises(TypeError):
-        intertwiner_space(Scaled(), rep, clifford_generators(1))
-    with pytest.raises(TypeError):
-        intertwiner_space(rep, Scaled(), clifford_generators(1))
+    # phases that are not exponents of i: a float array, and an object array
+    # holding the Gaussian rational 2
+    gens = matrix_models._generators(1)
+    table = tuple(x[gens] for x in build_matrix_rep(chi(1)))
+    for bad_phase in (np.full((2, 1), 0.5), np.full((2, 1), gr(2), dtype=object)):
+        scaled = (table[0], bad_phase)
+        with pytest.raises(TypeError):
+            intertwiner_space(scaled, table)
+        with pytest.raises(TypeError):
+            intertwiner_space(table, scaled)
+        with pytest.raises(TypeError):
+            intertwines(_identity(1), scaled, table)
 
 
 def test_isometry_at_odd_degree_spin_pairs():
