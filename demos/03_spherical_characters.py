@@ -2,7 +2,9 @@
 
 The diagonal conjugation action on pairs has orbits of size 1, 2 or 4 with
 a complete case analysis; spherical characters are constant on the induced
-triples and admit closed forms family by family.
+triples and admit closed forms family by family.  Permuting the (label,
+point) slots together leaves a spherical character unchanged, so every
+ordering of chi and spin labels is one of the chi-first families.
 
 Run:  python3 demos/03_spherical_characters.py
 """
@@ -50,6 +52,18 @@ for masks in (((1,), (1,), ()), ((1, 2), (1,), (2, 3)), ((), (2,), (1, 3))):
     at = ", ".join(format_element(g) for g in (t.g1, t.g2, t.h))
     print(f"psi({at}) = {format_gaussian(res.value):8s}"
           f" [family {res.family}, direct {format_gaussian(direct)}]")
+
+# swapping the first two (label, point) slots together keeps the value
+for sigma, gs in (
+    (TripleIrrepLabel(chi(n, (1,)), rho(n, "+"), rho(n, "+")), ((1,), (), (1, 2, 3))),
+    (TripleIrrepLabel(rho(n, "+"), chi(n, (1,)), rho(n, "+")), ((), (1,), (1, 2, 3))),
+):
+    t = TripleElement(*(element(n, 1, g) for g in gs), n)
+    q = SphericalQuery(sigma, t)
+    res = spherical_closed_form(q)
+    at = ", ".join(format_element(g) for g in (t.g1, t.g2, t.h))
+    print(f"{str(sigma):22s} psi({at}) = {format_gaussian(res.value)}"
+          f" [family {res.family}, direct {format_gaussian(spherical_value(q))}]")
 
 print("\n== exhaustive grids (every family, every sign, every subset) ==\n")
 for deg in (1, 2, 3):

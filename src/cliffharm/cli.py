@@ -212,14 +212,12 @@ def cmd_spherical(args):
         [
             ("value", format_gaussian(direct)),
             ("family", closed.family),
-            ("closed_form", "yes" if closed.analyzed else "no (direct summation)"),
         ],
         None,
         {
             "value": gaussian_to_json(direct),
             "value_str": format_gaussian(direct),
             "family": closed.family,
-            "analyzed": closed.analyzed,
         },
     )
     return 0

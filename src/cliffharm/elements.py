@@ -50,6 +50,12 @@ def _check_degree(n: int, guard: int = MAX_DEGREE) -> None:
         raise GuardError(f"degree {n} outside supported range [0, {guard}]")
 
 
+def _check_subgroup_degree(n: int, m: int, what="subgroup degree", error=ValueError) -> None:
+    """CL(m) must be CL(n) or CL(n - 1)."""
+    if m not in (n, n - 1):
+        raise error(f"{what} must be n or n-1, got m={m} for n={n}")
+
+
 def mask_of(subset) -> int:
     """Bitmask of an iterable of 1-based indices (ints pass through)."""
     if isinstance(subset, int):
@@ -74,16 +80,6 @@ def xi(a, b) -> int:
         count += (bm & (low - 1)).bit_count()
         am ^= low
     return count
-
-
-def xi_sign(am: int, bm: int) -> int:
-    """(-1)^xi(A,B) on raw masks; the hot-path version of xi."""
-    s = 0
-    while am:
-        low = am & -am
-        s ^= (bm & (low - 1)).bit_count()
-        am ^= low
-    return -1 if s & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def identity(n: int) -> CliffordElement:
 def multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     if x.degree != y.degree:
         raise DegreeMismatchError(f"degrees differ: {x.degree} != {y.degree}")
-    sign = x.sign * y.sign * xi_sign(x.mask, y.mask)
+    sign = x.sign * y.sign * (1 - 2 * (xi(x.mask, y.mask) & 1))
     return CliffordElement(x.degree, sign, x.mask ^ y.mask)
 
 
@@ -198,6 +194,17 @@ def index_product(i, j, n: int):
     overflows int64; multiply is the oracle."""
     full = (1 << n) - 1
     return i ^ j ^ (_xi_parity(i & full, j & full) << n)
+
+
+def index_sign_mask(i, n: int):
+    """(sign, mask) of element index i in CL(n), for ints or int64 arrays."""
+    return 1 - 2 * (i >> n), i & ((1 << n) - 1)
+
+
+def embed_index(i, m: int, n: int):
+    """The CL(n) index of the element with index i in CL(m), m <= n, ints
+    or int64 arrays: the sign bit moves from bit m to bit n."""
+    return (i >> m) << n | i & ((1 << m) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +317,7 @@ class TripleElement:
         m = self.subgroup_degree
         if self.g2.degree != n or self.h.degree != n:
             raise DegreeMismatchError("triple components must share degree")
-        if m not in (n, n - 1) and not (n == 0 and m == 0):
-            raise ValueError(f"subgroup degree must be n or n-1, got m={m} for n={n}")
+        _check_subgroup_degree(n, m)
         if self.h.mask >> m:
             raise ValueError(f"h lies outside the embedded subgroup CL({m})")
 

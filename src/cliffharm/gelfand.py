@@ -35,9 +35,12 @@ from .exact import GaussianRational, gr
 from .elements import (
     DegreeMismatchError,
     _check_degree,
+    _check_subgroup_degree,
     _minus_one_to,
     _xi_parity,
     TripleElement,
+    embed_index,
+    index_sign_mask,
     mult_table,
 )
 from .characters import (
@@ -68,10 +71,7 @@ class TripleIrrepLabel:
         m = self.theta.degree
         if self.rho2.degree != n:
             raise DegreeMismatchError("rho1 and rho2 must share degree")
-        if m not in (n, n - 1):
-            raise DegreeMismatchError(
-                f"theta degree must be n or n-1, got {m} for n={n}"
-            )
+        _check_subgroup_degree(n, m, "theta degree", DegreeMismatchError)
 
     @property
     def dim(self) -> int:
@@ -201,8 +201,7 @@ class GelfandReport:
 def gelfand_check_characters(n: int, m: int) -> GelfandReport:
     """Every multiplicity of the pair: each two-spin sum runs over the chi
     label in the remaining position as one int64 array."""
-    if m not in (n, n - 1) and not (n == 0 and m == 0):
-        raise ValueError(f"subgroup degree must be n or n-1, got m={m}")
+    _check_subgroup_degree(n, m)
     _check_degree(n)
     degrees = (n, n, m)
     two_spin = {}
@@ -253,8 +252,8 @@ def conj_summands(label: IrrepLabel, m: int, sign, mask):
     and a sum of one over all 2^17 elements h stays below 2^41: int64 is
     exact up to n = 16.
     """
-    h = np.arange(2 << m, dtype=np.int64)[:, None]  # element_index order
-    d, s = h & ((1 << m) - 1), 1 - 2 * (h >> m)
+    # rows in element_index order
+    s, d = index_sign_mask(np.arange(2 << m, dtype=np.int64)[:, None], m)
     re, im = char_re_im(label, s * sign * (1 - 2 * _xi_parity(d, mask)), d ^ mask)
     return re, -im
 
@@ -294,8 +293,7 @@ def gelfand_check_biinvariant(n: int, m: int) -> bool:
     elements.mult_table; nothing here reads a character.
     """
     _check_degree(n, MAX_CONVOLUTION_DEGREE)
-    if m not in (n, n - 1) and not (n == 0 and m == 0):
-        raise ValueError(f"subgroup degree must be n or n-1, got m={m}")
+    _check_subgroup_degree(n, m)
     tg, inv_g = mult_table(n)
     th, inv_h = mult_table(m)
     og, oh = 1 << (n + 1), 1 << (m + 1)
@@ -306,7 +304,7 @@ def gelfand_check_biinvariant(n: int, m: int) -> bool:
     # the diagonal copy of CL(m); the first two components see an element
     # through its CL(n) index (the sign bit moves)
     h = np.arange(oh)
-    emb = ((h >> m) << n) | (h & ((1 << m) - 1))
+    emb = embed_index(h, m, n)
     # label every k by the least key of diag(h) k diag(h'): the least over h'
     # first, then the least of those over h.  Updating in place is exact,
     # because every value read is a key of the same double coset

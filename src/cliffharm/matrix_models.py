@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import GuardError, _xor_fold, mult_table
+from .elements import GuardError, _xor_fold, embed_index, mult_table
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
 from .linalg import (
     Matrix,
@@ -209,8 +209,7 @@ class FrobeniusContext:
         self.rep_theta = build_matrix_rep(theta)
         self.d1, self.d2, self.dt = rho1.dim, rho2.dim, theta.dim
         self.group_order = 1 << (n + 1)
-        h = np.arange(2 << m, dtype=np.int64)
-        self._embed = (h >> m) << n | h & ((1 << m) - 1)  # CL(m) index -> CL(n)
+        self._embed = embed_index(np.arange(2 << m, dtype=np.int64), m, n)
 
     # the derived models, at element indices broadcast against each other
 

@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .elements import MAX_DEGREE, CliffordElement, TripleElement, format_element
+from .elements import MAX_DEGREE, CliffordElement, TripleElement, format_element, index_sign_mask
 from .characters import (
     IrrepLabel,
     chi,
@@ -44,7 +44,6 @@ from .matrix_models import (
 )
 from .linalg import ScaledMatrix, hs_inner, scaled_hs_inner, trace
 from .orbits import (
-    ANALYZED_FAMILIES,
     MAX_PAIR_ORBIT_DEGREE,
     SphericalQuery,
     closed_vs_direct_grids,
@@ -302,8 +301,7 @@ def check_oracles(trace_n_max=MAX_RHO_MODEL_DEGREE, coeff_n_max=MAX_ETA_DEGREE):
     """The trace of every image table against char_re_im at every element,
     one array comparison per irrep, then the coefficient identities."""
     for n in range(0, trace_n_max + 1):
-        idx = np.arange(2 << n)
-        sign, mask = 1 - 2 * (idx >> n), idx & ((1 << n) - 1)
+        sign, mask = index_sign_mask(np.arange(2 << n), n)
         for lab in irreps(n):
             re, im = trace(build_matrix_rep(lab))
             want_re, want_im = char_re_im(lab, sign, mask)
@@ -340,40 +338,41 @@ def check_deep_extras(seed=0):
 @_check("D2", "sampled spherical closed forms equal direct summation")
 def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
     """spherical_closed_form against spherical_value at 32 seeded points per
-    degree, cycling over the analyzed families.
+    degree, cycling over the eight chi/spin orderings of the slots.
 
-    Every second block of four ties T3 to T2 (in the last 16 points, to its
-    complement), and every second chi-chi-chi block of eight sets C = A ^ B,
-    so each nonzero branch of the closed form is hit.
+    In the second block of eight the first and last spin slots get equal
+    masks, in the fourth complementary ones, and in both the chi-chi-chi
+    labels cancel (C = A ^ B), so each nonzero branch of the closed form is
+    hit in every ordering.
     """
     rng = random.Random(seed)
+    orderings = list(product(("chi", "rho"), repeat=3))
     for n in degrees:
         spins = [lab for lab in irreps(n) if lab.kind != "chi"]
         for k in range(32):
-            family = ANALYZED_FAMILIES[k % 4]
+            kinds = orderings[k % 8]
             labels = [
                 chi(n, rng.randrange(1 << n)) if kind == "chi" else rng.choice(spins)
-                for kind in family.split("-")
+                for kind in kinds
             ]
-            if family == "chi-chi-chi" and k // 8 % 2:
+            at = [CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n)) for _ in kinds]
+            spin_at = [i for i, kind in enumerate(kinds) if kind == "rho"]
+            if k // 8 % 2 and not spin_at:
                 labels[2] = chi(n, labels[0].mask ^ labels[1].mask)
-            g1, g2, h = (
-                CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n))
-                for _ in range(3)
-            )
-            if k // 4 % 2:
-                t3 = g2.mask ^ ((1 << n) - 1 if k >= 16 else 0)
-                h = CliffordElement(n, h.sign, t3)
-            q = SphericalQuery(TripleIrrepLabel(*labels), TripleElement(g1, g2, h, n))
+            elif k // 8 % 2 and len(spin_at) > 1:
+                i, j = spin_at[0], spin_at[-1]
+                t = at[i].mask ^ ((1 << n) - 1 if k >= 16 else 0)
+                at[j] = CliffordElement(n, at[j].sign, t)
+            q = SphericalQuery(TripleIrrepLabel(*labels), TripleElement(*at, n))
             closed, direct = spherical_closed_form(q).value, spherical_value(q)
             if closed != direct:
                 sigma = ", ".join(map(format_label, labels))
-                at = ", ".join(map(format_element, (g1, g2, h)))
                 return False, (
-                    f"{family} at n={n}, sigma=({sigma}), at=({at}): "
+                    f"{'-'.join(kinds)} at n={n}, sigma=({sigma}), "
+                    f"at=({', '.join(map(format_element, at))}): "
                     f"closed {closed} != direct {direct}"
                 )
-    return True, f"32 points per degree, n in {tuple(degrees)} (seed {seed})"
+    return True, f"32 points per degree, all 8 orderings, n in {tuple(degrees)} (seed {seed})"
 
 
 LEVELS = ("smoke", "desk", "deep")

@@ -120,13 +120,22 @@ def test_spherical(capsys):
     )
     assert payload["value_str"] == "1"
     assert payload["family"] == "chi-chi-chi"
-    assert payload["analyzed"] is True
     payload = run_json(
         capsys, "spherical", "3",
         "--triple", "chi:{1},rho+,rho-",
         "--at", "+g{1,2},+g{1},-g{2,3}",
     )
     assert payload["family"] == "chi-rho-rho"
+
+
+def test_spherical_reads_any_ordering_in_closed_form(capsys):
+    code, out, _ = run(
+        capsys, "spherical", "16",
+        "--triple", "rho,chi:{1},rho",
+        "--at", "+g{1,2},-g{1},+g{1,2}",
+    )
+    assert code == 0
+    assert out.splitlines() == ["value  1", "family  rho-chi-rho"]
 
 
 def test_spherical_mismatch_exits_1(capsys, monkeypatch):

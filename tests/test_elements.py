@@ -33,7 +33,6 @@ from cliffharm.elements import (
     triple_identity,
     triple_multiply,
     xi,
-    xi_sign,
 )
 
 from oracles import enumerated_conjugacy_classes, triple_inverse
@@ -82,7 +81,6 @@ def test_xi_agrees_with_definition():
             b = [i + 1 for i in range(4) if bm >> i & 1]
             count = sum(1 for x in a for y in b if x > y)
             assert xi(a, b) == count
-            assert xi_sign(am, bm) == (-1) ** count
 
 
 def test_conjugation_sign_closed_form():

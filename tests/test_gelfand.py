@@ -173,6 +173,22 @@ def test_guards():
         gelfand_check_characters(3, 1)
 
 
+SUBGROUP_DEGREE_CHECKS = {
+    "TripleElement": lambda n, m: TripleElement(identity(n), identity(n), identity(n), m),
+    "TripleIrrepLabel": lambda n, m: TripleIrrepLabel(chi(n), chi(n), chi(m)),
+    "gelfand_check_characters": gelfand_check_characters,
+    "gelfand_check_biinvariant": gelfand_check_biinvariant,
+}
+
+
+@pytest.mark.parametrize("make", SUBGROUP_DEGREE_CHECKS.values(), ids=SUBGROUP_DEGREE_CHECKS)
+def test_one_subgroup_degree_rule(make):
+    for m in (3, 0):  # n + 1 and n - 2 at n = 2
+        with pytest.raises(ValueError, match="must be n or n-1"):
+            make(2, m)
+    make(0, 0)
+
+
 def test_eta_multiplicities_match_invariant_dims():
     for n, m in ((2, 2), (2, 1)):
         eta = permutation_character_eta(n, m)

@@ -20,7 +20,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Public names and methods that only the tests call, kept because README.md
 # documents them as API; each must appear there in backticks.
 DOCUMENTED_API = {
-    "center", "xi", "triple_identity", "triple_multiply", "triple_action",
+    "center", "triple_identity", "triple_multiply", "triple_action",
     "gaussian_from_json", "abs2", "is_rational", "is_integer", "is_zero",
     "multiplicity",
 }

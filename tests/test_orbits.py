@@ -16,9 +16,9 @@ from cliffharm.elements import (
     enumerate_group,
     identity,
 )
-from cliffharm.characters import chi, rho
+from cliffharm.characters import chi, irreps, rho
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
-from cliffharm import gelfand, orbits
+from cliffharm import gelfand, orbits, verify
 from cliffharm.orbits import (
     PairOrbit,
     SphericalQuery,
@@ -193,11 +193,19 @@ def test_closed_forms_by_family():
     q = _query(n, sigma, element(n, 1, (1,)), identity(n), identity(n))
     r = spherical_closed_form(q)
     assert r.family == "chi-chi-chi" and r.value == gr(-1)
-    # unanalyzed orderings fall back to direct summation but stay correct
-    sigma = TripleIrrepLabel(rho(n, "+"), chi(n, (1,)), rho(n, "-"))
-    q = _query(n, sigma, identity(n), identity(n), identity(n))
-    r = spherical_closed_form(q)
-    assert not r.analyzed and r.value == spherical_value(q)
+    # any other ordering is read, slots permuted, off the chi-first formula
+    # for its spin count, and reports its own ordering
+    g1, g2, h = element(n, 1, ()), element(n, 1, (1,)), element(n, 1, (1, 2, 3))
+    r = spherical_closed_form(
+        _query(n, TripleIrrepLabel(rho(n, "+"), chi(n, (1,)), rho(n, "+")), g1, g2, h)
+    )
+    chi_first = _query(n, TripleIrrepLabel(chi(n, (1,)), rho(n, "+"), rho(n, "+")), g2, g1, h)
+    assert r.analyzed and r.family == "rho-chi-rho"
+    assert r.value == spherical_closed_form(chi_first).value == gr(0, -1)
+    assert r.value == spherical_value(chi_first)
+    q = _query(n, TripleIrrepLabel(rho(n, "-"), chi(n, (1,)), chi(n, (2,))), g1, g2, h)
+    assert spherical_closed_form(q).family == "rho-chi-chi"
+    assert spherical_closed_form(q).value == spherical_value(q) == gr(0)
 
 
 def test_closed_equals_direct_sampled():
@@ -242,16 +250,18 @@ def test_point_and_grid_share_one_closed_form(monkeypatch):
     # a slip in _closed_scaled must show up both at a point and on the grid
     real = orbits._closed_scaled
 
-    def negated(n, family, *slots):
-        re, im = real(n, family, *slots)
-        return (-re, -im) if family == "chi-rho-rho" else (re, im)
+    def negated(n, spins, *slots):
+        re, im = real(n, spins, *slots)
+        return (-re, -im) if spins == 2 else (re, im)
 
     monkeypatch.setattr(orbits, "_closed_scaled", negated)
     n = 2
     sigma = TripleIrrepLabel(chi(n, (1,)), rho(n), rho(n))
-    g2 = element(n, 1, (1, 2))
-    q = _query(n, sigma, element(n, 1, (1,)), g2, g2)  # T2 = T3
+    g1, g2 = element(n, 1, (1,)), element(n, 1, (1, 2))
+    q = _query(n, sigma, g1, g2, g2)  # T2 = T3
     assert spherical_value(q) != gr(0)
+    assert spherical_closed_form(q).value != spherical_value(q)
+    q = _query(n, TripleIrrepLabel(rho(n), rho(n), chi(n, (1,))), g2, g2, g1)
     assert spherical_closed_form(q).value != spherical_value(q)
     agree = {r.family: r.agree for r in closed_vs_direct_grids(n)}
     assert agree == {
@@ -283,3 +293,91 @@ def test_point_and_grid_share_one_direct_sum(monkeypatch):
         "chi-chi-chi": True, "rho-rho-rho": True,
         "chi-rho-rho": False, "chi-chi-rho": True,
     }
+
+
+ORDERINGS = list(product(("chi", "rho"), repeat=3))
+
+
+def _sample(rng, n, kinds, tie=0):
+    """A seeded query whose slots have the given chi/spin kinds.  tie = 1
+    gives the first and last spin slots equal masks and tie = 2
+    complementary ones; with no spin slot, any tie makes the chi labels
+    cancel."""
+    spins = [lab for lab in irreps(n) if lab.kind != "chi"]
+    labels = [chi(n, rng.randrange(1 << n)) if k == "chi" else rng.choice(spins) for k in kinds]
+    at = [CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << n)) for _ in kinds]
+    spin_at = [i for i, k in enumerate(kinds) if k == "rho"]
+    if tie and not spin_at:
+        labels[2] = chi(n, labels[0].mask ^ labels[1].mask)
+    elif tie and len(spin_at) > 1:
+        i, j = spin_at[0], spin_at[-1]
+        t = at[i].mask ^ ((1 << n) - 1 if tie == 2 else 0)
+        at[j] = CliffordElement(n, at[j].sign, t)
+    return SphericalQuery(TripleIrrepLabel(*labels), TripleElement(*at, n))
+
+
+def _closed_form_mismatches():
+    """The queries at which spherical_closed_form and spherical_value
+    differ, out of every label triple at every point for n = 1 and 24
+    seeded points per ordering for n = 2..4, half of them tied; also
+    asserts that every ordering with an even number of spin slots meets a
+    nonzero value at every n."""
+    group = enumerate_group(1)
+    queries = [
+        SphericalQuery(TripleIrrepLabel(*sigma), TripleElement(*at, 1))
+        for sigma in product(irreps(1), repeat=3)
+        for at in product(group, repeat=3)
+    ]
+    rng = random.Random(13)
+    queries += [
+        _sample(rng, n, kinds, tie=(0, 1, 0, 2)[k % 4])
+        for n in (2, 3, 4)
+        for kinds in ORDERINGS
+        for k in range(24)
+    ]
+    direct = [spherical_value(q) for q in queries]
+    nonzero = {
+        (q.at.degree, spherical_closed_form(q).family)
+        for q, value in zip(queries, direct)
+        if value != gr(0)
+    }
+    even = {"-".join(kinds) for kinds in ORDERINGS if kinds.count("rho") % 2 == 0}
+    assert nonzero == {(n, family) for n in (1, 2, 3, 4) for family in even}
+    return [q for q, value in zip(queries, direct) if spherical_closed_form(q).value != value]
+
+
+def test_every_ordering_has_a_closed_form():
+    assert _closed_form_mismatches() == []
+
+
+def test_closed_form_never_sums(monkeypatch):
+    # all eight orderings at n = 16 with both direct sums disabled
+    rng = random.Random(16)
+    queries = [_sample(rng, 16, kinds, tie=1) for kinds in ORDERINGS]
+    want = [spherical_value(q) for q in queries]
+
+    def summing(*args):
+        raise AssertionError("the closed form summed over the group")
+
+    monkeypatch.setattr(gelfand, "conj_summands", summing)
+    monkeypatch.setattr(orbits, "conj_summands", summing)
+    monkeypatch.setattr(orbits, "spherical_value", summing)
+    results = [spherical_closed_form(q) for q in queries]
+    assert [r.value for r in results] == want
+    assert [r.family for r in results] == ["-".join(kinds) for kinds in ORDERINGS]
+    assert all(r.analyzed for r in results)
+    assert sum(value != gr(0) for value in want) == 4  # the even spin counts
+
+
+def test_a_sort_that_leaves_the_points_behind_is_caught(monkeypatch):
+    # mutation: the chi labels move to the front but their points stay put;
+    # orbits' module-level `sorted` is shadowed, which only
+    # spherical_closed_form reaches here
+    def labels_only(slots, key=None):
+        slots = list(slots)
+        moved = sorted(slots, key=key)
+        return [(lab, g) for (lab, _), (_, g) in zip(moved, slots)]
+
+    monkeypatch.setattr(orbits, "sorted", labels_only, raising=False)
+    assert _closed_form_mismatches()
+    assert not verify.check_sampled_spherical(degrees=(5, 6)).ok

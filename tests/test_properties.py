@@ -28,7 +28,6 @@ from cliffharm.elements import (
     is_central,
     multiply,
     xi,
-    xi_sign,
 )
 from cliffharm.orbits import orbit_of, predicted_orbit
 from oracles import UNITS
@@ -47,12 +46,6 @@ def elements(draw, n):
 def degree_and_elements(draw, k):
     n = draw(degrees)
     return n, [draw(elements(n)) for _ in range(k)]
-
-
-@given(degree_and_elements(2))
-def test_xi_sign_is_the_parity_of_xi(case):
-    _, (x, y) = case
-    assert xi_sign(x.mask, y.mask) == (-1) ** xi(x.mask, y.mask)
 
 
 @given(degree_and_elements(2))
