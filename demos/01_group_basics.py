@@ -5,7 +5,7 @@ Run:  python3 demos/01_group_basics.py
 """
 
 from cliffharm import (
-    conjugacy_classes,
+    CliffordElement,
     element,
     format_element,
     identity,
@@ -14,6 +14,7 @@ from cliffharm import (
     irreps,
     multiply,
 )
+from cliffharm.elements import class_keys, is_central
 from cliffharm.exact import format_gaussian
 
 n = 3
@@ -33,19 +34,17 @@ print("check:", format_element(multiply(g123, inverse(g123))),
 
 # conjugacy classes: central elements are singletons, the rest pair up as +-x
 print(f"\n== conjugacy classes of CL({n}) ==")
-for cls in conjugacy_classes(n):
-    print(f"  {format_element(cls.representative):12s} size {cls.size}")
+reps = [CliffordElement(n, s, m) for s, m in zip(*(a.tolist() for a in class_keys(n)))]
+for x in reps:
+    print(f"  {format_element(x):12s} size {1 if is_central(x.mask, n) else 2}")
 
 # the character table: 2^n linear characters plus the spin characters
 print(f"\n== irreducible characters of CL({n}) ==")
-classes = conjugacy_classes(n)
-header = "  ".join(f"{format_element(c.representative):>9s}" for c in classes)
+header = "  ".join(f"{format_element(x):>9s}" for x in reps)
 print(f"{'':12s}{header}")
 for lab in irreps(n):
     f = irrep_character(lab)
-    row = "  ".join(
-        f"{format_gaussian(f.value_at(c.representative)):>9s}" for c in classes
-    )
+    row = "  ".join(f"{format_gaussian(f.value_at(x)):>9s}" for x in reps)
     print(f"{str(lab):12s}{row}")
 
 print("\nsum of squared dimensions:",

@@ -17,12 +17,9 @@ from .elements import (
     multiply,
     inverse,
     conjugate,
-    embed,
     enumerate_group,
-    conjugacy_classes,
     parse_element,
     format_element,
-    triple,
 )
 from .characters import (
     IrrepLabel,

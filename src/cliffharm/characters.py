@@ -33,7 +33,6 @@ from .elements import (
     _minus_one_to,
     _parse_mask,
     class_index,
-    class_key,
     class_keys,
     is_central,
     mask_of,
@@ -154,7 +153,7 @@ def character_value(label: IrrepLabel, g: CliffordElement) -> GaussianRational:
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
     """A function CL(n) -> Q(i) constant on conjugacy classes: its value on
-    the k-th class of conjugacy_classes(n) is (re[k] + i im[k]) / 2^shift,
+    the k-th class of class_keys(n) is (re[k] + i im[k]) / 2^shift,
     with re and im read-only int64 arrays."""
 
     degree: int
@@ -181,7 +180,8 @@ class ClassFunction:
     def value_at(self, g: CliffordElement) -> GaussianRational:
         if g.degree != self.degree:
             raise DegreeMismatchError("element degree mismatch")
-        return self.values[class_key(g)]
+        central = is_central(g.mask, self.degree)
+        return self.values[(g.sign if central else 1, g.mask)]
 
     def __mul__(self, other: "ClassFunction") -> "ClassFunction":
         if self.degree != other.degree:

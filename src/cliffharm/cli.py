@@ -16,9 +16,11 @@ import sys
 
 from .exact import format_gaussian, gaussian_to_json
 from .elements import (
+    CliffordElement,
     TripleElement,
-    conjugacy_classes,
+    class_keys,
     format_element,
+    is_central,
     multiply,
     parse_element,
 )
@@ -79,16 +81,17 @@ def cmd_multiply(args):
 
 
 def cmd_classes(args):
-    classes = conjugacy_classes(args.n)
+    n = args.n
     rows = [
-        (format_element(c.representative), c.size) for c in classes
+        (format_element(CliffordElement(n, sign, mask)), 1 if is_central(mask, n) else 2)
+        for sign, mask in zip(*(a.tolist() for a in class_keys(n)))
     ]
     _emit(
         args,
         rows,
         ("representative", "size"),
         {
-            "degree": args.n,
+            "degree": n,
             "classes": [{"representative": r, "size": s} for r, s in rows],
         },
     )
@@ -277,8 +280,19 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts like a negative element, '-g{', as a
+    value, never as an option, so '-g{1}' and '--pair -g{1},+g{2}' parse
+    without a '--'."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string.startswith("-g{"):
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="cliffharm",
         description="Exact harmonic analysis on the Clifford groups CL(n).",
     )

@@ -5,18 +5,17 @@ CL(n) = {+/- gamma_A : A subset of {1..n}} with the twisted multiplication
     e1*gamma_A . e2*gamma_B = e1*e2*(-1)^xi(A,B) gamma_{A xor B}
 
 where xi(A, B) counts pairs (a, b) in A x B with a > b.  Subsets are stored
-as machine-word bitmasks (bit i-1 <-> index i), so xi is a masked-popcount
-loop and multiplication is a couple of integer operations.
+as machine-word bitmasks (bit i-1 <-> index i), and an element is the index
+sign_bit << n | mask.  index_product is the one group law: it multiplies
+indices, ints or int64 arrays, reading xi(A, B) mod 2 off a shift-XOR fold.
+multiply, inverse and conjugate call it on element_index, and mult_table
+is one broadcast call of it over the whole group.
 
 Conjugation only flips signs (the sign-flip lemma, see conjugation_sign):
 gamma_A keeps its sign under every conjugation exactly when it is central
 (is_central), and otherwise +/- gamma_A form one class of size 2.  The
-class partition, class_key and the centre are read off that lemma; nothing
-here enumerates the group to find them.
-
-Whole-group computations (the eta images, the convolution algebra, the
-matrix-coefficient identities) read mult_table, the product and inverse
-tables on element indices, built for all pairs at once by a shift-XOR fold.
+class partition, class_keys and class_index, is read off that lemma;
+nothing here enumerates the group to find it.
 """
 
 from __future__ import annotations
@@ -70,18 +69,6 @@ def subset_of(mask: int) -> frozenset:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def xi(a, b) -> int:
-    """Number of pairs (x, y) in A x B with x > y."""
-    am = mask_of(a)
-    bm = mask_of(b)
-    count = 0
-    while am:
-        low = am & -am
-        count += (bm & (low - 1)).bit_count()
-        am ^= low
-    return count
-
-
 @dataclass(frozen=True)
 class CliffordElement:
     """A signed subset (sign, A) representing sign * gamma_A in CL(n)."""
@@ -115,22 +102,33 @@ def identity(n: int) -> CliffordElement:
     return CliffordElement(n, 1, 0)
 
 
+def _element_at(i: int, n: int) -> CliffordElement:
+    return CliffordElement(n, *index_sign_mask(i, n))
+
+
+def _index_inverse(i, n: int):
+    """Index of x_i^-1, ints or int64 arrays: x^2 = +/-1 is
+    index_product(i, i, n), so x^-1 = x^2 x."""
+    return i ^ index_product(i, i, n)
+
+
 def multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     if x.degree != y.degree:
         raise DegreeMismatchError(f"degrees differ: {x.degree} != {y.degree}")
-    sign = x.sign * y.sign * (1 - 2 * (xi(x.mask, y.mask) & 1))
-    return CliffordElement(x.degree, sign, x.mask ^ y.mask)
+    return _element_at(index_product(element_index(x), element_index(y), x.degree), x.degree)
 
 
 def inverse(x: CliffordElement) -> CliffordElement:
-    k = x.mask.bit_count()
-    sign = x.sign * (-1 if (k * (k - 1) // 2) & 1 else 1)
-    return CliffordElement(x.degree, sign, x.mask)
+    return _element_at(_index_inverse(element_index(x), x.degree), x.degree)
 
 
 def conjugate(x: CliffordElement, c: CliffordElement) -> CliffordElement:
-    """c^-1 * x * c, by composed multiplications."""
-    return multiply(multiply(inverse(c), x), c)
+    """c^-1 * x * c, by index_product."""
+    if x.degree != c.degree:
+        raise DegreeMismatchError(f"degrees differ: {x.degree} != {c.degree}")
+    n, k = x.degree, element_index(c)
+    left = index_product(_index_inverse(k, n), element_index(x), n)
+    return _element_at(index_product(left, k, n), n)
 
 
 def conjugation_sign(a_mask: int, c_mask: int) -> int:
@@ -141,12 +139,6 @@ def conjugation_sign(a_mask: int, c_mask: int) -> int:
     """
     e = a_mask.bit_count() * c_mask.bit_count() - (a_mask & c_mask).bit_count()
     return -1 if e & 1 else 1
-
-
-def embed(x: CliffordElement, n: int) -> CliffordElement:
-    if x.degree > n:
-        raise DegreeMismatchError(f"cannot embed degree {x.degree} into degree {n}")
-    return CliffordElement(n, x.sign, x.mask)
 
 
 def enumerate_group(n: int):
@@ -189,9 +181,8 @@ def _xi_parity(a, b):
 def index_product(i, j, n: int):
     """Index of x_i * x_j on element indices sign_bit << n | mask, ints or
     int64 arrays: the masks XOR, and the sign bits XOR with xi(a, b) mod 2.
-    x^2 = +/-1 is index_product(i, i, n), so x^-1 = x^2 x is i ^ that.
     Indices are below 2^17 and the fold reads masks below 2^16, so nothing
-    overflows int64; multiply is the oracle."""
+    overflows int64; the xi loop in tests/oracles.py is the oracle."""
     full = (1 << n) - 1
     return i ^ j ^ (_xi_parity(i & full, j & full) << n)
 
@@ -215,7 +206,7 @@ def mult_table(n: int):
     _check_degree(n, MAX_TABLE_DEGREE)
     idx = np.arange(2 << n, dtype=np.int64)
     tab = index_product(idx[:, None], idx, n)
-    inv = idx ^ tab.diagonal()
+    inv = _index_inverse(idx, n)
     tab.setflags(write=False)
     inv.setflags(write=False)
     return tab, inv
@@ -227,37 +218,13 @@ def is_central(mask, n: int):
     return (mask == 0) | ((n % 2 == 1) & (mask == (1 << n) - 1))
 
 
-def class_key(x: CliffordElement):
-    """(sign, mask) of the representative of x's conjugacy class."""
-    return (x.sign, x.mask) if is_central(x.mask, x.degree) else (1, x.mask)
-
-
-def center(n: int):
-    """{+/-1} for n even, plus {+/- gamma_Xn} for n odd."""
-    _check_degree(n)
-    return [
-        CliffordElement(n, sign, mask)
-        for mask in sorted({0, (1 << n) - 1})
-        if is_central(mask, n)
-        for sign in (1, -1)
-    ]
-
-
-@dataclass(frozen=True)
-class ConjugacyClass:
-    representative: CliffordElement
-    members: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 @lru_cache(maxsize=None)
 def class_keys(n: int):
     """(signs, masks): read-only int64 arrays of the class representatives'
-    keys, in conjugacy_classes order: every +gamma_mask by ascending mask,
-    then -1, then -gamma_Xn for odd n."""
+    keys, one per class in the enumeration order of their first members:
+    every +gamma_mask by ascending mask, then -1, then -gamma_Xn for odd n.
+    A non-central class is {+/- gamma_mask}, of size 2; a central element
+    is its own class."""
     _check_degree(n)
     masks = np.arange(1 << n, dtype=np.int64)
     masks = np.concatenate((masks, masks[is_central(masks, n)]))
@@ -268,33 +235,10 @@ def class_keys(n: int):
 
 
 def class_index(n: int, sign, mask):
-    """Position in conjugacy_classes(n) of the class of sign * gamma_mask, for
+    """Position in class_keys(n) of the class of sign * gamma_mask, for
     ints or int64 arrays: mask for a +gamma class or a non-central one, and
     2^n, 2^n + 1 for -1 and -gamma_Xn."""
     return np.where((sign < 0) & is_central(mask, n), (1 << n) + (mask != 0), mask)
-
-
-# conjugacy_classes(16) builds its 65,537 classes in 0.3-0.4 s and 28 MB of
-# RSS (2-CPU VM).
-@lru_cache(maxsize=None)
-def conjugacy_classes(n: int):
-    """The class partition, from the sign-flip lemma.
-
-    gamma_C^-1 gamma_A gamma_C = (-1)^(|A||C| - |A & C|) gamma_A, so the
-    class of s gamma_A is {s gamma_A} when A is central and {+/- gamma_A}
-    otherwise: for a non-central A, conjugating by gamma_j with j in A
-    (|A| even) or j not in A (|A| odd) flips the sign.  Classes come in
-    the order of class_keys, which is the enumeration order of their first
-    members.
-    """
-    classes = []
-    for sign, mask in zip(*(a.tolist() for a in class_keys(n))):
-        x = CliffordElement(n, sign, mask)
-        if is_central(mask, n):
-            classes.append(ConjugacyClass(x, (x,)))
-        else:
-            classes.append(ConjugacyClass(x, (x, CliffordElement(n, -1, mask))))
-    return tuple(classes)
 
 
 # -- the triple-product group G x G x H -------------------------------------
@@ -324,36 +268,6 @@ class TripleElement:
     @property
     def degree(self) -> int:
         return self.g1.degree
-
-
-def triple(g1, g2, h, m=None) -> TripleElement:
-    if m is None:
-        m = g1.degree
-    return TripleElement(g1, g2, embed(h, g1.degree), m)
-
-
-def triple_identity(n: int, m: int) -> TripleElement:
-    return TripleElement(identity(n), identity(n), identity(n), m)
-
-
-def triple_multiply(s: TripleElement, t: TripleElement) -> TripleElement:
-    return TripleElement(
-        multiply(s.g1, t.g1),
-        multiply(s.g2, t.g2),
-        multiply(s.h, t.h),
-        s.subgroup_degree,
-    )
-
-
-def triple_action(t: TripleElement, p):
-    """(g1, g2, h) . (g3, g4) = (g1 g3 g2^-1, g2 g4 h^-1)."""
-    g3, g4 = p
-    if g3.degree != t.degree or g4.degree != t.degree:
-        raise DegreeMismatchError("pair degree does not match acting triple")
-    return (
-        multiply(multiply(t.g1, g3), inverse(t.g2)),
-        multiply(multiply(t.g2, g4), inverse(t.h)),
-    )
 
 
 # -- textual element syntax -------------------------------------------------

@@ -37,9 +37,9 @@ from .elements import (
     _check_degree,
     _check_subgroup_degree,
     _minus_one_to,
-    _xi_parity,
     TripleElement,
     embed_index,
+    index_product,
     index_sign_mask,
     mult_table,
 )
@@ -247,14 +247,16 @@ def conj_summands(label: IrrepLabel, m: int, sign, mask):
     in CL(m) (s = +1 first, then -1; D ascending) and one column per point
     g = sign gamma_mask, for ints or 1-D int64 arrays sign and mask.
 
-    h g = s sign (-1)^xi(D, T) gamma_(D xor T) for T = mask.  A summand has
-    modulus at most 2^(n/2) <= 2^8, so a product of three is at most 2^24
-    and a sum of one over all 2^17 elements h stays below 2^41: int64 is
-    exact up to n = 16.
+    h g is one index_product on element indices, h embedded in CL(n).  A
+    summand has modulus at most 2^(n/2) <= 2^8, so a product of three is at
+    most 2^24 and a sum of one over all 2^17 elements h stays below 2^41:
+    int64 is exact up to n = 16.
     """
+    n = label.degree
     # rows in element_index order
-    s, d = index_sign_mask(np.arange(2 << m, dtype=np.int64)[:, None], m)
-    re, im = char_re_im(label, s * sign * (1 - 2 * _xi_parity(d, mask)), d ^ mask)
+    h = embed_index(np.arange(2 << m, dtype=np.int64)[:, None], m, n)
+    hg = index_product(h, (sign < 0) << n | mask, n)
+    re, im = char_re_im(label, *index_sign_mask(hg, n))
     return re, -im
 
 

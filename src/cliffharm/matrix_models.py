@@ -30,8 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import GuardError, _xor_fold, embed_index, mult_table
+from .elements import DegreeMismatchError, GuardError, _xor_fold, embed_index, mult_table
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
+from .gelfand import TripleIrrepLabel
 from .linalg import (
     Matrix,
     ScaledMatrix,
@@ -201,6 +202,11 @@ class FrobeniusContext:
     """
 
     def __init__(self, n: int, m: int, rho1: IrrepLabel, rho2: IrrepLabel, theta: IrrepLabel):
+        TripleIrrepLabel(rho1, rho2, theta)  # a valid triple: shared n, m in {n, n - 1}
+        if (rho1.degree, theta.degree) != (n, m):
+            raise DegreeMismatchError(
+                f"labels of degrees ({rho1.degree}, {theta.degree}) given for (n, m) = ({n}, {m})"
+            )
         if n > MAX_ETA_DEGREE:
             raise GuardError(f"eta matrix model guarded at n <= {MAX_ETA_DEGREE}")
         self.n, self.m = n, m

@@ -43,6 +43,7 @@ from .elements import (
     CliffordElement,
     DegreeMismatchError,
     _check_degree,
+    _index_inverse,
     _minus_one_to,
     _xi_parity,
     TripleElement,
@@ -79,7 +80,7 @@ def _conjugators(n: int):
     """(c, c_inv): read-only int64 element indices of gamma_C and of its
     inverse, for C = 0..2^n - 1."""
     c = np.arange(1 << n, dtype=np.int64)
-    c_inv = c ^ index_product(c, c, n)
+    c_inv = _index_inverse(c, n)
     c.setflags(write=False)
     c_inv.setflags(write=False)
     return c, c_inv

@@ -11,8 +11,16 @@ rotation; `dense_monomial` writes one image out as a dense int64 matrix the
 same way, and `as_gaussian` reads the library's int64 (re, im) vectors and
 matrices as Gaussian-rational lists to compare with them.
 
+`xi` is the defining loop over pairs of indices, and `xi_multiply` and
+`xi_inverse` are the product rule and the closed-form inverse written
+directly from it: they are the oracles for `elements.index_product`, the
+library's one group law, which reads xi mod 2 off a shift-XOR fold.  Every
+oracle below that multiplies group elements uses them.
+
 `enumerated_conjugacy_classes` conjugates every element by the whole group,
 O(|G|^2); the library reads the partition off the sign-flip lemma instead.
+`classes` lists the library's partition, one (sign, mask, size) per entry
+of `elements.class_keys`, for the oracles that sum class by class.
 `generic_spherical_character` sums the spherical character through group
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.
@@ -33,10 +41,10 @@ the library reads the same verdict off the structure constants at one
 representative per double coset.
 
 `permutation_character_eta` counts the fixed points of the two-sided action
-with `multiply`, so it is an oracle for the traces of the eta model of
+with `xi_multiply`, so it is an oracle for the traces of the eta model of
 `matrix_models.FrobeniusContext`, whose images are gathers from
-`elements.mult_table`.  `triple_inverse` serves tests that
-need inverses in CL(n) x CL(n) x CL(m).
+`elements.mult_table`.  `triple_product` multiplies in CL(n) x CL(n) x CL(m)
+componentwise, for tests that move a point of the triple group.
 """
 
 from dataclasses import dataclass
@@ -55,21 +63,64 @@ from cliffharm.characters import (
 )
 from cliffharm.elements import (
     CliffordElement,
-    ConjugacyClass,
     DegreeMismatchError,
     TripleElement,
-    conjugacy_classes,
-    conjugate,
+    class_keys,
     element_index,
     enumerate_group,
-    inverse,
+    is_central,
+    mask_of,
     mult_table,
-    multiply,
 )
 from cliffharm.exact import ZERO, gr
 
 ONE = gr(1)
 UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
+
+
+def xi(a, b) -> int:
+    """Number of pairs (x, y) in A x B with x > y."""
+    am = mask_of(a)
+    bm = mask_of(b)
+    count = 0
+    while am:
+        low = am & -am
+        count += (bm & (low - 1)).bit_count()
+        am ^= low
+    return count
+
+
+def xi_multiply(x, y):
+    """e1 gamma_A . e2 gamma_B = e1 e2 (-1)^xi(A, B) gamma_(A xor B)."""
+    if x.degree != y.degree:
+        raise DegreeMismatchError(f"degrees differ: {x.degree} != {y.degree}")
+    sign = x.sign * y.sign * (-1) ** xi(x.mask, y.mask)
+    return CliffordElement(x.degree, sign, x.mask ^ y.mask)
+
+
+def xi_inverse(x):
+    """(e gamma_A)^-1 = e (-1)^(k(k-1)/2) gamma_A for k = |A|: reversing the
+    k generators of gamma_A takes k(k-1)/2 transpositions."""
+    k = x.mask.bit_count()
+    return CliffordElement(x.degree, x.sign * (-1) ** (k * (k - 1) // 2), x.mask)
+
+
+def triple_product(s, t):
+    """s * t in CL(n) x CL(n) x CL(m), componentwise."""
+    return TripleElement(
+        xi_multiply(s.g1, t.g1),
+        xi_multiply(s.g2, t.g2),
+        xi_multiply(s.h, t.h),
+        s.subgroup_degree,
+    )
+
+
+def classes(n):
+    """(sign, mask, size) of each class of CL(n), in class_keys order."""
+    return [
+        (sign, mask, 1 if is_central(mask, n) else 2)
+        for sign, mask in zip(*(a.tolist() for a in class_keys(n)))
+    ]
 
 
 def as_gaussian(re, im):
@@ -190,37 +241,35 @@ def satisfies(vec, rows):
 
 def enumerated_conjugacy_classes(n):
     """Class partition as the orbit of each element under conjugation by the
-    whole group, in enumeration order of each class's first member."""
+    whole group, in enumeration order of each class's first member: a tuple
+    of classes, each the tuple of its members in enumeration order."""
     elements = enumerate_group(n)
     seen = set()
-    classes = []
+    partition = []
     for x in elements:
         if x in seen:
             continue
-        members = tuple(sorted({conjugate(x, c) for c in elements}, key=element_index))
+        conjugates = {xi_multiply(xi_multiply(xi_inverse(c), x), c) for c in elements}
+        members = tuple(sorted(conjugates, key=element_index))
         seen.update(members)
-        classes.append(ConjugacyClass(members[0], members))
-    return tuple(classes)
+        partition.append(members)
+    return tuple(partition)
 
 
 def generic_spherical_character(sigma, at):
     """(1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1) over
-    h in H = CL(m), by multiply and character_value."""
+    h in H = CL(m), by xi_multiply and character_value."""
     n, m = sigma.rho1.degree, sigma.theta.degree
     total = gr(0)
     for h in enumerate_group(m):
         hn = CliffordElement(n, h.sign, h.mask)
-        hh1 = multiply(hn, at.h)
+        hh1 = xi_multiply(hn, at.h)
         total = total + (
-            character_value(sigma.rho1, multiply(hn, at.g1))
-            * character_value(sigma.rho2, multiply(hn, at.g2))
+            character_value(sigma.rho1, xi_multiply(hn, at.g1))
+            * character_value(sigma.rho2, xi_multiply(hn, at.g2))
             * character_value(sigma.theta, CliffordElement(m, hh1.sign, hh1.mask))
         ).conjugate()
     return total / (1 << (m + 1))
-
-
-def triple_inverse(t):
-    return TripleElement(inverse(t.g1), inverse(t.g2), inverse(t.h), t.subgroup_degree)
 
 
 @dataclass
@@ -256,31 +305,29 @@ class EtaCharacter:
 def permutation_character_eta(n, m):
     g_elems = enumerate_group(n)
     reps, sizes, values = [], [], []
-    classes_g = conjugacy_classes(n)
-    classes_h = conjugacy_classes(m)
-    for c1 in classes_g:
-        g1 = c1.representative
-        for c2 in classes_g:
-            g2 = c2.representative
-            g2i = inverse(g2)
+    for s1, a1, size1 in classes(n):
+        g1 = CliffordElement(n, s1, a1)
+        for s2, a2, size2 in classes(n):
+            g2 = CliffordElement(n, s2, a2)
+            g2i = xi_inverse(g2)
             # fixed g3: g1 g3 g2^-1 = g3
             fixed_left = sum(
                 1 for g3 in g_elems
-                if multiply(multiply(g1, g3), g2i) == g3
+                if xi_multiply(xi_multiply(g1, g3), g2i) == g3
             )
-            for c3 in classes_h:
-                h = CliffordElement(n, c3.representative.sign, c3.representative.mask)
-                hi = inverse(h)
+            for s3, a3, size3 in classes(m):
+                h = CliffordElement(n, s3, a3)
+                hi = xi_inverse(h)
                 fixed_right = (
                     sum(
                         1 for g4 in g_elems
-                        if multiply(multiply(g2, g4), hi) == g4
+                        if xi_multiply(xi_multiply(g2, g4), hi) == g4
                     )
                     if fixed_left
                     else 0
                 )
                 reps.append(TripleElement(g1, g2, h, m))
-                sizes.append(c1.size * c2.size * c3.size)
+                sizes.append(size1 * size2 * size3)
                 values.append(fixed_left * fixed_right)
     return EtaCharacter(n, m, reps, sizes, values)
 
@@ -300,10 +347,9 @@ def character_table(n, m=None):
     if m > n:
         raise DegreeMismatchError(f"cannot embed CL({m}) into CL({n})")
     labels = irreps(n)
-    classes = conjugacy_classes(m)
-    keys = tuple((c.representative.sign, c.representative.mask) for c in classes)
-    sizes = np.array([c.size for c in classes], dtype=np.int64)
-    re = np.empty((len(labels), len(classes)), dtype=np.int64)
+    keys = tuple((sign, mask) for sign, mask, _ in classes(m))
+    sizes = np.array([size for _, _, size in classes(m)], dtype=np.int64)
+    re = np.empty((len(labels), len(keys)), dtype=np.int64)
     im = np.empty_like(re)
     for i, lab in enumerate(labels):
         for j, (sign, mask) in enumerate(keys):
@@ -343,9 +389,8 @@ def class_sum_invariant_dim(rho1, rho2, theta):
     exact integers until the final division."""
     m = theta.degree
     acc_re = acc_im = 0
-    for cls in conjugacy_classes(m):
-        sign, mask = cls.representative.sign, cls.representative.mask
-        re, im = cls.size, 0
+    for sign, mask, size in classes(m):
+        re, im = size, 0
         for lab in (rho1, rho2, theta):
             vre, vim = char_re_im(lab, sign, mask)
             re, im = re * vre - im * vim, re * vim + im * vre
@@ -364,9 +409,8 @@ def inner_product(f, g):
     n = f.degree
     fv, gv = f.values, g.values
     total = gr(0)
-    for cls in conjugacy_classes(n):
-        key = (cls.representative.sign, cls.representative.mask)
-        total = total + cls.size * fv[key] * gv[key].conjugate()
+    for sign, mask, size in classes(n):
+        total = total + size * fv[sign, mask] * gv[sign, mask].conjugate()
     return total / (1 << (n + 1))
 
 

@@ -23,7 +23,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cliffharm"
 SAMPLES = {
     ("characters", "irreps"): [(3,)],
     ("elements", "class_keys"): [(3,)],
-    ("elements", "conjugacy_classes"): [(3,)],
     ("elements", "mult_table"): [(3,)],
     ("gelfand", "gelfand_check_characters"): [(4, 3), (3, 3)],
     ("matrix_models", "build_matrix_rep"): [(chi(3, (1,)),), (rho(3, "+"),), (rho(2),)],

@@ -9,9 +9,8 @@ from cliffharm.elements import (
     CliffordElement,
     DegreeMismatchError,
     GuardError,
-    conjugacy_classes,
+    class_keys,
     element,
-    embed,
     enumerate_group,
 )
 from cliffharm.characters import (
@@ -31,13 +30,18 @@ from cliffharm.characters import (
     rho,
     tensor_character,
 )
-from oracles import character_table, inner_product, orthogonality_decompose
+from oracles import (
+    character_table,
+    enumerated_conjugacy_classes,
+    inner_product,
+    orthogonality_decompose,
+)
 
 
 def test_irrep_census():
     for n in range(0, 7):
         labs = irreps(n)
-        assert len(labs) == len(conjugacy_classes(n))
+        assert len(labs) == len(class_keys(n)[0])
         assert sum(lab.dim ** 2 for lab in labs) == 1 << (n + 1)
         assert len(set(labs)) == len(labs)
 
@@ -129,14 +133,12 @@ def test_embedded_character_table():
         for m in (n, n - 1):
             labels, keys, sizes, re, im = character_table(n, m)
             assert labels == irreps(n)
-            assert keys == tuple(
-                (c.representative.sign, c.representative.mask)
-                for c in conjugacy_classes(m)
-            )
-            assert list(sizes) == [c.size for c in conjugacy_classes(m)]
+            partition = enumerated_conjugacy_classes(m)
+            assert keys == tuple((c[0].sign, c[0].mask) for c in partition)
+            assert list(sizes) == [len(c) for c in partition]
             for r, lab in enumerate(labels):
                 for c, (sign, mask) in enumerate(keys):
-                    v = character_value(lab, embed(CliffordElement(m, sign, mask), n))
+                    v = character_value(lab, CliffordElement(n, sign, mask))
                     assert v == gr(int(re[r, c]), int(im[r, c]))
             for arr in (sizes, re, im):
                 with pytest.raises(ValueError):
@@ -255,19 +257,20 @@ def test_decomposition_json():
 
 
 def test_class_function_storage():
-    # int64 arrays in conjugacy_classes order, read-only, behind a read-only
+    # int64 arrays in class_keys order, read-only, behind a read-only
     # mapping of GaussianRational values keyed by the class representatives
     for n in (0, 1, 4, 5):
         for lab in irreps(n):
             f = irrep_character(lab)
-            keys = [(c.representative.sign, c.representative.mask)
-                    for c in conjugacy_classes(n)]
+            keys = list(zip(*(a.tolist() for a in class_keys(n))))
             assert list(f.values) == keys and len(f.values) == len(keys)
             for k, (sign, mask) in enumerate(keys):
                 g = CliffordElement(n, sign, mask)
                 assert f.values[(sign, mask)] == character_value(lab, g)
                 assert gr(int(f.re[k]), int(f.im[k])) == character_value(lab, g)
             assert f.values == dict(f.values.items()) == irrep_character(lab).values
+            for g in enumerate_group(n):  # -gamma_A reads +gamma_A's class
+                assert f.value_at(g) == character_value(lab, g)
     f = irrep_character(rho(3, "+"))
     for arr in (f.re, f.im):
         with pytest.raises(ValueError):
@@ -294,7 +297,7 @@ def test_tensor_and_restriction_read_the_embedded_values():
                     f = restrict_character(tensor_character(a, b), m)
                     assert f.degree == m
                     for (sign, mask), v in f.values.items():
-                        g = embed(CliffordElement(m, sign, mask), n)
+                        g = CliffordElement(n, sign, mask)  # CL(m) in CL(n)
                         assert v == character_value(a, g) * character_value(b, g)
 
 

@@ -200,6 +200,27 @@ def test_error_exits(capsys):
     capsys.readouterr()
 
 
+def test_element_arguments_may_start_with_a_minus(capsys):
+    # each pair: a negative element as a bare argument, and the '--' or
+    # '--opt=' form argparse needs without the parser's '-g{' rule
+    for bare, escaped in (
+        (("multiply", "3", "-g{1}", "+g{2}"), ("multiply", "3", "--", "-g{1}", "+g{2}")),
+        (("orbits", "3", "--pair", "-g{1},+g{2,3}"), ("orbits", "3", "--pair=-g{1},+g{2,3}")),
+        (
+            ("spherical", "3", "--triple", "chi:{1},rho+,rho-", "--at", "-g{1,2},+g{1},-g{2,3}"),
+            ("spherical", "3", "--triple", "chi:{1},rho+,rho-", "--at=-g{1,2},+g{1},-g{2,3}"),
+        ),
+    ):
+        got, want = run(capsys, *bare), run(capsys, *escaped)
+        assert got == want and got[0] == 0 and got[1], bare
+    assert run(capsys, "multiply", "3", "-g{1}", "-g{2}")[1] == "+g{1,2}\n"
+    # an unknown option is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["multiply", "3", "+g{1}", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_malformed_index_lists_exit_1(capsys):
     for argv, message in (
         (("multiply", "3", "+g{1,2,}", "+g{}"), "malformed index list in '+g{1,2,}'"),

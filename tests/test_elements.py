@@ -10,32 +10,25 @@ from cliffharm.elements import (
     GuardError,
     MAX_TABLE_DEGREE,
     TripleElement,
-    center,
-    class_key,
     class_index,
     class_keys,
-    conjugacy_classes,
     conjugate,
     conjugation_sign,
     element,
     element_index,
-    embed,
+    embed_index,
     enumerate_group,
     format_element,
     identity,
     inverse,
+    is_central,
     mask_of,
     mult_table,
     multiply,
     parse_element,
-    triple,
-    triple_action,
-    triple_identity,
-    triple_multiply,
-    xi,
 )
 
-from oracles import enumerated_conjugacy_classes, triple_inverse
+from oracles import enumerated_conjugacy_classes, xi, xi_inverse, xi_multiply
 
 
 def test_generator_relations():
@@ -95,15 +88,18 @@ def test_conjugation_sign_closed_form():
 
 
 def test_mult_table_matches_multiply():
-    # multiply is the table's oracle, on every pair for n <= 6
+    # the xi-loop product is the oracle of the table and of multiply and
+    # inverse, on every pair for n <= 6
     for n in range(0, 7):
         elems = enumerate_group(n)
         tab, inv = mult_table(n)
         assert tab.shape == (len(elems), len(elems)) and tab.dtype == np.int64
-        assert tab.tolist() == [
-            [element_index(multiply(x, y)) for y in elems] for x in elems
-        ]
-        assert inv.tolist() == [element_index(inverse(x)) for x in elems]
+        want = [[element_index(xi_multiply(x, y)) for y in elems] for x in elems]
+        assert tab.tolist() == want
+        assert [[element_index(multiply(x, y)) for y in elems] for x in elems] == want
+        want = [element_index(xi_inverse(x)) for x in elems]
+        assert inv.tolist() == want
+        assert [element_index(inverse(x)) for x in elems] == want
 
 
 def test_mult_table_is_cached_and_read_only():
@@ -121,77 +117,75 @@ def test_mult_table_guard():
             mult_table(n)
 
 
-def test_center():
-    assert {z.mask for z in center(2)} == {0}
-    assert len(center(2)) == 2
-    assert {z.mask for z in center(3)} == {0, 0b111}
-    assert len(center(3)) == 4
-    # closed form, so it reaches past the enumeration guard
-    assert {(z.sign, z.mask) for z in center(13)} == {
-        (1, 0), (-1, 0), (1, (1 << 13) - 1), (-1, (1 << 13) - 1)
-    }
-    assert {(z.sign, z.mask) for z in center(16)} == {(1, 0), (-1, 0)}
-    with pytest.raises(GuardError):
-        center(17)
-
-
 def test_class_counts_and_sizes():
     for n in range(1, 6):
-        classes = conjugacy_classes(n)
+        signs, masks = class_keys(n)
         expect = (1 << n) + (1 if n % 2 == 0 else 2)
-        assert len(classes) == expect
-        assert sum(c.size for c in classes) == 1 << (n + 1)
-        # class equation: non-central classes are {x, -x}
-        for c in classes:
-            assert c.size in (1, 2)
+        assert len(signs) == len(masks) == expect
+        # class equation: central classes are {x}, the others {x, -x}
+        sizes = np.where(is_central(masks, n), 1, 2)
+        assert sizes.sum() == 1 << (n + 1)
+        assert (sizes == 1).sum() == (2 if n % 2 == 0 else 4)
 
 
 def test_classes_match_enumeration_oracle():
-    # the lemma-built partition is the O(|G|^2) enumeration, order included
+    # the lemma-built keys are the first members of the O(|G|^2)
+    # enumeration's classes, order included, and a key is central exactly
+    # when its class is a single element
     for n in range(0, 9):
-        assert conjugacy_classes(n) == enumerated_conjugacy_classes(n)
+        signs, masks = class_keys(n)
+        partition = enumerated_conjugacy_classes(n)
+        assert [(c[0].sign, c[0].mask) for c in partition] == list(
+            zip(signs.tolist(), masks.tolist())
+        )
+        assert [len(c) for c in partition] == np.where(is_central(masks, n), 1, 2).tolist()
 
 
 def test_class_key_matches_enumeration_oracle():
+    # class_index finds the class of every member, and the class's key is
+    # its first member's
     for n in range(0, 7):
-        for cls in enumerated_conjugacy_classes(n):
-            rep = cls.representative
-            for x in cls.members:
-                assert class_key(x) == (rep.sign, rep.mask)
+        signs, masks = class_keys(n)
+        for k, members in enumerate(enumerated_conjugacy_classes(n)):
+            rep = members[0]
+            assert (signs[k], masks[k]) == (rep.sign, rep.mask)
+            for x in members:
+                assert class_index(n, x.sign, x.mask) == k
 
 
 def test_class_partition_guard():
     # the classes are closed form, so they follow MAX_DEGREE = 16
     with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
-        conjugacy_classes(17)
-    with pytest.raises(GuardError):
         class_keys(17)
-    assert len(conjugacy_classes(13)) == (1 << 13) + 2
+    assert len(class_keys(13)[0]) == (1 << 13) + 2
 
 
 def test_class_keys_and_index():
-    # the array keys list the classes in conjugacy_classes order, and
-    # class_index finds every element's class, for ints and arrays alike
+    # class_index finds every element's class, for ints and arrays alike,
+    # and the keys are read-only
     for n in range(0, 7):
         signs, masks = class_keys(n)
-        classes = conjugacy_classes(n)
-        assert [(c.representative.sign, c.representative.mask) for c in classes] == list(
-            zip(signs.tolist(), masks.tolist())
-        )
-        for k, cls in enumerate(classes):
-            for x in cls.members:
-                assert class_index(n, x.sign, x.mask) == k
-        assert list(class_index(n, signs, masks)) == list(range(len(classes)))
+        for x in enumerate_group(n):
+            k = class_index(n, x.sign, x.mask)
+            central = is_central(x.mask, n)
+            assert (signs[k], masks[k]) == ((x.sign if central else 1), x.mask)
+        assert list(class_index(n, signs, masks)) == list(range(len(signs)))
         for arr in (signs, masks):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
 
 def test_embed_is_homomorphism():
+    # embed_index carries the products of CL(m) to those of CL(n)
     n, m = 4, 2
-    for x in enumerate_group(m):
-        for y in enumerate_group(m):
-            assert embed(multiply(x, y), n) == multiply(embed(x, n), embed(y, n))
+    tab_m, _ = mult_table(m)
+    tab_n, _ = mult_table(n)
+    idx = np.arange(2 << m)
+    emb = embed_index(idx, m, n)
+    assert np.array_equal(emb[tab_m], tab_n[emb[:, None], emb])
+    assert [embed_index(element_index(x), m, n) for x in enumerate_group(m)] == [
+        element_index(CliffordElement(n, x.sign, x.mask)) for x in enumerate_group(m)
+    ]
 
 
 def test_element_index_matches_enumeration():
@@ -230,6 +224,8 @@ def test_parse_rejects_garbage():
 def test_degree_guards():
     with pytest.raises(DegreeMismatchError):
         multiply(identity(2), identity(3))
+    with pytest.raises(DegreeMismatchError):
+        conjugate(identity(2), identity(3))
     with pytest.raises(GuardError):
         element(99)
     with pytest.raises(ValueError):
@@ -240,40 +236,6 @@ def test_mask_of():
     assert mask_of(()) == 0
     assert mask_of((1, 3)) == 0b101
     assert mask_of(frozenset({2})) == 0b10
-
-
-def test_triple_group_axioms():
-    n, m = 2, 1
-    e = triple_identity(n, m)
-    rng = random.Random(3)
-    gs = list(enumerate_group(n))
-    hs = list(enumerate_group(m))
-    sample = [
-        triple(rng.choice(gs), rng.choice(gs), rng.choice(hs), m)
-        for _ in range(40)
-    ]
-    for t in sample:
-        assert triple_multiply(t, triple_inverse(t)) == e
-        assert triple_multiply(e, t) == t
-    for a, b in zip(sample, sample[1:]):
-        c = sample[0]
-        assert triple_multiply(triple_multiply(a, b), c) == triple_multiply(
-            a, triple_multiply(b, c)
-        )
-
-
-def test_triple_action_is_an_action():
-    # (g1, g2, h).(g3, g4) = (g1 g3 g2^-1, g2 g4 h^-1) composes correctly
-    n, m = 2, 2
-    rng = random.Random(11)
-    gs = list(enumerate_group(n))
-    for _ in range(60):
-        s = triple(rng.choice(gs), rng.choice(gs), rng.choice(gs), m)
-        t = triple(rng.choice(gs), rng.choice(gs), rng.choice(gs), m)
-        p = (rng.choice(gs), rng.choice(gs))
-        assert triple_action(triple_multiply(s, t), p) == triple_action(
-            s, triple_action(t, p)
-        )
 
 
 def test_triple_element_validation():

@@ -7,14 +7,11 @@ import pytest
 
 from cliffharm.exact import gr
 from cliffharm.elements import (
+    CliffordElement,
     GuardError,
     TripleElement,
-    element,
-    embed,
     enumerate_group,
     identity,
-    triple,
-    triple_multiply,
 )
 from cliffharm.characters import (
     chi,
@@ -35,6 +32,7 @@ from oracles import (
     dense_multiplicity_cube,
     pairwise_convolution_commutes,
     permutation_character_eta,
+    triple_product,
 )
 
 
@@ -221,18 +219,18 @@ def test_spherical_bi_invariance():
     rng = random.Random(4)
     for n, m in ((2, 2), (2, 1)):
         gs = list(enumerate_group(n))
-        hs = list(enumerate_group(m))
+        hs = [(x.sign, x.mask) for x in enumerate_group(m)]  # CL(m) in CL(n)
         sigmas = [
             TripleIrrepLabel(rho(n), rho(n), irreps(m)[0]),
             TripleIrrepLabel(chi(n, (1,)), rho(n), irreps(m)[-1]),
         ]
         for sigma in sigmas:
             for _ in range(10):
-                t = triple(rng.choice(gs), rng.choice(gs), rng.choice(hs), m)
-                k1h, k2h = rng.choice(hs), rng.choice(hs)
-                k1 = triple(embed(k1h, n), embed(k1h, n), k1h, m)
-                k2 = triple(embed(k2h, n), embed(k2h, n), k2h, m)
-                moved = triple_multiply(triple_multiply(k1, t), k2)
+                g1, g2, h = rng.choice(gs), rng.choice(gs), rng.choice(hs)
+                t = TripleElement(g1, g2, CliffordElement(n, *h), m)
+                k1, k2 = (CliffordElement(n, *rng.choice(hs)) for _ in range(2))
+                k1, k2 = (TripleElement(k, k, k, m) for k in (k1, k2))
+                moved = triple_product(triple_product(k1, t), k2)
                 assert spherical_character(sigma, moved) == spherical_character(sigma, t)
 
 

@@ -5,7 +5,10 @@ outside the tests or is documented API.
 
 The package's __init__.py is skipped by the import scan: its imports are the
 public re-exports.  Names are found with the stdlib ast, so a name that
-appears only in a comment or a string does not count as used.
+appears only in a comment or a string does not count as used.  In the
+public-name scan an attribute in a library module counts only on a name
+bound to a cliffharm module (`verify_mod.run_suite`), so `args.triple`
+does not keep a function `triple` alive.
 """
 
 import ast
@@ -20,7 +23,6 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # Public names and methods that only the tests call, kept because README.md
 # documents them as API; each must appear there in backticks.
 DOCUMENTED_API = {
-    "center", "triple_identity", "triple_multiply", "triple_action",
     "gaussian_from_json", "abs2", "is_rational", "is_integer", "is_zero",
     "multiplicity",
 }
@@ -55,26 +57,52 @@ def _definitions(tree):
             yield name, node
 
 
-def _references(node) -> set:
-    """Names read in node: loads, attribute names and from-import names."""
+def _module_names(tree) -> set:
+    """Names a source binds to cliffharm modules: `from . import verify as
+    verify_mod`, `from cliffharm import orbits`, `import cliffharm.orbits as
+    orb`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level and node.module is None or node.module == "cliffharm"
+        ):
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.asname for alias in node.names
+                if alias.asname and alias.name.startswith("cliffharm.")
+            )
+    return names
+
+
+def _references(node, bases=None) -> set:
+    """Names read in node: loads, from-import names and attribute names, the
+    last only on a name in bases when bases is given."""
     refs = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             refs.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and (
+            bases is None or isinstance(sub.value, ast.Name) and sub.value.id in bases
+        ):
             refs.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             refs.update(alias.name for alias in sub.names)
     return refs
 
 
-def _unreferenced(sources: dict, wanted, used_elsewhere=frozenset()) -> list:
+def _unreferenced(sources: dict, wanted, used_elsewhere=frozenset(), modules_only=False) -> list:
     """(module, name) for each module-level name with wanted(name) that no
     module references outside the statement that defines it and that is not
-    in used_elsewhere."""
+    in used_elsewhere; with modules_only, an attribute counts only on a name
+    its source binds to a cliffharm module."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     statements = [stmt for tree in trees.values() for stmt in tree.body]
-    refs = {id(stmt): _references(stmt) for stmt in statements}
+    refs = {
+        id(stmt): _references(stmt, _module_names(tree) if modules_only else None)
+        for tree in trees.values()
+        for stmt in tree.body
+    }
     return sorted(
         (module, name)
         for module, tree in trees.items()
@@ -98,9 +126,11 @@ def stranded_private_names(sources: dict) -> list:
 def names_only_tests_use(library: dict, users: list) -> list:
     """(module, name) for each public name of the library modules that no
     other library statement and no user source (demos, benchmark)
-    references; re-exports in __init__.py do not count."""
+    references; re-exports in __init__.py do not count.  A library
+    attribute counts only on a cliffharm module name; a user's counts on
+    any base."""
     used = set().union(*(_references(ast.parse(u)) for u in users))
-    return _unreferenced(library, lambda name: not name.startswith("_"), used)
+    return _unreferenced(library, lambda name: not name.startswith("_"), used, True)
 
 
 def _attributes(node):
@@ -163,6 +193,19 @@ def test_public_name_scanner():
     assert names_only_tests_use(library, users) == [
         ("a", "Oracle"), ("a", "for_tests")
     ]
+    # a library attribute keeps a name alive only on a cliffharm module:
+    # args.triple leaves `triple` stranded, a_mod.for_tests and
+    # orb.Oracle do not
+    library["a"] += "def triple():\n    return 5\n"
+    library["c"] = "def _cmd(args):\n    return args.triple, args.Oracle\n"
+    assert names_only_tests_use(library, users) == [
+        ("a", "Oracle"), ("a", "for_tests"), ("a", "triple")
+    ]
+    library["c"] += (
+        "from . import a as a_mod\nimport cliffharm.a as orb\n"
+        "def _run():\n    return a_mod.for_tests(), orb.Oracle\n"
+    )
+    assert names_only_tests_use(library, users) == [("a", "triple")]
 
 
 def test_public_names_are_used_outside_the_tests():

@@ -3,7 +3,13 @@ import pytest
 
 from cliffharm import matrix_models, verify
 from cliffharm.exact import gr
-from cliffharm.elements import CliffordElement, element_index, enumerate_group, mult_table
+from cliffharm.elements import (
+    CliffordElement,
+    DegreeMismatchError,
+    element_index,
+    enumerate_group,
+    mult_table,
+)
 from cliffharm.characters import character_value, chi, irreps, rho
 from cliffharm.gelfand import diagonal_invariant_dim
 from cliffharm.linalg import Matrix, compose, hs_inner, trace
@@ -296,6 +302,19 @@ def _exponent_phases(table):
         and ((0 <= phase) & (phase < 4)).all()
         and (np.sort(perm, axis=-1) == np.arange(d)).all()  # each row a permutation
     )
+
+
+def test_frobenius_context_validates_label_degrees():
+    # the labels must form a triple of degrees (n, n, m), m = n or n - 1,
+    # and match the (n, m) given
+    for n, m, labels in (
+        (1, 1, (rho(2), rho(2), chi(1))),  # labels of (2, 1)
+        (3, 1, (chi(3), chi(3), chi(1))),  # m = n - 2
+        (2, 1, (chi(1), chi(1), chi(1))),  # labels of (1, 1)
+    ):
+        with pytest.raises(DegreeMismatchError):
+            FrobeniusContext(n, m, *labels)
+    assert FrobeniusContext(2, 1, rho(2), rho(2), chi(1)).hom_triple_eta().basis
 
 
 def test_images_carry_exponent_phases():

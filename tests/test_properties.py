@@ -17,20 +17,20 @@ from cliffharm.elements import (
     CliffordElement,
     _minus_one_to,
     _xi_parity,
-    class_key,
+    class_index,
+    class_keys,
     conjugate,
     conjugation_sign,
     element_index,
-    embed,
+    embed_index,
     identity,
     index_product,
     inverse,
     is_central,
     multiply,
-    xi,
 )
 from cliffharm.orbits import orbit_of, predicted_orbit
-from oracles import UNITS
+from oracles import UNITS, xi, xi_inverse, xi_multiply
 
 
 degrees = st.integers(0, MAX_DEGREE)
@@ -65,16 +65,27 @@ def test_multiply_is_associative_with_inverses(case):
 
 @given(st.data())
 def test_embed_is_a_homomorphism(data):
+    # embed_index keeps sign and mask, and carries products of CL(m) to CL(n)
     n = data.draw(degrees)
     m = data.draw(st.integers(0, n))
     x, y = data.draw(elements(m)), data.draw(elements(m))
-    assert embed(multiply(x, y), n) == multiply(embed(x, n), embed(y, n))
+    i, j = element_index(x), element_index(y)
+    assert embed_index(i, m, n) == element_index(CliffordElement(n, x.sign, x.mask))
+    assert embed_index(index_product(i, j, m), m, n) == index_product(
+        embed_index(i, m, n), embed_index(j, m, n), n
+    )
 
 
 @given(degree_and_elements(2))
 def test_class_key_is_conjugation_invariant(case):
-    _, (x, c) = case
-    assert class_key(conjugate(x, c)) == class_key(x)
+    # class_index is constant on classes, and its key is the sign-flip
+    # lemma's representative
+    n, (x, c) = case
+    k = class_index(n, x.sign, x.mask)
+    y = conjugate(x, c)
+    assert class_index(n, y.sign, y.mask) == k
+    signs, masks = class_keys(n)
+    assert (signs[k], masks[k]) == (x.sign if is_central(x.mask, n) else 1, x.mask)
 
 
 @given(st.data())
@@ -108,16 +119,24 @@ def test_xi_parity_fold_is_xi_mod_2(pairs):
 
 @given(st.data())
 def test_index_product_on_arrays_is_multiply(data):
-    # the array group law behind mult_table and orbit_of, elementwise, and
-    # the inverse read off the square
+    # the one group law, on ints and on int64 arrays, and multiply, inverse
+    # and conjugate through it, against the xi-loop product and the
+    # closed-form inverse
     n = data.draw(degrees)
     xs = data.draw(st.lists(elements(n), min_size=1, max_size=8))
     ys = [data.draw(elements(n)) for _ in xs]
+    products = [xi_multiply(x, y) for x, y in zip(xs, ys)]
+    inverses = [xi_inverse(x) for x in xs]
+    want = [element_index(z) for z in products]
     i, j = (np.array([element_index(x) for x in zs], dtype=np.int64) for zs in (xs, ys))
-    assert index_product(i, j, n).tolist() == [
-        element_index(multiply(x, y)) for x, y in zip(xs, ys)
+    assert index_product(i, j, n).tolist() == want
+    assert [index_product(a, b, n) for a, b in zip(i.tolist(), j.tolist())] == want
+    assert (i ^ index_product(i, i, n)).tolist() == [element_index(z) for z in inverses]
+    assert [multiply(x, y) for x, y in zip(xs, ys)] == products
+    assert [inverse(x) for x in xs] == inverses
+    assert [conjugate(x, y) for x, y in zip(xs, ys)] == [
+        xi_multiply(xi_multiply(xi_inverse(y), x), y) for x, y in zip(xs, ys)
     ]
-    assert (i ^ index_product(i, i, n)).tolist() == [element_index(inverse(x)) for x in xs]
 
 
 @settings(max_examples=250, deadline=None)
