@@ -61,6 +61,7 @@ class IrrepLabel:
 
     def __post_init__(self):
         n = self.degree
+        _check_degree(n)  # _minus_one_to reads masks below 2^16
         if self.kind == "chi":
             if self.mask >> n:
                 raise ValueError("chi subset not contained in X_n")
@@ -259,9 +260,6 @@ class Decomposition:
             if lab == label:
                 return mult
         return 0
-
-    def dimension(self) -> int:
-        return sum(mult * lab.dim for lab, mult in self.terms)
 
     def to_json(self) -> dict:
         return {

@@ -15,7 +15,9 @@ Conjugation only flips signs (the sign-flip lemma, see conjugation_sign):
 gamma_A keeps its sign under every conjugation exactly when it is central
 (is_central), and otherwise +/- gamma_A form one class of size 2.  The
 class partition, class_keys and class_index, is read off that lemma;
-nothing here enumerates the group to find it.
+nothing here enumerates the group to find it.  The double cosets of diag
+CL(m) in CL(n) x CL(n) x CL(m) are the orbits of CL(m) on pairs by
+simultaneous conjugation; gelfand and orbits read _pair_orbit_labels.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ def _check_degree(n: int, guard: int = MAX_DEGREE) -> None:
 
 
 def _check_subgroup_degree(n: int, m: int, what="subgroup degree", error=ValueError) -> None:
-    """CL(m) must be CL(n) or CL(n - 1)."""
-    if m not in (n, n - 1):
-        raise error(f"{what} must be n or n-1, got m={m} for n={n}")
+    """CL(m) must be CL(n) or CL(n - 1), with m >= 0."""
+    if m not in (n, n - 1) or m < 0:
+        raise error(f"{what} must be n or n-1 and at least 0, got m={m} for n={n}")
 
 
 def mask_of(subset) -> int:
@@ -239,6 +241,39 @@ def class_index(n: int, sign, mask):
     ints or int64 arrays: mask for a +gamma class or a non-central one, and
     2^n, 2^n + 1 for -1 and -gamma_Xn."""
     return np.where((sign < 0) & is_central(mask, n), (1 << n) + (mask != 0), mask)
+
+
+# -- conjugation by CL(m) on pairs -------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _conjugators(n: int, m: int):
+    """(c, c_inv): read-only int64 CL(n) indices of gamma_C and of its
+    inverse, for C = 0..2^m - 1, the subsets of X_m."""
+    c = np.arange(1 << m, dtype=np.int64)
+    c_inv = _index_inverse(c, n)
+    c.setflags(write=False)
+    c_inv.setflags(write=False)
+    return c, c_inv
+
+
+def _conjugates(x, n: int, m: int):
+    """Indices of gamma_C^-1 x_i gamma_C for every C in X_m, by
+    index_product on ints or int64 arrays: column C for C = 0..2^m - 1.
+    -gamma_C conjugates as gamma_C does, so these are the CL(m)-conjugates."""
+    c, c_inv = _conjugators(n, m)
+    return index_product(index_product(c_inv, x, n), c, n)
+
+
+def _pair_orbit_labels(n: int, m: int):
+    """int64 array: at the pair key i << (n + 1) | j, the least pair key of
+    the orbit of (x_i, x_j) under simultaneous conjugation by CL(m), by one
+    np.minimum per gamma_C.  Keys are below 4^(n + 1); callers guard n."""
+    conj = _conjugates(np.arange(2 << n, dtype=np.int64)[:, None], n, m)
+    labels = np.arange(1 << (2 * n + 2), dtype=np.int64)  # column C = 0 fixes every pair
+    for col in conj.T[1:]:
+        np.minimum(labels, (col[:, None] << (n + 1) | col).ravel(), out=labels)
+    return labels
 
 
 # -- the triple-product group G x G x H -------------------------------------

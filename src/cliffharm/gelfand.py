@@ -12,8 +12,9 @@ labels a sum over the at most four central elements of CL(m) where both
 spin characters are nonzero.  Only the O(|Irr|) two-spin triples are
 summed.  The second, independent verdict is the brute-force commutativity
 of the bi-invariant convolution algebra, read off its structure constants
-at one representative per double coset; it composes group elements
-through elements.mult_table.
+at one representative per double coset.  The double cosets are the orbits
+of CL(m) on G x G by simultaneous conjugation (elements._pair_orbit_labels),
+so the check runs on G x G rather than on the whole triple group.
 
 Spherical characters have one direct sum over H: conj_summands tabulates
 conj chi(h g) by h and point; spherical_character sums the products of its
@@ -36,12 +37,13 @@ from .elements import (
     DegreeMismatchError,
     _check_degree,
     _check_subgroup_degree,
+    _index_inverse,
     _minus_one_to,
+    _pair_orbit_labels,
     TripleElement,
     embed_index,
     index_product,
     index_sign_mask,
-    mult_table,
 )
 from .characters import (
     IrrepLabel,
@@ -51,11 +53,11 @@ from .characters import (
     irreps,
 )
 
-# gelfand_check_biinvariant reads one c x c table per double coset, each a
-# bincount of |K| keys: 0.16 s and a 34 MB peak RSS at (4, 4), and 0.04 s at
-# (4, 3), where the first table is already asymmetric (2-CPU VM); n = 5 takes
-# 12-14 s with a 66 MB peak.
-MAX_CONVOLUTION_DEGREE = 4
+# gelfand_check_biinvariant sorts two arrays of 4^(n+1) label pairs per
+# double coset: 2.3 s for the 4,288 cosets at (6, 6), 0.02 s at (6, 5), where
+# the first table is already asymmetric, 0.2 s at (5, 5) and (5, 4), and a
+# peak RSS of 30 MB throughout (2-CPU VM); n = 7 would take about 55 s.
+MAX_CONVOLUTION_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -286,45 +288,26 @@ def gelfand_check_biinvariant(n: int, m: int) -> bool:
     """Brute-force verdict: is the H~-bi-invariant convolution algebra on
     K = CL(n) x CL(n) x CL(m) commutative?
 
-    The indicators 1_a of the double cosets a = H~ k H~ span the algebra.
-    Each 1_a * 1_b is bi-invariant, so its value at one representative r
-    per double coset fixes it: (1_a * 1_b)(r) = #{x in a : x^-1 r in b}.
-    The algebra commutes exactly when every table N_r[a, b] of these
-    structure constants is symmetric.  Elements of K are int64 keys
-    (i1 |G| + i2) |H| + i3 on element indices, composed through
-    elements.mult_table; nothing here reads a character.
+    The double-coset indicators 1_a span it, and 1_a * 1_b is fixed by its
+    values at one representative r per double coset, so it commutes exactly
+    when every N_r[a, b] = #{z in K : z^-1 in a, z r in b} is symmetric.
+    This is read on G x G, exactly: (g1, g2, h) lies in the double coset of
+    (g1 h^-1, g2 h^-1, 1), so the double cosets are the CL(m)-orbits of
+    elements._pair_orbit_labels, each with r = (x, y, 1) at its least key;
+    z -> d z (d in H~) moves neither coset, and each H~ z holds one
+    z = (z1, z2, 1), so N_r is |H| times the count over those z; and N_r is
+    symmetric exactly when the multiset of label pairs (z^-1, z r) is.  A
+    pair of labels stays below 2^(4n + 4) <= 2^28, exact in int64.
     """
     _check_degree(n, MAX_CONVOLUTION_DEGREE)
     _check_subgroup_degree(n, m)
-    tg, inv_g = mult_table(n)
-    th, inv_h = mult_table(m)
-    og, oh = 1 << (n + 1), 1 << (m + 1)
-
-    def keys(a1, a2, a3):  # of (a1[i1], a2[i2], a3[i3]) over K, in key order
-        return ((a1[:, None, None] * og + a2[:, None]) * oh + a3).ravel()
-
-    # the diagonal copy of CL(m); the first two components see an element
-    # through its CL(n) index (the sign bit moves)
-    h = np.arange(oh)
-    emb = embed_index(h, m, n)
-    # label every k by the least key of diag(h) k diag(h'): the least over h'
-    # first, then the least of those over h.  Updating in place is exact,
-    # because every value read is a key of the same double coset
-    label = keys(np.arange(og), np.arange(og), h)
-    for b in h:
-        np.minimum(label, keys(tg[:, emb[b]], tg[:, emb[b]], th[:, b]), out=label)
-    for a in h:
-        np.minimum(label, label[keys(tg[emb[a]], tg[emb[a]], th[a])], out=label)
-    reps = np.flatnonzero(label == np.arange(len(label)))  # the least keys
-    coset = np.searchsorted(reps, label)
-    c = len(reps)
-    # N_r[a, b] counts the y with y^-1 in a and y r in b.  Its keys stay
-    # below c^2 <= |K|^2, and |K| = 2^(2n + m + 3) <= 2^15 at the guard, so
-    # int64 is exact
-    rows = coset[keys(inv_g, inv_g, inv_h)] * c
-    for r1, r2, r3 in zip(*np.unravel_index(reps, (og, og, oh))):
-        pairs = rows + coset[keys(tg[:, r1], tg[:, r2], th[:, r3])]
-        counts = np.bincount(pairs, minlength=c * c).reshape(c, c)
-        if not np.array_equal(counts, counts.T):
+    labels = _pair_orbit_labels(n, m)
+    g, shift = np.arange(2 << n, dtype=np.int64), 2 * n + 2
+    inv = _index_inverse(g, n)
+    a = labels[inv[:, None] << (n + 1) | inv].ravel()  # the labels of z^-1
+    for r in np.flatnonzero(labels == np.arange(len(labels))):  # the least keys
+        x, y = divmod(int(r), 2 << n)
+        b = labels[index_product(g, x, n)[:, None] << (n + 1) | index_product(g, y, n)].ravel()
+        if not np.array_equal(np.sort(a << shift | b), np.sort(b << shift | a)):
             return False
     return True

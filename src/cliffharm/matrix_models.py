@@ -312,15 +312,13 @@ class FrobeniusContext:
     # invariant tensors and the Prop-3.3 style operators
 
     def invariant_tensors(self):
-        """Basis of (V1 (x) V2 (x) W)^(H~): fixed vectors of the diagonal
-        action, each an (re, im) pair of int64 vectors."""
-        every = np.arange(2 << self.m)
-        e = self._embed[every]
-        perm, phase = self._triple(e, e, every)
-        # pi(t) v = v at coordinate perm[c]: v[perm[c]] = i^phase[c] v[c]
-        cols = np.broadcast_to(np.arange(perm.shape[1]), perm.shape)
-        edges = zip(perm.ravel().tolist(), cols.ravel().tolist(), phase.ravel().tolist())
-        return gain_graph_nullspace(edges, perm.shape[1])
+        """Basis of (V1 (x) V2 (x) W)^(H~): the intertwiners from the trivial
+        representation of the diagonal CL(m), as (re, im) int64 vectors."""
+        gens = _generators(self.m)
+        e = self._embed[gens]
+        trivial = np.zeros((2, len(gens), 1), dtype=np.int64)  # (perm, phase) of 1
+        space = intertwiner_space(trivial, self._triple(e, e, gens))
+        return [(t.re[:, 0], t.im[:, 0]) for t in space.basis]
 
     def operator_from_invariant(self, b) -> ScaledMatrix:
         """Prop-3.3 closed form: [T_B(v1 (x) v2 (x) w)](g1,g2) =

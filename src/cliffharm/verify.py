@@ -283,7 +283,7 @@ def check_frobenius(pairs=DESK_FROBENIUS_PAIRS):
 
 
 DESK_METHOD_PAIRS = ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))
-DEEP_METHOD_PAIRS = DESK_METHOD_PAIRS + ((4, 3), (4, 4))
+DEEP_METHOD_PAIRS = DESK_METHOD_PAIRS + ((4, 3), (4, 4), (5, 4), (5, 5), (6, 5), (6, 6))
 
 
 @_check("C8", "character and convolution Gelfand verdicts agree")

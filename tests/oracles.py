@@ -21,6 +21,9 @@ oracle below that multiplies group elements uses them.
 O(|G|^2); the library reads the partition off the sign-flip lemma instead.
 `classes` lists the library's partition, one (sign, mask, size) per entry
 of `elements.class_keys`, for the oracles that sum class by class.
+`conjugation_pair_orbits` conjugates every pair by every element of CL(m)
+through `xi_multiply`; the library labels the same orbits, the double cosets
+of the diagonal CL(m), by one array pass per conjugator.
 `generic_spherical_character` sums the spherical character through group
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.
@@ -254,6 +257,28 @@ def enumerated_conjugacy_classes(n):
         seen.update(members)
         partition.append(members)
     return tuple(partition)
+
+
+def conjugation_pair_orbits(n, m):
+    """The orbits of CL(m), embedded in CL(n), on CL(n) x CL(n) by
+    simultaneous conjugation, each a frozenset of the pair keys
+    i << (n + 1) | j of its members, conjugating through xi_multiply and
+    xi_inverse by every signed element of CL(m)."""
+    group = enumerate_group(n)
+    subgroup = [h for h in group if h.mask >> m == 0]
+    seen, orbits = set(), set()
+    for x in group:
+        for y in group:
+            if (x, y) in seen:
+                continue
+            members = {
+                tuple(xi_multiply(xi_multiply(xi_inverse(h), g), h) for g in (x, y))
+                for h in subgroup
+            }
+            seen |= members
+            keys = (element_index(a) << (n + 1) | element_index(b) for a, b in members)
+            orbits.add(frozenset(keys))
+    return orbits
 
 
 def generic_spherical_character(sigma, at):

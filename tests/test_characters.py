@@ -208,7 +208,7 @@ def test_restriction_of_irreps():
 
 def test_restricted_kronecker_dimension():
     dec = restricted_kronecker(rho(4), rho(4), 3)
-    assert dec.dimension() == 16
+    assert sum(mult * lab.dim for lab, mult in dec.terms) == 16
     assert sorted(m for _, m in dec.terms) == [2] * 8
 
 
@@ -249,7 +249,7 @@ def test_decomposition_json():
     dec = decompose(tensor_character(rho(2), rho(2)))
     payload = dec.to_json()
     assert payload["multiplicity_free"] is True
-    assert dec.dimension() == 4
+    assert sum(mult * lab.dim for lab, mult in dec.terms) == 4
     assert [t["irrep"] for t in payload["terms"]] == [
         "chi:{}", "chi:{1}", "chi:{2}", "chi:{1,2}"
     ]

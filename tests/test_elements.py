@@ -10,6 +10,7 @@ from cliffharm.elements import (
     GuardError,
     MAX_TABLE_DEGREE,
     TripleElement,
+    _pair_orbit_labels,
     class_index,
     class_keys,
     conjugate,
@@ -28,7 +29,13 @@ from cliffharm.elements import (
     parse_element,
 )
 
-from oracles import enumerated_conjugacy_classes, xi, xi_inverse, xi_multiply
+from oracles import (
+    conjugation_pair_orbits,
+    enumerated_conjugacy_classes,
+    xi,
+    xi_inverse,
+    xi_multiply,
+)
 
 
 def test_generator_relations():
@@ -173,6 +180,38 @@ def test_class_keys_and_index():
         for arr in (signs, masks):
             with pytest.raises(ValueError):
                 arr[0] = 1
+
+
+def _label_classes(n, m):
+    """The classes of _pair_orbit_labels(n, m): label -> its pair keys."""
+    classes = {}
+    for key, label in enumerate(_pair_orbit_labels(n, m).tolist()):
+        classes.setdefault(label, set()).add(key)
+    return classes
+
+
+def test_pair_orbit_labels_match_conjugation_oracle():
+    for n in range(0, 5):
+        for m in (n, n - 1) if n else (0,):
+            classes = _label_classes(n, m)
+            assert all(label == min(keys) for label, keys in classes.items())
+            assert set(map(frozenset, classes.values())) == conjugation_pair_orbits(n, m)
+
+
+def test_pair_orbit_count_is_burnside():
+    # orbits of CL(m) on pairs = (1/|H|) sum_h |C_G(h)|^2, with the
+    # centralizer sizes read off the multiplication table
+    counts = {}
+    for n in range(0, 8):
+        tab, _ = mult_table(n)
+        for m in (n, n - 1) if n else (0,):
+            h = embed_index(np.arange(2 << m), m, n)
+            central = (tab[:, h] == tab[h, :].T).sum(axis=0)
+            burnside, rest = divmod(int((central**2).sum()), 2 << m)
+            labels = _pair_orbit_labels(n, m)
+            counts[(n, m)] = int((labels == np.arange(len(labels))).sum())
+            assert rest == 0 and counts[(n, m)] == burnside
+    assert (counts[(2, 1)], counts[(4, 3)], counts[(6, 5)]) == (40, 352, 4480)
 
 
 def test_embed_is_homomorphism():

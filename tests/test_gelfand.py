@@ -148,7 +148,8 @@ def test_cached_report_is_immutable():
 
 
 def test_convolution_agrees_with_characters():
-    for n, m in ((0, 0), (1, 1), (1, 0), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4)):
+    pairs = ((0, 0), (1, 1), (1, 0), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4))
+    for n, m in pairs + ((5, 4), (5, 5), (6, 5)):
         assert gelfand_check_biinvariant(n, m) == gelfand_check_characters(n, m).gelfand
 
 
@@ -160,8 +161,8 @@ def test_structure_constants_match_pairwise_convolutions():
 
 
 def test_guards():
-    with pytest.raises(GuardError, match=r"degree 5 outside supported range \[0, 4\]"):
-        gelfand_check_biinvariant(5, 5)
+    with pytest.raises(GuardError, match=r"degree 7 outside supported range \[0, 6\]"):
+        gelfand_check_biinvariant(7, 7)
     # one past MAX_DEGREE = 16
     with pytest.raises(GuardError, match=r"degree 17 outside supported range \[0, 16\]"):
         gelfand_check_characters(17, 17)
@@ -177,6 +178,29 @@ SUBGROUP_DEGREE_CHECKS = {
     "gelfand_check_characters": gelfand_check_characters,
     "gelfand_check_biinvariant": gelfand_check_biinvariant,
 }
+
+
+def test_degrees_outside_the_range_are_rejected():
+    # past degree 16 only 16 bits of a mask were folded: the invariant
+    # dimension of (rho+, rho+, chi_A) came out 1 for A = X_17 and A = {17}
+    # and 0 for A = X_19, where the parity rule of C3 gives 0, 0 and 1
+    for label in (
+        lambda: rho(17, "+"),
+        lambda: chi(17, range(1, 18)),
+        lambda: chi(17, (17,)),
+        lambda: chi(19, range(1, 20)),
+        lambda: chi(-1),
+    ):
+        with pytest.raises(GuardError, match="outside supported range"):
+            label()
+    # m = -1 passes "n or n-1" at n = 0 but is no degree
+    for make in (
+        lambda: TripleElement(identity(0), identity(0), identity(0), -1),
+        lambda: gelfand_check_biinvariant(0, -1),
+        lambda: gelfand_check_characters(0, -1),
+    ):
+        with pytest.raises(ValueError, match="must be n or n-1 and at least 0"):
+            make()
 
 
 @pytest.mark.parametrize("make", SUBGROUP_DEGREE_CHECKS.values(), ids=SUBGROUP_DEGREE_CHECKS)

@@ -8,7 +8,10 @@ public re-exports.  Names are found with the stdlib ast, so a name that
 appears only in a comment or a string does not count as used.  In the
 public-name scan an attribute in a library module counts only on a name
 bound to a cliffharm module (`verify_mod.run_suite`), so `args.triple`
-does not keep a function `triple` alive.
+does not keep a function `triple` alive.  In the method scan a plain
+method's name counts only where it is called and a property's only where it
+is read without a call, so the property `IntertwinerBasis.dimension` does
+not keep a method `dimension` alive.
 """
 
 import ast
@@ -137,14 +140,30 @@ def _attributes(node):
     return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
+def _attribute_uses(node):
+    """(calls, reads): Counters of the attribute names node calls, as in
+    x.name(...), and of those it reads without a call."""
+    calls = Counter(
+        sub.func.attr for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+    )
+    return calls, _attributes(node) - calls
+
+
+def _is_property(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
 def methods_only_tests_use(library: dict, users: list) -> list:
     """(module, class, method) for each public method defined in a class
-    body of the library modules whose name no attribute access outside its
-    own definition uses, in the library or in a user source (demos,
-    benchmark)."""
+    body of the library modules that no code outside its own definition
+    uses, in the library or in a user source (demos, benchmark).  A plain
+    method's name counts only where it is called and a property's only
+    where it is read without a call, so a property of one class does not
+    keep a same-named method of another alive."""
     trees = {module: ast.parse(source) for module, source in library.items()}
-    used = sum((_attributes(t) for t in trees.values()), Counter())
-    used += sum((_attributes(ast.parse(u)) for u in users), Counter())
+    sources = [*trees.values(), *map(ast.parse, users)]
+    uses = [sum(counts, Counter()) for counts in zip(*map(_attribute_uses, sources))]
     return sorted(
         (module, cls.name, node.name)
         for module, tree in trees.items()
@@ -153,7 +172,8 @@ def methods_only_tests_use(library: dict, users: list) -> list:
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and not node.name.startswith("_")
-        and used[node.name] <= _attributes(node)[node.name]
+        and uses[_is_property(node)][node.name]
+        <= _attribute_uses(node)[_is_property(node)][node.name]
     )
 
 
@@ -230,11 +250,27 @@ def test_method_scanner():
         ),
         "b": "from .a import Num\nNum().used()\n",
     }
-    users = ["import cliffharm\ncliffharm.a.Num().for_tests\n"]
+    users = ["import cliffharm\ncliffharm.a.Num().for_tests()\n"]
     assert methods_only_tests_use(library, []) == [
         ("a", "Num", "for_tests"), ("a", "Num", "recursive")
     ]
     assert methods_only_tests_use(library, users) == [("a", "Num", "recursive")]
+    # a method only referenced, never called, is not used
+    assert methods_only_tests_use(library, ["cliffharm.a.Num().for_tests\n"]) == [
+        ("a", "Num", "for_tests"), ("a", "Num", "recursive")
+    ]
+    # reading the property Basis.size does not keep the method Num.size
+    # alive, and calling Num.size does not keep the property alive
+    library = {
+        "a": (
+            "class Num:\n    def size(self):\n        return 4\n"
+            "class Basis:\n    @property\n    def size(self):\n        return 5\n"
+        ),
+        "b": "from .a import Basis\nBasis().size\n",
+    }
+    assert methods_only_tests_use(library, []) == [("a", "Num", "size")]
+    library["b"] = "from .a import Num\nNum().size()\n"
+    assert methods_only_tests_use(library, []) == [("a", "Basis", "size")]
 
 
 def test_public_methods_are_used_outside_the_tests():
