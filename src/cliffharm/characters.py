@@ -61,7 +61,7 @@ class IrrepLabel:
 
     def __post_init__(self):
         n = self.degree
-        _check_degree(n)  # _minus_one_to reads masks below 2^16
+        _check_degree(n)  # element arithmetic reads masks below 2^16
         if self.kind == "chi":
             if self.mask >> n:
                 raise ValueError("chi subset not contained in X_n")

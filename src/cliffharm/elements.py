@@ -7,9 +7,9 @@ CL(n) = {+/- gamma_A : A subset of {1..n}} with the twisted multiplication
 where xi(A, B) counts pairs (a, b) in A x B with a > b.  Subsets are stored
 as machine-word bitmasks (bit i-1 <-> index i), and an element is the index
 sign_bit << n | mask.  index_product is the one group law: it multiplies
-indices, ints or int64 arrays, reading xi(A, B) mod 2 off a shift-XOR fold.
-multiply, inverse and conjugate call it on element_index, and mult_table
-is one broadcast call of it over the whole group.
+indices, ints or int64 arrays, reading xi(A, B) mod 2 off a shift-XOR fold
+and a popcount.  multiply, inverse and conjugate call it on element_index,
+and mult_table is one broadcast call of it over the whole group.
 
 Conjugation only flips signs (the sign-flip lemma, see conjugation_sign):
 gamma_A keeps its sign under every conjugation exactly when it is central
@@ -158,26 +158,27 @@ def element_index(x: CliffordElement) -> int:
     return ((x.sign < 0) << x.degree) | x.mask
 
 
-def _xor_fold(x):
-    """Bit j of the result is the parity of bits j..j+15 of x, for an int or
-    an int64 array: for a mask below 2^16, the parity of its bits from j up,
-    so bit 0 is the parity of |x|.  Right shifts only, so no intermediate
-    exceeds x."""
-    for shift in (8, 4, 2, 1):
-        x = x ^ (x >> shift)
-    return x
+def _parity(x):
+    """|x| mod 2 for masks x >= 0: an int, or an int64 array by np.bitwise_count."""
+    if isinstance(x, np.ndarray):
+        return (np.bitwise_count(x) & 1).astype(np.int64)
+    return x.bit_count() & 1
 
 
 def _minus_one_to(x):
-    """(-1)^|x| for a mask below 2^16, or an int64 array of them."""
-    return 1 - 2 * (_xor_fold(x) & 1)
+    """(-1)^|x| for a mask, or an int64 array of them."""
+    return 1 - 2 * _parity(x)
 
 
 def _xi_parity(a, b):
     """xi(a, b) mod 2 on masks below 2^16, ints or int64 arrays: xi counts
-    the pairs of a bit of a above a bit of b, and bit j of fold(a >> 1) is
-    the parity of a's bits above j."""
-    return _xor_fold(_xor_fold(a >> 1) & b) & 1
+    the pairs of a bit of a above a bit of b, and the shift-XOR fold of
+    a >> 1 sets bit j to the parity of a's bits above j.  Right shifts
+    only, so no intermediate exceeds a."""
+    a = a >> 1
+    for shift in (8, 4, 2, 1):
+        a = a ^ (a >> shift)
+    return _parity(a & b)
 
 
 def index_product(i, j, n: int):

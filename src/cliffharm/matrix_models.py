@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import DegreeMismatchError, GuardError, _xor_fold, embed_index, mult_table
+from .elements import DegreeMismatchError, GuardError, _parity, embed_index, mult_table
 from .characters import IrrepLabel, format_label, irreps, top_phase_re_im
 from .gelfand import TripleIrrepLabel
 from .linalg import (
@@ -94,7 +94,7 @@ def build_matrix_rep(label: IrrepLabel):
         # chi_A(+/- gamma_T) = (-1)^|A & T| = i^(2 |A & T|)
         idx = np.arange(2 << n, dtype=np.int64)
         perm = np.zeros((2 << n, 1), dtype=np.int64)
-        phase = 2 * (_xor_fold(label.mask & idx)[:, None] & 1)
+        phase = 2 * _parity(label.mask & idx)[:, None]
     else:
         if n > MAX_RHO_MODEL_DEGREE:
             msg = f"matrix model for {format_label(label)} guarded at n <= {MAX_RHO_MODEL_DEGREE}"

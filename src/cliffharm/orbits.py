@@ -14,7 +14,8 @@ spherical_closed_form evaluates them at one point, and the full-grid
 comparison evaluates them on whole slabs of the grid.  That comparison
 scales both sides by 2^(n+1) and checks them one slab of the first slot at
 a time; the direct side sums the summand table gelfand.conj_summands over
-every h in CL(n), the table that spherical_value sums at one point.
+every h in CL(n), the table that spherical_value sums at one point: by a
+popcount of sign bits if every summand is real and +-1, else by matmul.
 
 With H = G, psi does not change when the three (label, point) slots are
 permuted together, so spherical_closed_form sorts the chi slots first and
@@ -60,6 +61,10 @@ from .linalg import complex_matmul
 # enumerate_pair_orbits(7) finds its 17,152 orbits in 0.15 s with a 39 MB
 # peak RSS (2-CPU VM); n = 8 would take 0.85 s and 67 MB for 66,304.
 MAX_PAIR_ORBIT_DEGREE = 7
+# closed_vs_direct_grids(4) compares its 19.2 M points in 0.4 s with a 34 MB
+# peak RSS (2-CPU VM), 16.8 M of them chi x chi x chi by sign-bit popcount;
+# n = 5 has 1,024 chi points per slot, 1.07 G chi x chi x chi points, and
+# 64 rows h, which do not fit the sign-bit packing.
 MAX_GRID_DEGREE = 4
 
 
@@ -165,9 +170,8 @@ class SphericalQuery:
 def subset_sum_lemma(subset_mask: int, n: int) -> int:
     """(1/2^n) sum_D (-1)^|U cap D| by direct summation: 1 iff U empty.
 
-    The 2^n masks D are summed in one int64 pass.  _minus_one_to reads masks
-    below 2^16, hence the guard n <= MAX_DEGREE, and the sum stays within
-    +/-2^16."""
+    The 2^n masks D are summed in one int64 pass, guarded at n <=
+    MAX_DEGREE, so the sum stays within +/-2^16."""
     _check_degree(n)
     if subset_mask >> n:
         raise ValueError("subset not contained in X_n")
@@ -277,19 +281,34 @@ def _slot(n: int, spin: bool):
     return tuple(np.hstack(part) for part in zip(*tables)), points.reshape(3, -1)
 
 
+def _sign_bits(re, im):
+    """Column words of a real +-1 table, bit h set where row h is -1; else None."""
+    if not im.any() and np.all(np.abs(re) == 1):
+        if len(re) > 62:
+            raise ValueError(f"{len(re)} rows do not fit below bit 62 of an int64")
+        return ((re < 0) << np.arange(len(re))[:, None]).sum(axis=0)
+
+
 def _direct_grid(slots):
     """2^(n+1) * psi over the full grid by literal summation over h, one
-    slab per point i of the first slot.
+    slab per point i of the first slot: sum_h a[h, i] outer(b[h], c[h]).
 
-    With rows h and columns grid points, slab i is
-    sum_h a[h, i] outer(b[h], c[h]) = (a[:, i, None] * b)^T c.  All
-    arithmetic is int64 and exact: terms are at most 2^(3n/2) in size and
-    there are 2^(n+1) of them.
+    If every summand is real and +-1, a product is -1 where an odd number of
+    its _sign_bits is set, so slab i is rows - 2 popcount(a_i ^ b[:, None]
+    ^ c).  np.bitwise_count counts the bits of |x| for signed x, so bit 63
+    would miscount; rows are at most 2^(MAX_GRID_DEGREE+1) = 32, below bit
+    62.  Otherwise slab i is (a[:, i, None] * b)^T c by complex_matmul,
+    exact in int64: terms are at most 2^(3n/2), and 2^(n+1) of them.
     """
     (a_re, a_im), (b_re, b_im), c = slots
-    for i in range(a_re.shape[1]):
-        ar, ai = a_re[:, i, None], a_im[:, i, None]
-        yield complex_matmul(((ar * b_re - ai * b_im).T, (ar * b_im + ai * b_re).T), c)
+    bits = [_sign_bits(*summands) for summands in slots]
+    if all(b is not None for b in bits):
+        pair = bits[1][:, None] ^ bits[2]
+        return ((len(a_re) - 2 * np.bitwise_count(w ^ pair).astype(np.int64), 0) for w in bits[0])
+    return (
+        complex_matmul(((ar * b_re - ai * b_im).T, (ar * b_im + ai * b_re).T), c)
+        for ar, ai in zip(a_re.T[:, :, None], a_im.T[:, :, None])
+    )
 
 
 @dataclass

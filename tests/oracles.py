@@ -14,8 +14,8 @@ matrices as Gaussian-rational lists to compare with them.
 `xi` is the defining loop over pairs of indices, and `xi_multiply` and
 `xi_inverse` are the product rule and the closed-form inverse written
 directly from it: they are the oracles for `elements.index_product`, the
-library's one group law, which reads xi mod 2 off a shift-XOR fold.  Every
-oracle below that multiplies group elements uses them.
+library's one group law, which reads xi mod 2 off a shift-XOR fold and a
+popcount.  Every oracle below that multiplies group elements uses them.
 
 `enumerated_conjugacy_classes` conjugates every element by the whole group,
 O(|G|^2); the library reads the partition off the sign-flip lemma instead.
@@ -27,6 +27,10 @@ of the diagonal CL(m), by one array pass per conjugator.
 `generic_spherical_character` sums the spherical character through group
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.
+
+`summed_slabs` sums the full spherical grid one slab at a time by
+`np.einsum` over the rows h of three Gaussian-integer summand tables; the
+library counts sign bits on +-1 tables and multiplies matrices otherwise.
 
 `character_table` is the dense int64 table of every irrep at every class.
 `dense_multiplicity_cube` fills the whole |Irr|^3 multiplicity cube of the
@@ -295,6 +299,24 @@ def generic_spherical_character(sigma, at):
             * character_value(sigma.theta, CliffordElement(m, hh1.sign, hh1.mask))
         ).conjugate()
     return total / (1 << (m + 1))
+
+
+def summed_slabs(slots):
+    """[(re, im)] with slab i the sum over rows h of a[h, i] b[h, j] c[h, k],
+    for slots a, b, c given as (re, im) int64 tables of one row count."""
+    (a_re, a_im), (b_re, b_im), (c_re, c_im) = slots
+
+    def outer_sum(p, q):
+        return np.einsum("hj,hk->jk", p, q)
+
+    slabs = []
+    for ar, ai in zip(a_re.T[:, :, None], a_im.T[:, :, None]):
+        p_re, p_im = ar * b_re - ai * b_im, ar * b_im + ai * b_re
+        slabs.append((
+            outer_sum(p_re, c_re) - outer_sum(p_im, c_im),
+            outer_sum(p_re, c_im) + outer_sum(p_im, c_re),
+        ))
+    return slabs
 
 
 @dataclass

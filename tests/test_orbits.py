@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from cliffharm.exact import gr
@@ -31,7 +32,7 @@ from cliffharm.orbits import (
     subset_sum_lemma,
 )
 
-from oracles import generic_spherical_character
+from oracles import generic_spherical_character, summed_slabs
 
 
 def test_orbit_structure_exhaustive_small():
@@ -236,6 +237,84 @@ def test_full_grid_comparison_small():
             "chi-chi-chi", "rho-rho-rho", "chi-rho-rho", "chi-chi-rho"
         }
         assert all(r.agree for r in reports)
+
+
+def _chi_grid(n):
+    """The three chi x chi x chi summand tables at degree n."""
+    summands, _ = orbits._slot(n, spin=False)
+    return [summands] * 3
+
+
+def test_sign_bit_slabs_are_the_matmul_slabs(monkeypatch):
+    # chi x chi x chi takes the sign-bit count; with packing refused it takes
+    # complex_matmul; both agree slab by slab with an einsum over h.  The
+    # route follows the values: the spin values of CL(1) are +-1 as well
+    for n in (1, 2, 3):
+        slots = _chi_grid(n)
+        assert all(orbits._sign_bits(*summands) is not None for summands in slots)
+        spin, _ = orbits._slot(n, spin=True)
+        assert (orbits._sign_bits(*spin) is None) == (n > 1)
+        counted = list(orbits._direct_grid(slots))
+        with monkeypatch.context() as m:
+            m.setattr(orbits, "_sign_bits", lambda re, im: None)
+            multiplied = list(orbits._direct_grid(slots))
+        want = summed_slabs(slots)
+        assert len(counted) == len(multiplied) == len(want) == 4 ** n
+        for (c_re, c_im), (m_re, m_im), (w_re, w_im) in zip(counted, multiplied, want):
+            assert np.array_equal(c_re, w_re) and np.array_equal(m_re, w_re)
+            assert not np.any(c_im) and np.array_equal(m_im, w_im)
+
+
+def test_sign_bit_packing_refuses_bit_63():
+    rows = np.ones((63, 2), dtype=np.int64)
+    assert orbits._sign_bits(rows[:62], 0 * rows[:62]).tolist() == [0, 0]
+    with pytest.raises(ValueError):
+        orbits._sign_bits(rows, 0 * rows)
+
+
+def _chi_verdicts(n):
+    return {r.family: r.agree for r in closed_vs_direct_grids(n)}["chi-chi-chi"]
+
+
+def _one_row_slip(label, m, sign, mask):
+    re, im = gelfand.conj_summands(label, m, sign, mask)
+    if label.kind == "chi":
+        re = re.copy()
+        re[1] = -re[1]
+    return re, im
+
+
+def _doubled(label, m, sign, mask):
+    re, im = gelfand.conj_summands(label, m, sign, mask)
+    return (2 * re, 2 * im) if label.kind == "chi" else (re, im)
+
+
+real_closed_scaled = orbits._closed_scaled
+
+
+def _closed_negated_at_no_spin(n, spins, *slots):
+    re, im = real_closed_scaled(n, spins, *slots)
+    return (-re, -im) if spins == 0 else (re, im)
+
+
+@pytest.mark.parametrize(
+    "attr, mutant",
+    [
+        ("conj_summands", _one_row_slip),
+        ("conj_summands", _doubled),
+        ("_closed_scaled", _closed_negated_at_no_spin),
+    ],
+)
+def test_grid_mutations_flip_chi_chi_chi(monkeypatch, attr, mutant):
+    # a sign slip in one row h of the chi summands, doubled chi summands
+    # (no longer +-1, so they take the matmul route) and a negated chi x
+    # chi x chi closed form each make chi x chi x chi disagree at n = 1..3
+    assert all(_chi_verdicts(n) for n in (1, 2, 3))
+    monkeypatch.setattr(orbits, attr, mutant)
+    if mutant is _doubled:
+        summands, _ = orbits._slot(1, spin=False)
+        assert orbits._sign_bits(*summands) is None
+    assert not any(_chi_verdicts(n) for n in (1, 2, 3))
 
 
 def test_spherical_query_requires_equal_degrees():

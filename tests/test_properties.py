@@ -102,7 +102,7 @@ masks16 = st.integers(0, (1 << MAX_DEGREE) - 1)
 
 @given(st.lists(masks16, min_size=1, max_size=8))
 def test_parity_fold_is_the_parity_of_the_mask(masks):
-    # the closed forms' shift-XOR fold, on ints and on int64 arrays
+    # the closed forms' popcount parity, on ints and on int64 arrays
     want = [(-1) ** mask.bit_count() for mask in masks]
     assert [_minus_one_to(mask) for mask in masks] == want
     assert _minus_one_to(np.array(masks, dtype=np.int64)).tolist() == want
@@ -115,6 +115,30 @@ def test_xi_parity_fold_is_xi_mod_2(pairs):
     assert [_xi_parity(a, b) for a, b in pairs] == want
     a, b = np.array(pairs, dtype=np.int64).T
     assert _xi_parity(a, b).tolist() == want
+
+
+@given(st.lists(st.tuples(masks16, masks16), min_size=1, max_size=8))
+def test_parity_kernel_keeps_python_ints(pairs):
+    # ints in, Python ints out (element reprs and CLI output stay as they
+    # were); numpy int64 scalars in, the same values out
+    for a, b in pairs:
+        i, j = np.int64(a), np.int64(b)
+        for f, ints, scalars in (
+            (_minus_one_to, (a,), (i,)),
+            (_xi_parity, (a, b), (i, j)),
+            (index_product, (a, b, MAX_DEGREE), (i, j, MAX_DEGREE)),
+        ):
+            got = f(*ints)
+            assert type(got) is int
+            assert f(*scalars) == got
+
+
+@given(degree_and_elements(2))
+def test_products_hold_python_ints(case):
+    n, (x, y) = case
+    z = multiply(x, y)
+    assert type(z.mask) is int and type(z.sign) is int
+    assert repr(z) == repr(xi_multiply(x, y))
 
 
 @given(st.data())
