@@ -159,21 +159,24 @@ def element_index(x: CliffordElement) -> int:
 
 
 def _parity(x):
-    """|x| mod 2 for masks x >= 0: an int, or an int64 array by np.bitwise_count."""
+    """|x| mod 2 for masks x >= 0: an int, or an array of x's dtype by
+    np.bitwise_count.  Signed dtypes only: 1 - 2 * parity, as
+    _minus_one_to forms it, would wrap in an unsigned one."""
     if isinstance(x, np.ndarray):
-        return (np.bitwise_count(x) & 1).astype(np.int64)
+        return (np.bitwise_count(x) & 1).astype(x.dtype)
     return x.bit_count() & 1
 
 
 def _minus_one_to(x):
-    """(-1)^|x| for a mask, or an int64 array of them."""
+    """(-1)^|x| for a mask, or a signed integer array of them, of its dtype."""
     return 1 - 2 * _parity(x)
 
 
 def _xi_parity(a, b):
-    """xi(a, b) mod 2 on masks below 2^16, ints or int64 arrays: xi counts
-    the pairs of a bit of a above a bit of b, and the shift-XOR fold of
-    a >> 1 sets bit j to the parity of a's bits above j.  Right shifts
+    """xi(a, b) mod 2 on masks below 2^16, ints or int64 arrays, or int16
+    arrays of masks below 2^15, where the shift by 8 stays in the word: xi
+    counts the pairs of a bit of a above a bit of b, and the shift-XOR fold
+    of a >> 1 sets bit j to the parity of a's bits above j.  Right shifts
     only, so no intermediate exceeds a."""
     a = a >> 1
     for shift in (8, 4, 2, 1):

@@ -47,16 +47,27 @@ def times_i(re, im, k):
 
 def complex_matmul(x, y):
     """x @ y for Gaussian-integer matrices given as (re, im) int64 pairs;
-    a product with an all-zero factor is skipped, so real tables cost one
-    integer matmul.  Callers bound the sums they form."""
-    (x_re, x_im), (y_re, y_im) = x, y
+    only the products of two nonzero factors are formed and added, so real
+    tables cost one integer matmul.  Callers bound the sums they form."""
+    live = [p.any() for p in x], [q.any() for q in y]
 
-    def mm(p, q):
-        if p.any() and q.any():
-            return p @ q
-        return np.zeros((p.shape[0], q.shape[1]), dtype=np.int64)
+    def part(*terms):
+        out = None
+        for sign, i, j in terms:
+            if live[0][i] and live[1][j]:
+                prod = x[i] @ y[j]
+                if out is None:
+                    out = prod if sign > 0 else np.negative(prod, out=prod)
+                elif sign > 0:
+                    out += prod
+                else:
+                    out -= prod
+        if out is None:
+            return np.zeros((x[0].shape[0], y[0].shape[1]), dtype=np.int64)
+        return out
 
-    return mm(x_re, y_re) - mm(x_im, y_im), mm(x_re, y_im) + mm(x_im, y_re)
+    # (a + bi)(c + di) = (ac - bd) + (ad + bc)i
+    return part((1, 0, 0), (-1, 1, 1)), part((1, 0, 1), (1, 1, 0))
 
 
 class Matrix:

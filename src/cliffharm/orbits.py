@@ -9,13 +9,16 @@ the sign-flip lemma through elements.is_central and never multiplies.
 Spherical characters likewise: direct summation over the subgroup
 (spherical_value, which is gelfand.spherical_character with H = G) versus
 the closed-form case formulas.  The case formulas are written once, as
-exact integer code on ints or int64 arrays (_closed_scaled):
+exact integer code on ints or integer arrays (_closed_scaled):
 spherical_closed_form evaluates them at one point, and the full-grid
-comparison evaluates them on whole slabs of the grid.  That comparison
-scales both sides by 2^(n+1) and checks them one slab of the first slot at
-a time; the direct side sums the summand table gelfand.conj_summands over
-every h in CL(n), the table that spherical_value sums at one point: by a
-popcount of sign bits if every summand is real and +-1, else by matmul.
+comparison evaluates them, in int16, on whole slabs of the grid.  That
+comparison scales both sides by 2^(n+1) and checks them one slab of the
+last slot at a time; the direct side sums the summand table
+gelfand.conj_summands over h in CL(n), the table that spherical_value sums
+at one point: by a popcount of sign bits if every summand is real and +-1,
+else by matmul over the rows h where the last slot's summand is nonzero.
+Spin characters vanish off the centre, so a spin slot, which sorts last,
+leaves a few rows of the 2^(n+1).
 
 With H = G, psi does not change when the three (label, point) slots are
 permuted together, so spherical_closed_form sorts the chi slots first and
@@ -61,10 +64,11 @@ from .linalg import complex_matmul
 # enumerate_pair_orbits(7) finds its 17,152 orbits in 0.15 s with a 39 MB
 # peak RSS (2-CPU VM); n = 8 would take 0.85 s and 67 MB for 66,304.
 MAX_PAIR_ORBIT_DEGREE = 7
-# closed_vs_direct_grids(4) compares its 19.2 M points in 0.4 s with a 34 MB
-# peak RSS (2-CPU VM), 16.8 M of them chi x chi x chi by sign-bit popcount;
-# n = 5 has 1,024 chi points per slot, 1.07 G chi x chi x chi points, and
-# 64 rows h, which do not fit the sign-bit packing.
+# closed_vs_direct_grids(4) compares its 19.2 M points in 0.08-0.14 s cold
+# with a 32.6 MB peak RSS (2-CPU VM), 16.8 M of them chi x chi x chi by
+# sign-bit popcount in int16; n = 5 has 1,024 chi points per slot, 1.07 G
+# chi x chi x chi points, and 64 rows h, which do not fit the sign-bit
+# packing.
 MAX_GRID_DEGREE = 4
 
 
@@ -217,9 +221,12 @@ def _closed_scaled(n: int, spins: int, x1, x2, x3):
     slots placed after the chi slots.
 
     Each slot xk = (label parameter, T mask, sign) of the k-th label and
-    element; its entries are ints or broadcastable int64 arrays.  Every
-    value is at most 2^(n+1) <= 2^17 in size and the intermediates are no
-    larger, so the int64 arithmetic cannot overflow.
+    element; its entries are ints, or broadcastable arrays of one signed
+    integer dtype, which the arithmetic keeps.  Every value is at most
+    2^(n+1) in size and the intermediates are no larger, so int64 cannot
+    overflow up to n = 16.  The grid passes int16: its values are at most
+    2^(n+1) = 32 at MAX_GRID_DEGREE = 4, and its masks, below 2^4, keep
+    the shift by 8 of xi's fold inside the 16-bit word.
     """
     (a, t1, _), (p2, t2, e2), (p3, t3, e3) = x1, x2, x3
     if spins == 0:
@@ -260,7 +267,7 @@ def spherical_closed_form(q: SphericalQuery) -> SphericalResult:
     )
 
 
-# -- exhaustive closed-vs-direct comparison (vectorized, exact int64) -------
+# -- exhaustive closed-vs-direct comparison (vectorized, exact integers) ----
 
 
 def _slot(n: int, spin: bool):
@@ -269,16 +276,18 @@ def _slot(n: int, spin: bool):
 
     The slot's grid points are its (label, T, sign) triples, label-major,
     with the sign held at +1 for chi labels, which do not see it; points
-    lists them as the (label parameter, T, sign) rows that _closed_scaled
-    reads.  summands = (re, im) is gelfand.conj_summands for each label,
-    side by side: a row per h in CL(n) and a column per grid point.
+    lists them as the int16 (label parameter, T, sign) rows that
+    _closed_scaled reads (every entry is below 2^n <= 2^MAX_GRID_DEGREE in
+    size).  summands = (re, im) is gelfand.conj_summands for each label,
+    side by side: an int64 row per h in CL(n) and a column per grid point.
     """
     labels = [lab for lab in irreps(n) if (lab.kind != "chi") == spin]
     params = [_label_parameter(lab) for lab in labels]
     grid = np.meshgrid(params, np.arange(1 << n), (1, -1)[: 1 + spin], indexing="ij")
     points = np.stack([a.reshape(len(labels), -1) for a in grid])  # by label
     tables = [conj_summands(lab, n, e, t) for lab, t, e in zip(labels, points[1], points[2])]
-    return tuple(np.hstack(part) for part in zip(*tables)), points.reshape(3, -1)
+    summands = tuple(np.hstack(part) for part in zip(*tables))
+    return summands, points.reshape(3, -1).astype(np.int16)
 
 
 def _sign_bits(re, im):
@@ -289,26 +298,62 @@ def _sign_bits(re, im):
         return ((re < 0) << np.arange(len(re))[:, None]).sum(axis=0)
 
 
+def _nonzero_rows(re, im):
+    """The rows h where a summand column re + i im is nonzero."""
+    return np.flatnonzero(re | im)
+
+
 def _direct_grid(slots):
     """2^(n+1) * psi over the full grid by literal summation over h, one
-    slab per point i of the first slot: sum_h a[h, i] outer(b[h], c[h]).
+    slab per point k of the last slot: sum_h c[h, k] outer(a[h], b[h]).
 
     If every summand is real and +-1, a product is -1 where an odd number of
-    its _sign_bits is set, so slab i is rows - 2 popcount(a_i ^ b[:, None]
-    ^ c).  np.bitwise_count counts the bits of |x| for signed x, so bit 63
-    would miscount; rows are at most 2^(MAX_GRID_DEGREE+1) = 32, below bit
-    62.  Otherwise slab i is (a[:, i, None] * b)^T c by complex_matmul,
-    exact in int64: terms are at most 2^(3n/2), and 2^(n+1) of them.
+    its _sign_bits is set, so slab k is rows - 2 popcount(a[:, None] ^ b ^
+    c_k), in int16: rows are at most 2^(MAX_GRID_DEGREE+1) = 32.
+    np.bitwise_count counts the bits of |x| for signed x, so bit 63 would
+    miscount; 32 rows stay below bit 62.  Otherwise slab k sums only the
+    rows h where c[h, k] is nonzero, (c[h, k] a[h])^T b[h] by
+    complex_matmul: a spin slot, which every such family has last, vanishes
+    off the h with h g_k central.  Exact in int64: terms are at most
+    2^(3n/2), and at most 2^(n+1) of them.
     """
-    (a_re, a_im), (b_re, b_im), c = slots
+    (a_re, a_im), (b_re, b_im), (c_re, c_im) = slots
     bits = [_sign_bits(*summands) for summands in slots]
-    if all(b is not None for b in bits):
-        pair = bits[1][:, None] ^ bits[2]
-        return ((len(a_re) - 2 * np.bitwise_count(w ^ pair).astype(np.int64), 0) for w in bits[0])
-    return (
-        complex_matmul(((ar * b_re - ai * b_im).T, (ar * b_im + ai * b_re).T), c)
-        for ar, ai in zip(a_re.T[:, :, None], a_im.T[:, :, None])
-    )
+    if all(w is not None for w in bits):
+        pair = bits[0][:, None] ^ bits[1]
+        rows = len(c_re)
+        return ((rows - 2 * np.bitwise_count(pair ^ w).astype(np.int16), 0) for w in bits[2])
+
+    def slab(k):
+        h = _nonzero_rows(c_re[:, k], c_im[:, k])
+        cr, ci, ar, ai = c_re[h, k, None], c_im[h, k, None], a_re[h], a_im[h]
+        return complex_matmul(((cr * ar - ci * ai).T, (cr * ai + ci * ar).T), (b_re[h], b_im[h]))
+
+    return (slab(k) for k in range(c_re.shape[1]))
+
+
+def _first_mismatch(direct, closed):
+    """(k, i, j) of the first grid point where two slab streams differ, slab
+    by slab, or None; only a slab that differs is searched."""
+    for k, ((d_re, d_im), (c_re, c_im)) in enumerate(zip(direct, closed)):
+        if not (np.all(d_re == c_re) and np.all(d_im == c_im)):
+            wrong = (d_re != c_re) | (d_im != c_im)
+            return (k, *divmod(int(np.flatnonzero(wrong)[0]), wrong.shape[1]))
+    return None
+
+
+def _grid_query(n: int, family: str, slot_points, cols):
+    """The SphericalQuery at one grid point: column cols[s] of slot s."""
+    slots = []
+    for kind, points, col in zip(family.split("-"), slot_points, cols):
+        param, t, e = points[:, col].tolist()
+        label = next(
+            lab for lab in irreps(n)
+            if (lab.kind == "chi") == (kind == "chi") and _label_parameter(lab) == param
+        )
+        slots.append((label, CliffordElement(n, e, t)))
+    labels, at = zip(*slots)
+    return SphericalQuery(TripleIrrepLabel(*labels), TripleElement(*at, n))
 
 
 @dataclass
@@ -316,6 +361,7 @@ class GridFamilyReport:
     family: str
     points: int
     agree: bool
+    counterexample: SphericalQuery | None  # the first disagreeing point
 
 
 def closed_vs_direct_grids(n: int):
@@ -323,7 +369,8 @@ def closed_vs_direct_grids(n: int):
 
     Covers the four chi-first FAMILIES at degree n; both sides are scaled
     by 2^(n+1) so everything stays integral, and they are compared one
-    slab of the first slot at a time.  Returns per-family reports.
+    slab of the last slot at a time.  Returns per-family reports, each with
+    the first disagreeing point, in slab order, as a SphericalQuery.
     """
     _check_degree(n, MAX_GRID_DEGREE)
     slot_of = {"chi": _slot(n, spin=False), "rho": _slot(n, spin=True)}
@@ -331,13 +378,14 @@ def closed_vs_direct_grids(n: int):
     for family in FAMILIES:
         slots = [slot_of[kind] for kind in family.split("-")]
         x1, x2, x3 = (points for _, points in slots)
-        cols, rows = [x[:, None] for x in x2], [x[None, :] for x in x3]
-        closed = (_closed_scaled(n, family.count("rho"), p, cols, rows) for p in zip(*x1))
+        cols, rows = [x[:, None] for x in x1], [x[None, :] for x in x2]
+        closed = (_closed_scaled(n, family.count("rho"), cols, rows, p) for p in zip(*x3))
         direct = _direct_grid([summands for summands, _ in slots])
-        agree = all(
-            np.all(d_re == c_re) and np.all(d_im == c_im)
-            for (d_re, d_im), (c_re, c_im) in zip(direct, closed)
-        )
+        mismatch = _first_mismatch(direct, closed)
+        counterexample = None
+        if mismatch is not None:
+            k, i, j = mismatch
+            counterexample = _grid_query(n, family, (x1, x2, x3), (i, j, k))
         points = x1.shape[1] * x2.shape[1] * x3.shape[1]
-        reports.append(GridFamilyReport(family, points, agree))
+        reports.append(GridFamilyReport(family, points, mismatch is None, counterexample))
     return reports

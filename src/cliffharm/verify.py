@@ -9,6 +9,7 @@ or fails with the first counterexample.
 from __future__ import annotations
 
 import random
+import shlex
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -224,12 +225,21 @@ def check_orbits(n_max=6):
     return True, f"n = 1..{n_max}, exhaustive"
 
 
+def spherical_replay(q: SphericalQuery) -> str:
+    """The `cliffharm spherical` command line that recomputes q both ways."""
+    n = q.sigma.rho1.degree
+    labels = ",".join(map(format_label, (q.sigma.rho1, q.sigma.rho2, q.sigma.theta)))
+    at = ",".join(map(format_element, (q.at.g1, q.at.g2, q.at.h)))
+    return f"cliffharm spherical {n} --triple {shlex.quote(labels)} --at {shlex.quote(at)}"
+
+
 @_check("C6", "spherical closed forms equal direct summation on full grids")
 def check_spherical_grids(n_max=4, lemma_n_max=10):
     for n in range(1, n_max + 1):
         for rep in closed_vs_direct_grids(n):
             if not rep.agree:
-                return False, f"family {rep.family} disagrees at n={n}"
+                replay = spherical_replay(rep.counterexample)
+                return False, f"family {rep.family} disagrees at n={n}; replay: {replay}"
     for n in range(0, lemma_n_max + 1):
         for u in range(1 << n):
             if subset_sum_lemma(u, n) != (1 if u == 0 else 0):

@@ -28,9 +28,10 @@ of the diagonal CL(m), by one array pass per conjugator.
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.
 
-`summed_slabs` sums the full spherical grid one slab at a time by
-`np.einsum` over the rows h of three Gaussian-integer summand tables; the
-library counts sign bits on +-1 tables and multiplies matrices otherwise.
+`summed_slabs` sums the full spherical grid one slab of the last slot at a
+time by `np.einsum` over every row h of three Gaussian-integer summand
+tables; the library counts sign bits on +-1 tables and otherwise multiplies
+matrices over the rows where the last slot's summand is nonzero.
 
 `character_table` is the dense int64 table of every irrep at every class.
 `dense_multiplicity_cube` fills the whole |Irr|^3 multiplicity cube of the
@@ -302,19 +303,20 @@ def generic_spherical_character(sigma, at):
 
 
 def summed_slabs(slots):
-    """[(re, im)] with slab i the sum over rows h of a[h, i] b[h, j] c[h, k],
-    for slots a, b, c given as (re, im) int64 tables of one row count."""
+    """[(re, im)] with slab k the sum over every row h of a[h, i] b[h, j]
+    c[h, k], for slots a, b, c given as (re, im) int64 tables of one row
+    count."""
     (a_re, a_im), (b_re, b_im), (c_re, c_im) = slots
 
     def outer_sum(p, q):
-        return np.einsum("hj,hk->jk", p, q)
+        return np.einsum("hi,hj->ij", p, q)
 
     slabs = []
-    for ar, ai in zip(a_re.T[:, :, None], a_im.T[:, :, None]):
-        p_re, p_im = ar * b_re - ai * b_im, ar * b_im + ai * b_re
+    for cr, ci in zip(c_re.T[:, :, None], c_im.T[:, :, None]):
+        p_re, p_im = cr * a_re - ci * a_im, cr * a_im + ci * a_re
         slabs.append((
-            outer_sum(p_re, c_re) - outer_sum(p_im, c_im),
-            outer_sum(p_re, c_im) + outer_sum(p_im, c_re),
+            outer_sum(p_re, b_re) - outer_sum(p_im, b_im),
+            outer_sum(p_re, b_im) + outer_sum(p_im, b_re),
         ))
     return slabs
 

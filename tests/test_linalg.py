@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from cliffharm.exact import ZERO, gr
 from cliffharm.linalg import (
     Matrix,
     ScaledMatrix,
+    complex_matmul,
     compose,
     gain_graph_nullspace,
     hs_inner,
@@ -64,6 +66,20 @@ def _random_images(rng, shape, size):
     leading shape."""
     perm = rng.permuted(np.broadcast_to(np.arange(size), shape + (size,)), axis=-1)
     return perm, rng.integers(0, 4, shape + (size,))
+
+
+@pytest.mark.parametrize("zero", list(product((False, True), repeat=4)))
+def test_complex_matmul_forms_only_nonzero_products(zero):
+    # every pattern of all-zero parts gives the dense product, in fresh
+    # int64 arrays of the full shape, whichever products are skipped
+    rng = np.random.default_rng(sum(bit << k for k, bit in enumerate(zero)))
+    parts = [0 * p if z else p for p, z in zip(rng.integers(-3, 4, (4, 3, 3)), zero)]
+    x, y = (parts[0][:2], parts[1][:2]), (parts[2][:, :2], parts[3][:, :2])  # 2x3 @ 3x2
+    re, im = complex_matmul(x, y)
+    want = _mul(Matrix(*x), Matrix(*y))
+    assert re.dtype == im.dtype == np.int64 and re.shape == im.shape == (2, 2)
+    assert np.array_equal(re, want.re) and np.array_equal(im, want.im)
+    assert not any(np.shares_memory(out, p) for out in (re, im) for p in parts)
 
 
 def test_monomial_matches_dense():

@@ -317,6 +317,84 @@ def test_grid_mutations_flip_chi_chi_chi(monkeypatch, attr, mutant):
     assert not any(_chi_verdicts(n) for n in (1, 2, 3))
 
 
+def _family_slots(n, family):
+    """The (summands, points) of the three slots of a chi-first family."""
+    slot_of = {kind: orbits._slot(n, spin=kind == "rho") for kind in ("chi", "rho")}
+    return [slot_of[kind] for kind in family.split("-")]
+
+
+def test_nonzero_row_slabs_are_the_dense_sums():
+    # every family takes the route its summand values pick; a spin column
+    # is nonzero only on the rows h with h g central (CL(1) is abelian; the
+    # centre is +-1 at even n and +-1, +-gamma_X at odd n > 1), and each
+    # slab of the last slot equals the einsum over every h
+    for n, centre in ((1, 4), (2, 2), (3, 4)):
+        spin, _ = orbits._slot(n, spin=True)
+        live = [len(orbits._nonzero_rows(re, im)) for re, im in zip(spin[0].T, spin[1].T)]
+        assert max(live) == centre
+        for family in orbits.FAMILIES:
+            slots = [summands for summands, _ in _family_slots(n, family)]
+            got = list(orbits._direct_grid(slots))
+            want = summed_slabs(slots)
+            assert len(got) == len(want) == slots[2][0].shape[1]
+            for (g_re, g_im), (w_re, w_im) in zip(got, want):
+                assert np.array_equal(g_re, w_re)
+                assert np.array_equal(np.broadcast_to(g_im, w_im.shape), w_im)
+
+
+def test_rows_picked_by_the_real_part_alone_break_chi_rho_rho(monkeypatch):
+    # at n = 3 the rho+- summands are purely imaginary at X_n, so picking
+    # the rows h by c_re alone drops terms and chi x rho x rho disagrees
+    assert all(r.agree for r in closed_vs_direct_grids(3))
+    monkeypatch.setattr(orbits, "_nonzero_rows", lambda re, im: np.flatnonzero(re))
+    agree = {r.family: r.agree for r in closed_vs_direct_grids(3)}
+    assert not agree["chi-rho-rho"]
+
+
+def _closed_slabs(n, family, dtype):
+    """_closed_scaled over the grid of a family, one slab of the last slot
+    at a time, on grid points cast to dtype."""
+    x1, x2, x3 = (points.astype(dtype) for _, points in _family_slots(n, family))
+    cols, rows = [x[:, None] for x in x1], [x[None, :] for x in x2]
+    return (orbits._closed_scaled(n, family.count("rho"), cols, rows, p) for p in zip(*x3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_int16_closed_slabs_are_the_int64_slabs(n):
+    # the grid evaluates the closed forms on int16 points; nothing wraps
+    for family in orbits.FAMILIES:
+        assert all(points.dtype == np.int16 for _, points in _family_slots(n, family))
+        narrow, wide = _closed_slabs(n, family, np.int16), _closed_slabs(n, family, np.int64)
+        for (n_re, n_im), (w_re, w_im) in zip(narrow, wide, strict=True):
+            for got in (n_re, n_im):
+                assert not isinstance(got, np.ndarray) or got.dtype == np.int16
+            assert np.array_equal(n_re, w_re) and np.array_equal(n_im, w_im)
+
+
+def test_grid_reports_the_first_disagreeing_point(monkeypatch):
+    # a two-spin closed form off by one only where T1 = {1,2}, g2 = +gamma_{2}
+    # and T3 = {2}: the report names the first such point in slab order (the
+    # last slot, then the first, then the second), where the point routes
+    # disagree as well
+    real = orbits._closed_scaled
+
+    def off_by_one(n, spins, x1, x2, x3):
+        re, im = real(n, spins, x1, x2, x3)
+        hit = (x1[1] == 3) & (x2[1] == 2) & (x2[2] == 1) & (x3[1] == 2)
+        return (re + hit, im) if spins == 2 else (re, im)
+
+    n = 2
+    assert all(r.counterexample is None for r in closed_vs_direct_grids(n))
+    monkeypatch.setattr(orbits, "_closed_scaled", off_by_one)
+    (bad,) = [r for r in closed_vs_direct_grids(n) if not r.agree]
+    g2 = element(n, 1, (2,))
+    sigma = TripleIrrepLabel(chi(n), rho(n), rho(n))
+    assert (bad.family, bad.counterexample) == (
+        "chi-rho-rho", _query(n, sigma, element(n, 1, (1, 2)), g2, g2)
+    )
+    assert spherical_closed_form(bad.counterexample).value != spherical_value(bad.counterexample)
+
+
 def test_spherical_query_requires_equal_degrees():
     with pytest.raises(ValueError):
         SphericalQuery(

@@ -16,6 +16,7 @@ from cliffharm.elements import (
     MAX_DEGREE,
     CliffordElement,
     _minus_one_to,
+    _parity,
     _xi_parity,
     class_index,
     class_keys,
@@ -120,7 +121,8 @@ def test_xi_parity_fold_is_xi_mod_2(pairs):
 @given(st.lists(st.tuples(masks16, masks16), min_size=1, max_size=8))
 def test_parity_kernel_keeps_python_ints(pairs):
     # ints in, Python ints out (element reprs and CLI output stay as they
-    # were); numpy int64 scalars in, the same values out
+    # were); numpy int64 scalars in, the same values out; arrays in, arrays
+    # of their own dtype out, int16 (masks below 2^15) as well as int64
     for a, b in pairs:
         i, j = np.int64(a), np.int64(b)
         for f, ints, scalars in (
@@ -131,6 +133,13 @@ def test_parity_kernel_keeps_python_ints(pairs):
             got = f(*ints)
             assert type(got) is int
             assert f(*scalars) == got
+    masks = [a for a, _ in pairs]
+    for f in (_parity, _minus_one_to):
+        assert [type(f(a)) for a in masks] == [int] * len(masks)
+        for dtype, values in ((np.int64, masks), (np.int16, [a & 0x7FFF for a in masks])):
+            got = f(np.array(values, dtype=dtype))
+            assert got.dtype == dtype
+            assert got.tolist() == [f(a) for a in values]
 
 
 @given(degree_and_elements(2))
