@@ -11,13 +11,13 @@ indices, ints or int64 arrays, reading xi(A, B) mod 2 off a shift-XOR fold
 and a popcount.  multiply, inverse and conjugate call it on element_index,
 and mult_table is one broadcast call of it over the whole group.
 
-Conjugation only flips signs (the sign-flip lemma, see conjugation_sign):
-gamma_A keeps its sign under every conjugation exactly when it is central
-(is_central), and otherwise +/- gamma_A form one class of size 2.  The
-class partition, class_keys and class_index, is read off that lemma;
-nothing here enumerates the group to find it.  The double cosets of diag
-CL(m) in CL(n) x CL(n) x CL(m) are the orbits of CL(m) on pairs by
-simultaneous conjugation; gelfand and orbits read _pair_orbit_labels.
+Conjugation only flips signs (the sign-flip lemma, _flip_vector): gamma_A
+is central (is_central) exactly when its flip vector is 0, and otherwise
++/- gamma_A form one class of size 2, so class_keys and class_index need
+no enumeration.  The double cosets of diag CL(m) in CL(n) x CL(n) x CL(m)
+are the CL(m)-orbits on pairs by simultaneous conjugation: predicted_labels
+reads them off the flip vectors, and the brute force that gelfand and
+orbits read closes pairs under CL(m)'s generators by index_product.
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ def conjugate(x: CliffordElement, c: CliffordElement) -> CliffordElement:
 def conjugation_sign(a_mask: int, c_mask: int) -> int:
     """Closed form for gamma_C^-1 gamma_A gamma_C = s * gamma_A.
 
-    s = (-1)^(|A||C| - |A & C|); the closed-form oracle for conjugate(),
-    which multiplies instead.
+    s = (-1)^|v_A & C| by the flip vector of A over any X_m that holds C;
+    the closed-form oracle for conjugate(), which multiplies instead.
     """
-    e = a_mask.bit_count() * c_mask.bit_count() - (a_mask & c_mask).bit_count()
-    return -1 if e & 1 else 1
+    return _minus_one_to(_flip_vector(a_mask, c_mask.bit_length()) & c_mask)
 
 
 def enumerate_group(n: int):
@@ -218,10 +217,18 @@ def mult_table(n: int):
     return tab, inv
 
 
+def _flip_vector(mask, m: int):
+    """v_A, for an int or signed integer array of masks A: gamma_C^-1 gamma_A
+    gamma_C = (-1)^|v_A & C| gamma_A for C in X_m, where |A||C| - |A & C| is
+    |A & C| or |C & ~A| mod 2, so v_A is A & X_m or X_m & ~A by |A| mod 2."""
+    xm = (1 << m) - 1
+    return (mask ^ xm * _parity(mask)) & xm
+
+
 def is_central(mask, n: int):
-    """Whether gamma_mask commutes with all of CL(n): the mask is empty, or n
-    is odd and the mask is X_n.  mask is an int or an int64 array."""
-    return (mask == 0) | ((n % 2 == 1) & (mask == (1 << n) - 1))
+    """Whether gamma_mask, an int or int64 array, commutes with all of CL(n):
+    its flip vector over X_n is 0, so it is empty or, for odd n, X_n."""
+    return _flip_vector(mask, n) == 0
 
 
 @lru_cache(maxsize=None)
@@ -250,34 +257,51 @@ def class_index(n: int, sign, mask):
 # -- conjugation by CL(m) on pairs -------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _conjugators(n: int, m: int):
-    """(c, c_inv): read-only int64 CL(n) indices of gamma_C and of its
-    inverse, for C = 0..2^m - 1, the subsets of X_m."""
-    c = np.arange(1 << m, dtype=np.int64)
-    c_inv = _index_inverse(c, n)
-    c.setflags(write=False)
-    c_inv.setflags(write=False)
-    return c, c_inv
+def predicted_labels(keys, n: int, m: int):
+    """The least key of the CL(m)-orbit of each pair key i << (n + 1) | j
+    (ints or int64 arrays, below 2^34): the orbit is the sign flips by
+    |v_x & C|, |v_y & C| mod 2 for C in X_m, so x's sign bit is zeroed if v_x
+    != 0, y's if v_y is neither 0 nor v_x; v_y = v_x != 0 sets it to s_x ^ s_y."""
+    i, j, full = keys >> (n + 1), keys & ((2 << n) - 1), (1 << n) - 1
+    vx, vy = _flip_vector(i & full, m), _flip_vector(j & full, m)
+    x_flip = (i >> n) * (vx != 0)
+    y_sign = ((j >> n) ^ x_flip * (vy == vx)) * ((vy == 0) | (vy == vx))
+    return (i ^ x_flip << n) << (n + 1) | y_sign << n | j & full
 
 
-def _conjugates(x, n: int, m: int):
-    """Indices of gamma_C^-1 x_i gamma_C for every C in X_m, by
-    index_product on ints or int64 arrays: column C for C = 0..2^m - 1.
-    -gamma_C conjugates as gamma_C does, so these are the CL(m)-conjugates."""
-    c, c_inv = _conjugators(n, m)
-    return index_product(index_product(c_inv, x, n), c, n)
+def _generator_conjugates(x, n: int, m: int):
+    """gamma_k x_i gamma_k, row k - 1 for k = 1..m, on a 1-D int64 array x of
+    CL(n) indices by index_product: gamma_k squares to 1 and -1 is central,
+    so closing under these m maps is conjugating by all of CL(m)."""
+    g = np.left_shift(1, np.arange(m, dtype=np.int64))[:, None]
+    return index_product(index_product(g, x, n), g, n)
+
+
+def _pair_orbit(key: int, n: int, m: int):
+    """The ascending pair keys (int64, below 2^34) of one pair key's CL(m)-orbit,
+    closed round by round under the generator maps; nothing group-sized is built."""
+    orbit, new = {key}, [key]
+    while new:
+        keys = np.fromiter(new, np.int64)
+        c = _generator_conjugates(np.concatenate((keys >> (n + 1), keys & ((2 << n) - 1))), n, m)
+        new = set((c[:, : len(keys)] << (n + 1) | c[:, len(keys) :]).ravel().tolist()) - orbit
+        orbit |= new
+    return sorted(orbit)
 
 
 def _pair_orbit_labels(n: int, m: int):
-    """int64 array: at the pair key i << (n + 1) | j, the least pair key of
-    the orbit of (x_i, x_j) under simultaneous conjugation by CL(m), by one
-    np.minimum per gamma_C.  Keys are below 4^(n + 1); callers guard n."""
-    conj = _conjugates(np.arange(2 << n, dtype=np.int64)[:, None], n, m)
-    labels = np.arange(1 << (2 * n + 2), dtype=np.int64)  # column C = 0 fixes every pair
-    for col in conj.T[1:]:
-        np.minimum(labels, (col[:, None] << (n + 1) | col).ravel(), out=labels)
-    return labels
+    """int64 array: at each pair key, the least pair key of its CL(m)-orbit,
+    by np.minimum on the (i, j) grid through the m generator maps until the
+    sum of the labels, which only fall, stops changing.  The sum of 4^(n+1)
+    keys below 4^(n+1) fits int64 up to n = 14; callers guard n."""
+    conj = _generator_conjugates(np.arange(2 << n, dtype=np.int64), n, m)
+    labels = np.arange(1 << (2 * n + 2), dtype=np.int64).reshape(2 << n, 2 << n)
+    while True:
+        total = labels.sum()
+        for c in conj:
+            np.minimum(labels, labels[np.ix_(c, c)], out=labels)
+        if labels.sum() == total:
+            return labels.ravel()
 
 
 # -- the triple-product group G x G x H -------------------------------------

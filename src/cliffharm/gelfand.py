@@ -54,7 +54,7 @@ from .characters import (
 )
 
 # gelfand_check_biinvariant sorts two arrays of 4^(n+1) label pairs per
-# double coset: 2.3 s for the 4,288 cosets at (6, 6), 0.02 s at (6, 5), where
+# double coset: 1.9 s for the 4,288 cosets at (6, 6), 0.02 s at (6, 5), where
 # the first table is already asymmetric, 0.2 s at (5, 5) and (5, 4), and a
 # peak RSS of 30 MB throughout (2-CPU VM); n = 7 would take about 55 s.
 MAX_CONVOLUTION_DEGREE = 6

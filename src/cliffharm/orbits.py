@@ -1,11 +1,11 @@
 """Conjugation orbits on CL(n) x CL(n) and the spherical characters of the
 pair (CL(n) x CL(n) x CL(n), diagonal).
 
-Orbits come in two flavours: the brute-force enumeration (the oracle),
-which conjugates int64 element indices by every gamma_C at once through
-elements.index_product and reads whole orbits off the labels of
-elements._pair_orbit_labels, and the case-analysis prediction, which reads
-the sign-flip lemma through elements.is_central and never multiplies.
+Orbits come in two flavours: the brute force (the oracle), which closes
+int64 pair keys under conjugation by gamma_1..gamma_n through
+elements.index_product, for one pair (orbit_of) or for all of them
+(enumerate_pair_orbits, by elements._pair_orbit_labels), and the
+prediction, which reads the flip vectors of elements._flip_vector.
 Spherical characters likewise: direct summation over the subgroup
 (spherical_value, which is gelfand.spherical_character with H = G) versus
 the closed-form case formulas.  The case formulas are written once, as
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -47,22 +48,22 @@ from .elements import (
     CliffordElement,
     DegreeMismatchError,
     _check_degree,
-    _conjugates,
+    _flip_vector,
     _minus_one_to,
+    _pair_orbit,
     _pair_orbit_labels,
     _xi_parity,
     TripleElement,
     element_index,
     enumerate_group,
     index_sign_mask,
-    is_central,
 )
 from .characters import IrrepLabel, irreps, top_phase_re_im
 from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
 from .linalg import complex_matmul
 
-# enumerate_pair_orbits(7) finds its 17,152 orbits in 0.15 s with a 39 MB
-# peak RSS (2-CPU VM); n = 8 would take 0.85 s and 67 MB for 66,304.
+# enumerate_pair_orbits(7) finds its 17,152 orbits in 0.12-0.14 s with a
+# 38 MB peak RSS (2-CPU VM); n = 8 would take 0.52-0.60 s and 67 MB for 66,304.
 MAX_PAIR_ORBIT_DEGREE = 7
 # closed_vs_direct_grids(4) compares its 19.2 M points in 0.08-0.14 s cold
 # with a 32.6 MB peak RSS (2-CPU VM), 16.8 M of them chi x chi x chi by
@@ -84,14 +85,6 @@ class PairOrbit:
         return len(self.members)
 
 
-def _distinct(keys):
-    """The distinct values of an int64 array, ascending, as a list: a sort
-    and a neighbour mask (np.unique would import numpy.ma, which costs
-    RSS)."""
-    keys = np.sort(keys, axis=None)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))].tolist()
-
-
 def _orbit_from_keys(keys, n: int, group=None) -> PairOrbit:
     """The orbit with the ascending pair keys i << (n + 1) | j of element
     indices, the (sign, mask) order; x_i is group[i] or is built from i."""
@@ -102,18 +95,12 @@ def _orbit_from_keys(keys, n: int, group=None) -> PairOrbit:
 
 
 def orbit_of(pair, n: int) -> PairOrbit:
-    """Brute-force orbit of one pair under conjugation by every gamma_C.
-
-    Signed conjugators act like the unsigned ones, so C ranges over subsets,
-    all in one pass of index_product on int64 element indices (below 2^17;
-    pair keys below 2^34), independent of the predicted route.
-    """
+    """Brute-force orbit of one pair: elements._pair_orbit of its pair key."""
     _check_degree(n)
     x, y = pair
     if x.degree != n or y.degree != n:
         raise DegreeMismatchError("pair degree mismatch")
-    x, y = _conjugates(np.array([[element_index(x)], [element_index(y)]], dtype=np.int64), n, n)
-    return _orbit_from_keys(_distinct(x << (n + 1) | y), n)
+    return _orbit_from_keys(_pair_orbit(element_index(x) << (n + 1) | element_index(y), n, n), n)
 
 
 def enumerate_pair_orbits(n: int):
@@ -129,27 +116,17 @@ def enumerate_pair_orbits(n: int):
 
 
 def predicted_orbit(pair, n: int) -> PairOrbit:
-    """Orbit from the case analysis alone (no enumeration).
-
-    Conjugation can only flip component signs; gamma_A keeps its sign under
-    every conjugation iff A is empty or (n odd and A = X_n).  The two signs
-    flip together (never independently) exactly when A = B or n is odd and
-    A, B disjointly cover X_n.
-    """
+    """Orbit by the sign-flip lemma alone: the sign flips by |v_x & C| and
+    |v_y & C| mod 2, C in X_n (elements._flip_vector), in sign-bit order.
+    Flipping both needs v_x, v_y != 0; one alone, its v != 0 and v_x != v_y."""
     x, y = pair
     if x.degree != n or y.degree != n:
         raise DegreeMismatchError("pair degree mismatch")
-    a, b = x.mask, y.mask
-    nx, ny = CliffordElement(n, -x.sign, a), CliffordElement(n, -y.sign, b)
-    if is_central(a, n):
-        members = [(x, y)] if is_central(b, n) else [(x, y), (x, ny)]
-    elif is_central(b, n):
-        members = [(x, y), (nx, y)]
-    elif a == b or (n % 2 == 1 and a & b == 0 and a | b == (1 << n) - 1):
-        members = [(x, y), (nx, ny)]
-    else:
-        members = [(x, y), (nx, y), (x, ny), (nx, ny)]
-    members = tuple(sorted(members, key=lambda p: (element_index(p[0]), element_index(p[1]))))
+    vx, vy = _flip_vector(x.mask, n), _flip_vector(y.mask, n)
+    nx, ny = CliffordElement(n, -x.sign, x.mask), CliffordElement(n, -y.sign, y.mask)
+    allowed = (True, vx and vy, vx and vx != vy, vy and vx != vy)
+    members = compress(((x, y), (nx, ny), (nx, y), (x, ny)), allowed)
+    members = tuple(sorted(members, key=lambda p: (p[0].sign < 0, p[1].sign < 0)))
     return PairOrbit(members[0], members)
 
 

@@ -23,7 +23,9 @@ O(|G|^2); the library reads the partition off the sign-flip lemma instead.
 of `elements.class_keys`, for the oracles that sum class by class.
 `conjugation_pair_orbits` conjugates every pair by every element of CL(m)
 through `xi_multiply`; the library labels the same orbits, the double cosets
-of the diagonal CL(m), by one array pass per conjugator.
+of the diagonal CL(m), by closing the pair keys under conjugation by the m
+generators of CL(m) through `index_product`, and predicts them from the
+flip vectors of the sign-flip lemma.
 `generic_spherical_character` sums the spherical character through group
 multiplication and GaussianRational character values; the library sums it
 in exact integers on masks.

@@ -26,7 +26,6 @@ SAMPLES = {
     ("elements", "mult_table"): [(3,)],
     ("gelfand", "gelfand_check_characters"): [(4, 3), (3, 3)],
     ("matrix_models", "build_matrix_rep"): [(chi(3, (1,)),), (rho(3, "+"),), (rho(2),)],
-    ("elements", "_conjugators"): [(4, 4), (4, 3)],
 }
 
 

@@ -16,6 +16,7 @@ from cliffharm.elements import (
     element_index,
     enumerate_group,
     identity,
+    predicted_labels,
 )
 from cliffharm.characters import chi, irreps, rho
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
@@ -54,6 +55,21 @@ def test_prediction_matches_brute_force():
             for p in o.members:
                 assert predicted_orbit(p, n) == o
                 assert orbit_of(p, n) == o
+
+
+def test_predicted_orbit_is_the_sign_flips_sharing_its_label():
+    # the PairOrbit view against the labels that C5 checks: the members of
+    # predicted_orbit are the sign flips of the pair with its predicted label
+    for n in range(0, 6):
+        group = enumerate_group(n)
+        keys = np.arange(1 << (2 * n + 2), dtype=np.int64)
+        labels = predicted_labels(keys, n, n).tolist()
+        for key in keys.tolist():
+            flips = [key ^ f << (2 * n + 1) ^ g << n for f in (0, 1) for g in (0, 1)]
+            i, j = divmod(key, 2 << n)
+            members = predicted_orbit((group[i], group[j]), n).members
+            got = [element_index(x) << (n + 1) | element_index(y) for x, y in members]
+            assert got == sorted(k for k in flips if labels[k] == labels[key])
 
 
 def test_pair_orbits_match_scalar_conjugation():

@@ -16,6 +16,7 @@ from cliffharm.elements import (
     MAX_DEGREE,
     CliffordElement,
     _minus_one_to,
+    _pair_orbit,
     _parity,
     _xi_parity,
     class_index,
@@ -29,6 +30,7 @@ from cliffharm.elements import (
     inverse,
     is_central,
     multiply,
+    predicted_labels,
 )
 from cliffharm.orbits import orbit_of, predicted_orbit
 from oracles import UNITS, xi, xi_inverse, xi_multiply
@@ -184,6 +186,27 @@ def test_orbit_of_is_the_predicted_orbit(data):
     b = st.sampled_from((0, full, x.mask, full ^ x.mask)) | st.integers(0, full)
     y = CliffordElement(n, data.draw(st.sampled_from((1, -1))), data.draw(b))
     assert orbit_of((x, y), n) == predicted_orbit((x, y), n)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_predicted_labels_are_the_least_keys_of_the_generator_closure(data):
+    # both subgroups past enumeration, the only check of m = n - 1 past the
+    # exhaustive C5; the masks follow D1's six shapes taken over X_m, so
+    # that at m = n - 1 the complement and the central mask X_m are those of
+    # CL(m), and the label on an int must be the label on a one-element
+    # int64 array
+    n = data.draw(degrees)
+    m = data.draw(st.sampled_from((n, n - 1) if n else (0,)))
+    z = (1 << m) - 1
+    c = z * (m % 2)
+    a, b = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    a, b = data.draw(st.sampled_from(((a, b), (a, a), (a, a ^ z), (a, 0), (c, b), (c, 0))))
+    sx, sy = data.draw(st.integers(0, 1)), data.draw(st.integers(0, 1))
+    key = (sx << n | a) << (n + 1) | sy << n | b
+    label = predicted_labels(key, n, m)
+    assert predicted_labels(np.array([key], dtype=np.int64), n, m).tolist() == [label]
+    assert label == _pair_orbit(key, n, m)[0]
 
 
 @st.composite

@@ -2,6 +2,7 @@ import dataclasses
 import shlex
 
 from cliffharm import cli, orbits, verify
+from cliffharm.elements import _flip_vector, predicted_labels
 from cliffharm.orbits import spherical_closed_form
 
 
@@ -41,3 +42,27 @@ def test_spherical_grid_failure_prints_a_replay_line(monkeypatch, capsys):
     assert "!= direct summation" in capsys.readouterr().err
     monkeypatch.setattr(orbits, "_closed_scaled", real)
     assert cli.main(argv) == 0
+
+
+def test_flip_vectors_over_x_n_for_the_subgroup_fail_c5(monkeypatch):
+    # X_n in place of X_m: m enters predicted_labels only through the flip
+    # vectors, so predicting with m = n is this mutant.  It first fails at
+    # (n, m) = (2, 1) on (+g{}, -g{1}): gamma_1 commutes with CL(1), whose
+    # flip vector is X_1 & ~{1} = 0, but over X_2 it is {2}
+    monkeypatch.setattr(verify, "predicted_labels", lambda keys, n, m: predicted_labels(keys, n, n))
+    result = verify.check_orbits(n_max=3)
+    assert not result.ok
+    assert "n=2, m=1" in result.detail
+
+
+def test_locked_signs_read_as_independent_fail_c5(monkeypatch):
+    # zeroing y's sign bit wherever v_y != 0 frees the pairs with v_y = v_x,
+    # which C5 sees first at m = n = 2, on (+g{1}, -g{1})
+    def independent(keys, n, m):
+        v_y = _flip_vector(keys & ((1 << n) - 1), m)
+        return predicted_labels(keys, n, m) & ~((v_y != 0) << n)
+
+    monkeypatch.setattr(verify, "predicted_labels", independent)
+    result = verify.check_orbits(n_max=3)
+    assert not result.ok
+    assert "n=2, m=2" in result.detail
