@@ -293,7 +293,9 @@ def _pair_orbit_labels(n: int, m: int):
     """int64 array: at each pair key, the least pair key of its CL(m)-orbit,
     by np.minimum on the (i, j) grid through the m generator maps until the
     sum of the labels, which only fall, stops changing.  The sum of 4^(n+1)
-    keys below 4^(n+1) fits int64 up to n = 14; callers guard n."""
+    keys below 4^(n+1) fits int64 up to n = 14; callers guard n.  This is
+    linalg.gain_graph_nullspace with every gain 0, whose one gather through
+    m flat maps of the grid would hold m x 8 MB at n = 9."""
     conj = _generator_conjugates(np.arange(2 << n, dtype=np.int64), n, m)
     labels = np.arange(1 << (2 * n + 2), dtype=np.int64).reshape(2 << n, 2 << n)
     while True:

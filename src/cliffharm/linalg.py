@@ -16,11 +16,11 @@ Two matrix flavours, and one format for monomial images:
                arrays through the one rotation times_i.
 
 Every intertwiner constraint between monomial images reads x[a] = i^k x[b];
-such a system is a gain graph over Z/4, solved by gain_graph_nullspace with a
-union-find on the same integer exponents.  All intertwiner entries are units
-or zero, and a monomial only rotates them, so no entry grows.  Scalars
-(hs_inner, scaled_hs_inner) are GaussianRational, with one exact division
-at the end.  No floating point anywhere.
+each generator's constraints permute the cells, and gain_graph_nullspace
+closes integer keys (least column, exponent) under all of them at once.  All
+intertwiner entries are units or zero, and a monomial only rotates them, so
+no entry grows.  Scalars (hs_inner, scaled_hs_inner) are GaussianRational,
+with one exact division at the end.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def hs_inner(t1: Matrix, t2: Matrix) -> GaussianRational:
     """Normalized Hilbert-Schmidt product (1/ncols) tr(t2* t1).
 
     The int64 sums have one term per entry.  On intertwiners every entry is
-    a unit or zero, so at n = 3 a sum has at most |G|^2 d1 d2 dtheta <= 2^11
+    a unit or zero, so at n = 5 a sum has at most |G|^2 d1 d2 dtheta <= 2^18
     unit products and cannot overflow.
     """
     if t1.shape != t2.shape:
@@ -196,60 +196,40 @@ def scaled_hs_inner(t1: ScaledMatrix, t2: ScaledMatrix) -> GaussianRational:
 # -- unit-phase monomial systems: a gain graph over Z/4 ---------------------
 
 
-def gain_graph_nullspace(edges, ncols):
-    """Nullspace of the constraints x[a] = i^k x[b], given as edges (a, b, k).
+def gain_graph_nullspace(maps, gains):
+    """Nullspace of x[a] = i^gains[g, a] x[maps[g, a]], for (G, N) int64
+    arrays whose rows are permutations of the N columns, gains in range(4),
+    so the components are the orbits of the group the rows generate.
 
-    The columns joined by edges form components; within one component every
-    x[c] is i^p[c] times the component's root value, with potentials p kept
-    by a union-find.  A component is inconsistent, and forced to zero, when
-    a cycle's gains disagree; a self-loop (c, c, k) with k != 0 is such a
-    cycle, so (c, c, 2) is how a caller forces x[c] = 0.  Returns one vector
-    per consistent component, in order of its smallest column, as a pair
-    (re, im) of read-only int64 arrays with entries in {0, +/-1, +/-i} and
-    1 at that column.
-
-    The solve is exact with no rational arithmetic: potentials are integers
-    reduced mod 4, so nothing overflows and nothing is divided.
+    Each column holds key = label << 3 | potential (x[c] = i^potential
+    x[label]), from c << 3.  A round pulls every key through all G maps in
+    one gather, adds the gains to the potentials and keeps the least of the
+    candidates and the key.  The maps generate a finite group, so forward
+    pulls reach the whole orbit; keys only fall, so the loop ends, with each
+    label the least column of its orbit, at potential 0.  An orbit whose
+    gains disagree breaks a constraint under any potentials, so one of the
+    last round's candidates differs from its key and kills that label; a
+    fixed point with gain 2 forces x[c] = 0.  Returns one vector per live
+    label, by smallest column, as read-only int64 (re, im) with entries in
+    {0, +/-1, +/-i} and 1 at that column.  Keys stay below 8N: nothing
+    overflows or is divided.  elements._pair_orbit_labels is the all-gain-0
+    case, kept apart: its flat maps would hold 8 MB each at n = 9.
     """
-    parent = list(range(ncols))
-    pot = [0] * ncols  # x[c] = i^pot[c] x[parent[c]]
-    dead = [False] * ncols  # meaningful at roots only
-
-    def find(c):
-        path = []
-        while parent[c] != c:
-            path.append(c)
-            c = parent[c]
-        acc = 0
-        for v in reversed(path):  # nearest the root first
-            acc = (acc + pot[v]) & 3
-            pot[v] = acc
-            parent[v] = c
-        return c
-
-    for a, b, k in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            if (pot[a] - pot[b] - k) & 3:
-                dead[ra] = True
-        else:
-            # x[ra] = i^-pot[a] x[a] = i^(k + pot[b] - pot[a]) x[rb]
-            parent[ra] = rb
-            pot[ra] = (k + pot[b] - pot[a]) & 3
-            dead[rb] = dead[rb] or dead[ra]
-
-    heads = {}  # root -> (row, potential of the component's smallest column)
-    cells = []  # (row, column, exponent of i)
-    for c in range(ncols):
-        r = find(c)
-        if not dead[r]:
-            row, p0 = heads.setdefault(r, (len(heads), pot[c]))
-            cells.append((row, c, pot[c] - p0))
-    re = np.zeros((len(heads), ncols), dtype=np.int64)
-    im = np.zeros_like(re)
-    if cells:
-        rows, cols, exps = np.array(cells, dtype=np.int64).T
-        re[rows, cols], im[rows, cols] = times_i(1, 0, exps)
-    re.setflags(write=False)
-    im.setflags(write=False)
-    return list(zip(re, im))
+    ncols = maps.shape[1]
+    key = np.arange(ncols, dtype=np.int64) << 3
+    while True:
+        # potential + gain <= 6 sets at most bit 2, which clearing takes mod 4
+        cand = (key[maps] + gains) & ~4
+        low = np.minimum(key, np.minimum.reduce(cand, axis=0, initial=ncols << 3))
+        if (low == key).all():
+            break
+        key = low
+    label = key >> 3
+    dead = np.zeros(ncols, dtype=bool)
+    dead[label[(cand != key).any(axis=0)]] = True
+    (live,) = np.nonzero(~dead[label])
+    (heads,) = np.nonzero(~dead & (label == np.arange(ncols)))
+    out = np.zeros((2, len(heads), ncols), dtype=np.int64)  # (re, im) by row
+    out[:, np.searchsorted(heads, label[live]), live] = times_i(1, 0, key[live])
+    out.setflags(write=False)
+    return list(zip(*out))

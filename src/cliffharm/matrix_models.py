@@ -10,11 +10,11 @@ CL(n); the models built from irreps (rho1 x rho2 x theta, theta',
 Res(rho1 (x) rho2) and the permutation model eta) are gathers of those
 rows at element indices, combined by linalg.kron.
 
-Each intertwiner constraint then ties two cells, T[a] = i^k T[b], and an
-intertwiner space is the nullspace of that gain graph over Z/4, one basis
-vector per consistent component (linalg.gain_graph_nullspace); the edges of
-all generators come from one broadcast, and invariant tensors are solved
-the same way.  Intertwiners are Gaussian-integer int64 arrays
+Each intertwiner constraint then ties two cells, T[a] = i^k T[b], and one
+generator's constraints permute the cells.  An intertwiner space is the
+nullspace of that gain graph over Z/4, one basis vector per consistent orbit
+(linalg.gain_graph_nullspace); the maps and gains of all generators come
+from one broadcast, and invariant tensors are solved the same way.  Intertwiners are Gaussian-integer int64 arrays
 (linalg.Matrix); phases act on them through the one rotation
 linalg.times_i.  Traces are checked against the closed-form characters,
 which keeps the two modules mutually verifying.
@@ -45,7 +45,11 @@ from .linalg import (
 )
 
 MAX_RHO_MODEL_DEGREE = 6
-MAX_ETA_DEGREE = 3
+# A spin triple's C7 takes about 0.5 s and 181 MB at (5, 5), 0.5 s and 173 MB
+# at (5, 4), and the coefficient identities to n = 5 0.2 s and 40 MB (2-CPU
+# VM).  n = 6 is out of reach: Hom(rho1 x rho2 x theta, eta) of a spin triple
+# has 512 x 16,384 = 8.4 M cells, and its 21 int64 maps would hold 1.4 GB.
+MAX_ETA_DEGREE = 5
 
 # (perm, phase) of the 2x2 blocks, by name
 _BLOCKS = {"I": ((0, 1), (0, 0)), "X": ((1, 0), (0, 0)),
@@ -159,19 +163,15 @@ def intertwiner_space(src, dst) -> IntertwinerBasis:
     """Exact basis of the intertwiners from src to dst, image tables with one
     row per generator.
 
-    Every image is monomial with unit phases, so each constraint ties two
-    cells of T by a power of i, one edge (a, b, k) per generator and cell
-    built by one broadcast, and the system is solved as a gain graph.  The
-    union-find reads the edges as Python ints, which it walks faster than
-    int64 array elements.
+    Every image is monomial with unit phases, so each generator's
+    constraints tie every cell of T to one other cell by a power of i: a
+    permutation of the cells with gains in Z/4, built for all generators by
+    one broadcast and solved as a gain graph.
     """
     rows, cols, q, p = _cell_pairs(src, dst)
     dd, ds = rows.shape[1], cols.shape[2]
-    cells = np.arange(dd * ds).reshape(dd, ds)
-    a = np.broadcast_to(cells, (len(rows), dd, ds))
-    b, k = rows * ds + cols, (p - q) & 3
-    edges = zip(a.ravel().tolist(), b.ravel().tolist(), k.ravel().tolist())
-    vecs = gain_graph_nullspace(edges, dd * ds)
+    maps, gains = rows * ds + cols, (p - q) & 3
+    vecs = gain_graph_nullspace(maps.reshape(len(maps), -1), gains.reshape(len(gains), -1))
     basis = [Matrix(re.reshape(dd, ds), im.reshape(dd, ds)) for re, im in vecs]
     return IntertwinerBasis(basis)
 
@@ -377,7 +377,7 @@ def matrix_coefficient_checks(n: int) -> MatrixCoefficientReport:
     d sum_g u1(g) conj u2(g) = |G| [u1 = u2], one matmul; and
     d sum_x u1(x) u2(x^-1 g) = |G| [rho1 = rho2, j = h] u_(rho1, i, k)(g),
     one gather of u2 through mult_table and one matmul.  Each sum has at
-    most |G| <= 16 unit terms, so nothing overflows int64.
+    most |G| <= 64 unit terms, so nothing overflows int64.
     """
     if n > MAX_ETA_DEGREE:
         raise GuardError(f"matrix coefficient checks guarded at n <= {MAX_ETA_DEGREE}")

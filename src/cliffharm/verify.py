@@ -245,8 +245,21 @@ def check_spherical_grids(n_max=4, lemma_n_max=10):
 
 
 DESK_FROBENIUS_PAIRS = ((1, 1), (1, 0), (2, 2), (2, 1))
-# every triple at n = 3 too: 500 at (3, 2) and 1,000 at (3, 3)
-DEEP_FROBENIUS_PAIRS = DESK_FROBENIUS_PAIRS + ((3, 2), (3, 3))
+# every triple at n = 3 too (500 at (3, 2), 1,000 at (3, 3)); past the full
+# sweeps (4,913 triples at (4, 4), 39,304 at (5, 5)) eight seeded ones, in a
+# 10 s budget: the 32 take about 2 s, 1 s of it two all-spin triples (2 CPUs)
+DEEP_FROBENIUS_PAIRS = DESK_FROBENIUS_PAIRS + ((3, 2), (3, 3), (4, 4), (4, 3), (5, 5), (5, 4))
+
+
+def sampled_triples(n, m, rng):
+    """One triple per chi/spin ordering of the slots, chi masks from rng.  A
+    spin slot takes its degree's last spin label when the next slot
+    (cyclically) is spin too, else the first: every slot meets every one."""
+    for spin in product((False, True), repeat=3):
+        yield tuple(
+            irreps(d)[(-1 if spin[(j + 1) % 3] else 1 << d) if spin[j] else rng.randrange(1 << d)]
+            for j, d in enumerate((n, n, m))
+        )
 
 
 def frobenius_mismatch(n, m, r1, r2, th):
@@ -279,14 +292,17 @@ def frobenius_mismatch(n, m, r1, r2, th):
 
 
 @_check("C7", "intertwiner isometry: dimensions, round trip, inner products")
-def check_frobenius(pairs=DESK_FROBENIUS_PAIRS):
-    """All irrep triples at each (n, m) in `pairs`."""
+def check_frobenius(pairs=DESK_FROBENIUS_PAIRS, seed=0):
+    """Every irrep triple at each (n, m) in `pairs` with n <= 3, and the
+    seeded sampled_triples at each (n, m) past that."""
+    rng = random.Random(seed)
     for n, m in pairs:
-        for r1, r2, th in product(irreps(n), irreps(n), irreps(m)):
+        every = product(irreps(n), irreps(n), irreps(m))
+        for r1, r2, th in every if n <= 3 else sampled_triples(n, m, rng):
             err = frobenius_mismatch(n, m, r1, r2, th)
             if err:
                 return False, f"{err} at (n,m)=({n},{m}), triple ({r1}, {r2}, {th})"
-    return True, f"(n,m) in {tuple(pairs)}, all irrep triples"
+    return True, f"(n,m) in {tuple(pairs)}: all irrep triples to n = 3, 8 past (seed {seed})"
 
 
 DESK_METHOD_PAIRS = ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3))
@@ -417,7 +433,7 @@ def run_suite(level="desk", seed=0):
             # and 105 MB, and to n = 10 2.7 s and 328 MB (2-CPU VM)
             check_orbits(n_max=9) if deep else check_orbits(),
             check_spherical_grids(),
-            check_frobenius(pairs=frobenius_pairs),
+            check_frobenius(pairs=frobenius_pairs, seed=seed),
             check_method_agreement(pairs=DEEP_METHOD_PAIRS if deep else DESK_METHOD_PAIRS),
             check_oracles(),
         ]

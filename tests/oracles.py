@@ -86,6 +86,7 @@ from cliffharm.exact import ZERO, gr
 
 ONE = gr(1)
 UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
+_UNIT_PARTS = np.array([(int(u.re), int(u.im)) for u in UNITS], dtype=np.int64)
 
 
 def xi(a, b) -> int:
@@ -186,6 +187,75 @@ def sparse_nullspace(rows, ncols):
                 vec[p] = -coeff
         basis.append(vec)
     return basis
+
+
+def union_find_nullspace(edges, ncols):
+    """Nullspace of the constraints x[a] = i^k x[b], given as edges (a, b, k).
+
+    The columns joined by edges form components; within one component every
+    x[c] is i^p[c] times the component's root value, with potentials p kept
+    by a union-find.  A component is inconsistent, and forced to zero, when
+    a cycle's gains disagree; a self-loop (c, c, k) with k != 0 is such a
+    cycle, so (c, c, 2) is how a caller forces x[c] = 0.  Returns one vector
+    per consistent component, in order of its smallest column, as a pair
+    (re, im) of read-only int64 arrays with entries in {0, +/-1, +/-i} and
+    1 at that column.
+
+    The solve is exact with no rational arithmetic: potentials are integers
+    reduced mod 4, so nothing overflows and nothing is divided.
+    """
+    parent = list(range(ncols))
+    pot = [0] * ncols  # x[c] = i^pot[c] x[parent[c]]
+    dead = [False] * ncols  # meaningful at roots only
+
+    def find(c):
+        path = []
+        while parent[c] != c:
+            path.append(c)
+            c = parent[c]
+        acc = 0
+        for v in reversed(path):  # nearest the root first
+            acc = (acc + pot[v]) & 3
+            pot[v] = acc
+            parent[v] = c
+        return c
+
+    for a, b, k in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            if (pot[a] - pot[b] - k) & 3:
+                dead[ra] = True
+        else:
+            # x[ra] = i^-pot[a] x[a] = i^(k + pot[b] - pot[a]) x[rb]
+            parent[ra] = rb
+            pot[ra] = (k + pot[b] - pot[a]) & 3
+            dead[rb] = dead[rb] or dead[ra]
+
+    heads = {}  # root -> (row, potential of the component's smallest column)
+    cells = []  # (row, column, exponent of i)
+    for c in range(ncols):
+        r = find(c)
+        if not dead[r]:
+            row, p0 = heads.setdefault(r, (len(heads), pot[c]))
+            cells.append((row, c, pot[c] - p0))
+    re = np.zeros((len(heads), ncols), dtype=np.int64)
+    im = np.zeros_like(re)
+    if cells:
+        rows, cols, exps = np.array(cells, dtype=np.int64).T
+        re[rows, cols], im[rows, cols] = _UNIT_PARTS[exps & 3].T
+    re.setflags(write=False)
+    im.setflags(write=False)
+    return list(zip(re, im))
+
+
+def gain_edges(maps, gains):
+    """The constraints x[a] = i^gains[g, a] x[maps[g, a]] of a permutation
+    system, as the edge list (a, b, k) that union_find_nullspace reads."""
+    return [
+        (a, b, k)
+        for row, gain in zip(np.asarray(maps).tolist(), np.asarray(gains).tolist())
+        for a, (b, k) in enumerate(zip(row, gain))
+    ]
 
 
 def dense_monomial(perm, phase):

@@ -18,7 +18,16 @@ from cliffharm.linalg import (
     scaled_hs_inner,
     trace,
 )
-from oracles import ONE, UNITS, as_gaussian, dense_monomial, satisfies, sparse_nullspace
+from oracles import (
+    ONE,
+    UNITS,
+    as_gaussian,
+    dense_monomial,
+    gain_edges,
+    satisfies,
+    sparse_nullspace,
+    union_find_nullspace,
+)
 
 I = gr(0, 1)
 
@@ -213,7 +222,16 @@ def test_sparse_nullspace_random_verification():
                 assert s == gr(0)
 
 
-# -- the gain-graph solver against the elimination oracle -------------------
+# -- the gain-graph kernel against the union-find and elimination oracles ---
+
+
+def _system(ncols, *rows):
+    """(maps, gains) arrays from one (permutation, gains) pair per generator;
+    a permutation given as a dict lists only the cells it moves."""
+    maps = np.array([[p.get(c, c) for c in range(ncols)] if isinstance(p, dict) else p
+                     for p, _ in rows], dtype=np.int64).reshape(len(rows), ncols)
+    gains = np.array([k for _, k in rows], dtype=np.int64).reshape(len(rows), ncols)
+    return maps, gains
 
 
 def _oracle_rows(edges):
@@ -229,17 +247,24 @@ def _oracle_rows(edges):
     return rows
 
 
-def _solve(edges, ncols):
+def _solve(maps, gains):
     """gain_graph_nullspace with each vector as a list of GaussianRational."""
-    return [as_gaussian(re, im) for re, im in gain_graph_nullspace(edges, ncols)]
+    return [as_gaussian(re, im) for re, im in gain_graph_nullspace(maps, gains)]
 
 
-def _assert_matches_oracle(edges, ncols):
-    basis = _solve(edges, ncols)
+def _assert_matches_oracles(maps, gains):
+    ncols = maps.shape[1]
+    vecs = gain_graph_nullspace(maps, gains)
+    edges = gain_edges(maps, gains)
+    expected = union_find_nullspace(edges, ncols)
+    assert len(vecs) == len(expected)
+    for (re, im), (want_re, want_im) in zip(vecs, expected):
+        assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
+        assert not (re.flags.writeable or im.flags.writeable)
     rows = _oracle_rows(edges)
-    assert len(basis) == len(sparse_nullspace(rows, ncols))
+    assert len(vecs) == len(sparse_nullspace(rows, ncols))
     supports = []
-    for vec in basis:
+    for vec in (as_gaussian(re, im) for re, im in vecs):
         assert len(vec) == ncols
         assert all(x == ZERO or x in UNITS for x in vec)
         assert satisfies(vec, rows)
@@ -250,43 +275,59 @@ def _assert_matches_oracle(edges, ncols):
     # oracle's nullity they span the whole nullspace
     assert sum(len(s) for s in supports) == len(set().union(*supports))
     assert [min(s) for s in supports] == sorted(min(s) for s in supports)
-    return basis
 
 
 def test_gain_graph_small_systems():
-    # x0 = i x1, x1 = i x2: one component, (1, -i, -1)
-    assert _solve([(0, 1, 1), (1, 2, 1)], 3) == [[ONE, -I, gr(-1)]]
-    # closing the triangle consistently keeps it, inconsistently kills it
-    assert len(_solve([(0, 1, 1), (1, 2, 1), (0, 2, 2)], 3)) == 1
-    assert _solve([(0, 1, 1), (1, 2, 1), (0, 2, 0)], 3) == []
-    # self-loops: x = x is no constraint, x = -x and x = i x force zero
-    assert len(_solve([(1, 1, 0)], 2)) == 2
-    assert _solve([(0, 1, 3), (1, 1, 2)], 3) == [[ZERO, ZERO, ONE]]
-    assert _solve([(2, 2, 1)], 3) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
-    # a forced zero, written as the self-loop x = -x, kills its whole component
-    assert _solve([(0, 2, 0), (2, 2, 2)], 3) == [[ZERO, ONE, ZERO]]
-    assert len(_solve([], 4)) == 4
+    cycle = [1, 2, 0]  # x0 <- x1 <- x2 <- x0
+    # x0 = i x1, x1 = i x2, x2 = i^2 x0: one component, (1, -i, -1)
+    assert _solve(*_system(3, (cycle, [1, 1, 2]))) == [[ONE, -I, gr(-1)]]
+    # the same cycle with gains summing to 1 or 3 mod 4 is inconsistent
+    assert _solve(*_system(3, (cycle, [1, 1, 3]))) == []
+    assert _solve(*_system(3, (cycle, [1, 1, 1]))) == []
+    # a second generator closes the orbit consistently or kills it
+    assert len(_solve(*_system(3, (cycle, [1, 1, 2]), ({0: 2, 2: 0}, [2, 0, 2])))) == 1
+    assert _solve(*_system(3, (cycle, [1, 1, 2]), ({0: 2, 2: 0}, [0, 0, 0]))) == []
+    # a fixed point with gain 0 is no constraint; with gain 2 or 1 it forces zero
+    assert len(_solve(*_system(2, ([0, 1], [0, 0])))) == 2
+    assert _solve(*_system(3, ({0: 1, 1: 0}, [3, 1, 2]))) == [[ONE, I, ZERO]]
+    assert _solve(*_system(3, ({0: 1, 1: 0}, [3, 1, 0]), ([0, 1, 2], [0, 2, 0]))) == [
+        [ZERO, ZERO, ONE]
+    ]
+    assert _solve(*_system(3, ([0, 1, 2], [0, 0, 1]))) == [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO]]
+    # a forced zero kills its whole orbit, through another generator
+    assert _solve(*_system(3, ({0: 2, 2: 0}, [0, 0, 0]), ([0, 1, 2], [0, 0, 2]))) == [
+        [ZERO, ONE, ZERO]
+    ]
+    # no generators, and one cell
+    assert len(_solve(*_system(4))) == 4
+    assert _solve(*_system(1)) == [[ONE]]
+    assert _solve(*_system(1, ([0], [2]))) == []
 
 
 @st.composite
-def _unit_phase_systems(draw):
+def _permutation_systems(draw):
     ncols = draw(st.integers(1, 9))
-    col = st.integers(0, ncols - 1)
-    edges = draw(st.lists(st.tuples(col, col, st.integers(0, 3)), max_size=14))
-    # forced zeros x[c] = 0, written as self-loops x[c] = -x[c]
-    edges += [(c, c, 2) for c in draw(st.lists(col, max_size=2))]
-    return edges, ncols
+    ngens = draw(st.integers(0, 4))
+    perms = [draw(st.permutations(range(ncols))) for _ in range(ngens)]
+    gains = [draw(st.lists(st.integers(0, 3), min_size=ncols, max_size=ncols))
+             for _ in range(ngens)]
+    return _system(ncols, *zip(perms, gains))
+
+
+_SWAPS = {0: 1, 1: 0, 2: 3, 3: 2}
+_CROSS = {0: 2, 2: 0, 1: 3, 3: 1}
 
 
 @settings(max_examples=300, deadline=None)
-@given(_unit_phase_systems())
-@example(([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3))  # inconsistent cycle
-@example(([(0, 1, 1), (1, 2, 1), (0, 2, 0)], 3))  # inconsistent triangle
-@example(([(0, 1, 1), (1, 2, 1), (2, 0, 2)], 4))  # consistent cycle
-@example(([(0, 0, 2), (1, 2, 3)], 3))  # self-loop forcing zero
-@example(([(0, 1, 3), (1, 1, 2), (3, 2, 1)], 4))  # self-loop killing a component
-@example(([(0, 0, 0), (1, 1, 1)], 2))  # trivial and killing self-loops
-@example(([(0, 2, 0), (1, 3, 2), (3, 3, 2)], 4))  # forced zero
+@given(_permutation_systems())
+@example(_system(3, ([1, 2, 0], [1, 1, 1])))  # inconsistent cycle
+@example(_system(3, ([1, 2, 0], [1, 1, 2]), ({0: 2, 2: 0}, [0, 0, 0])))  # inconsistent triangle
+@example(_system(4, ([1, 2, 0, 3], [1, 1, 2, 0])))  # consistent cycle
+@example(_system(3, ({1: 2, 2: 1}, [2, 3, 1])))  # fixed point forcing zero
+@example(_system(4, (_SWAPS, [3, 1, 3, 1]), ([0, 1, 2, 3], [0, 2, 0, 0])))  # killing a component
+@example(_system(2, ([0, 1], [0, 1])))  # trivial and killing fixed points
+@example(_system(4, (_CROSS, [0, 2, 0, 2]), ([0, 1, 2, 3], [0, 0, 0, 2])))  # forced zero
+@example(_system(3))  # no generators
+@example(_system(1, ([0], [0])))  # one cell
 def test_gain_graph_matches_elimination(system):
-    edges, ncols = system
-    _assert_matches_oracle(edges, ncols)
+    _assert_matches_oracles(*system)

@@ -6,6 +6,7 @@ from cliffharm.exact import gr
 from cliffharm.elements import (
     CliffordElement,
     DegreeMismatchError,
+    GuardError,
     element_index,
     enumerate_group,
     mult_table,
@@ -26,10 +27,12 @@ from oracles import (
     as_gaussian,
     dense_monomial,
     fixed_vector_rows,
+    gain_edges,
     intertwiner_rows,
     permutation_character_eta,
     satisfies,
     sparse_nullspace,
+    union_find_nullspace,
 )
 
 
@@ -353,3 +356,42 @@ def test_isometry_at_odd_degree_spin_pairs():
         assert frobenius_mismatch(3, 2, rho(3, "+"), rho(3, "-"), th) is None
         dims.append(diagonal_invariant_dim(rho(3, "+"), rho(3, "-"), th))
     assert dims == [1, 1, 1, 1, 0]
+
+
+def test_every_c7_system_to_n2_matches_the_union_find(monkeypatch):
+    # the gain closure gives the union-find's basis, vector for vector, on
+    # the three systems C7 solves for every triple at n <= 2
+    real = matrix_models.gain_graph_nullspace
+    seen = []
+
+    def checked(maps, gains):
+        vecs = real(maps, gains)
+        want = union_find_nullspace(gain_edges(maps, gains), maps.shape[1])
+        assert len(vecs) == len(want)
+        for got, expected in zip(vecs, want):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        seen.append(maps.shape)
+        return vecs
+
+    monkeypatch.setattr(matrix_models, "gain_graph_nullspace", checked)
+    triples = 0
+    for n, m in verify.DESK_FROBENIUS_PAIRS:
+        for r1 in irreps(n):
+            for r2 in irreps(n):
+                for th in irreps(m):
+                    ctx = FrobeniusContext(n, m, r1, r2, th)
+                    ctx.hom_triple_eta()
+                    ctx.hom_res_theta_prime()
+                    ctx.invariant_tensors()
+                    triples += 1
+    assert len(seen) == 3 * triples
+
+
+def test_eta_models_are_guarded_past_degree_5():
+    assert matrix_models.MAX_ETA_DEGREE == 5
+    with pytest.raises(GuardError, match="n <= 5"):
+        FrobeniusContext(6, 6, chi(6), chi(6), chi(6))
+    with pytest.raises(GuardError, match="n <= 5"):
+        FrobeniusContext(6, 5, chi(6), chi(6), chi(5))
+    with pytest.raises(GuardError, match="n <= 5"):
+        matrix_coefficient_checks(6)

@@ -1,8 +1,11 @@
 import dataclasses
+import random
 import shlex
+from itertools import product
 
 from cliffharm import cli, orbits, verify
 from cliffharm.elements import _flip_vector, predicted_labels
+from cliffharm.characters import irreps
 from cliffharm.orbits import spherical_closed_form
 
 
@@ -66,3 +69,19 @@ def test_locked_signs_read_as_independent_fail_c5(monkeypatch):
     result = verify.check_orbits(n_max=3)
     assert not result.ok
     assert "n=2, m=2" in result.detail
+
+
+def test_sampled_triples_cover_every_ordering_and_spin_label():
+    # at each sampled (n, m), one triple per chi/spin ordering, and every
+    # slot meets every spin label of its degree
+    rng = random.Random(0)
+    sampled = [(n, m) for n, m in verify.DEEP_FROBENIUS_PAIRS if n > 3]
+    assert sorted(sampled) == [(4, 3), (4, 4), (5, 4), (5, 5)]
+    for n, m in sampled:
+        triples = list(verify.sampled_triples(n, m, rng))
+        kinds = [tuple(lab.kind != "chi" for lab in t) for t in triples]
+        assert kinds == list(product((False, True), repeat=3))
+        for j, d in enumerate((n, n, m)):
+            spins = {lab for lab in irreps(d) if lab.kind != "chi"}
+            assert {t[j] for t in triples if t[j].kind != "chi"} == spins
+        assert all((t[0].degree, t[2].degree) == (n, m) for t in triples)
