@@ -14,10 +14,11 @@ Each intertwiner constraint then ties two cells, T[a] = i^k T[b], and one
 generator's constraints permute the cells.  An intertwiner space is the
 nullspace of that gain graph over Z/4, one basis vector per consistent orbit
 (linalg.gain_graph_nullspace); the maps and gains of all generators come
-from one broadcast, and invariant tensors are solved the same way.  Intertwiners are Gaussian-integer int64 arrays
-(linalg.Matrix); phases act on them through the one rotation
-linalg.times_i.  Traces are checked against the closed-form characters,
-which keeps the two modules mutually verifying.
+from one broadcast, and invariant tensors are solved the same way.
+Intertwiners are Gaussian-integer int64 arrays (linalg.Matrix); phases act
+on them through the one rotation linalg.times_i.  Traces are checked
+against the closed-form characters, which keeps the two modules mutually
+verifying.
 
 The only irrational scalars in the theory are sqrt(2)^k normalization
 factors; those ride along symbolically in ScaledMatrix.

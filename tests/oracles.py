@@ -2,8 +2,14 @@
 
 `sparse_nullspace` is general exact Gaussian elimination over the Gaussian
 rationals.  The library solves its unit-phase monomial systems by a gain
-graph over Z/4 (`cliffharm.linalg.gain_graph_nullspace`); this elimination
-knows nothing of that structure, which makes it the oracle for it.  The row
+graph over Z/4 (`cliffharm.linalg.gain_graph_nullspace`), closing integer
+keys under every generator's permutation of the cells at once; this
+elimination knows nothing of that structure, which makes it the oracle for
+its nullity.  `union_find_nullspace` solves the same system one edge
+(a, b, k) at a time, as a union-find with path-compressed potentials mod 4;
+it shares no step with the closure and is the oracle for the basis itself,
+vector for vector and in order.  `gain_edges` lists a permutation system's
+constraints as those edges.  The row
 builders read monomial images in the library's (perm, phase) format, one
 image per row of the tables, and turn the phase exponents into Gaussian
 rationals through their own table UNITS, not through the library's
