@@ -114,9 +114,9 @@ def _spin_pair_multiplicity(a: IrrepLabel, b: IrrepLabel, x, m: int):
                 acc_re = acc_re + pre * sign
                 acc_im = acc_im + pim * sign
     order = 1 << (m + 1)
-    if np.any(acc_im):
+    if np.count_nonzero(acc_im):
         raise AssertionError("invariant dimension acquired an imaginary part")
-    if np.any(acc_re % order) or np.any(acc_re < 0):
+    if np.count_nonzero(acc_re % order) or np.count_nonzero(acc_re < 0):
         raise AssertionError("invariant dimension not a non-negative integer")
     return acc_re // order
 

@@ -90,10 +90,8 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.re, other.re)
-            and np.array_equal(self.im, other.im)
+        return self.shape == other.shape and not (
+            (self.re != other.re).any() or (self.im != other.im).any()
         )
 
     def __hash__(self):
@@ -106,19 +104,20 @@ class Matrix:
         return f"Matrix({self.shape[0]}x{self.shape[1]})"
 
 
-def hs_inner(t1: Matrix, t2: Matrix) -> GaussianRational:
-    """Normalized Hilbert-Schmidt product (1/ncols) tr(t2* t1).
+def hs_inner(t1: Matrix, t2: Matrix, log2_scale=0) -> GaussianRational:
+    """Normalized Hilbert-Schmidt product (1/ncols) tr(t2* t1), times
+    2^log2_scale, folded into the one Fraction per part.
 
-    The int64 sums have one term per entry.  On intertwiners every entry is
-    a unit or zero, so at n = 5 a sum has at most |G|^2 d1 d2 dtheta <= 2^18
-    unit products and cannot overflow.
+    The int64 dot products have one term per entry.  On intertwiners every
+    entry is a unit or zero, so at n = 5 a sum has at most |G|^2 d1 d2
+    dtheta <= 2^18 unit products and cannot overflow.
     """
     if t1.shape != t2.shape:
         raise ValueError("shape mismatch in Hilbert-Schmidt product")
-    re = int((t1.re * t2.re).sum() + (t1.im * t2.im).sum())
-    im = int((t1.im * t2.re).sum() - (t1.re * t2.im).sum())
-    ncols = t1.shape[1]
-    return gr(Fraction(re, ncols), Fraction(im, ncols))
+    up, down = max(log2_scale, 0), max(-log2_scale, 0)
+    re = int(np.vdot(t1.re, t2.re) + np.vdot(t1.im, t2.im)) << up
+    im = int(np.vdot(t1.im, t2.re) - np.vdot(t1.re, t2.im)) << up
+    return gr(Fraction(re, t1.shape[1] << down), Fraction(im, t1.shape[1] << down))
 
 
 def compose(a, b):
@@ -187,10 +186,10 @@ def scaled_hs_inner(t1: ScaledMatrix, t2: ScaledMatrix) -> GaussianRational:
     the isometry checks); raises otherwise.
     """
     h = t1.half + t2.half
-    base = hs_inner(t1.matrix, t2.matrix)
+    base = hs_inner(t1.matrix, t2.matrix, h >> 1)
     if h & 1 and base:
         raise ValueError("inner product leaves the Gaussian rationals")
-    return base * gr(Fraction(2) ** (h // 2)) if base else ZERO
+    return base or ZERO
 
 
 # -- unit-phase monomial systems: a gain graph over Z/4 ---------------------

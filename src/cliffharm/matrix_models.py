@@ -27,7 +27,7 @@ factors; those ride along symbolically in ScaledMatrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -157,7 +157,7 @@ def intertwines(t: Matrix, src, dst) -> bool:
     rows, cols, q, p = _cell_pairs(src, dst)
     lhs = times_i(t.re, t.im, q)
     rhs = times_i(t.re[rows, cols], t.im[rows, cols], p)
-    return np.array_equal(lhs[0], rhs[0]) and np.array_equal(lhs[1], rhs[1])
+    return not ((lhs[0] != rhs[0]).any() or (lhs[1] != rhs[1]).any())
 
 
 def intertwiner_space(src, dst) -> IntertwinerBasis:
@@ -284,10 +284,9 @@ class FrobeniusContext:
         The pair of identities is row 0 of T (eta's coordinates); the
         entries are those of T, unchanged.
         """
-        if isinstance(t, Matrix):
-            t = ScaledMatrix(0, t)
-        half = 2 * _log2(self.group_order) - _log2(self.dt)
-        return ScaledMatrix(t.half + half, self._by_theta(t.matrix.re[0], t.matrix.im[0]))
+        half, t = (0, t) if isinstance(t, Matrix) else (t.half, t.matrix)
+        half += 2 * _log2(self.group_order) - _log2(self.dt)
+        return ScaledMatrix(half, self._by_theta(t.re[0], t.im[0]))
 
     def hat(self, s) -> ScaledMatrix:
         """S -> S^ mapping Hom(Res(rho1 (x) rho2), theta') back into Hom(.., eta).
@@ -298,17 +297,19 @@ class FrobeniusContext:
         the mult_table rows, for all (g1, g2) at once.  Entries are units
         times entries of S, so nothing grows.
         """
-        if isinstance(s, Matrix):
-            s = ScaledMatrix(0, s)
+        half, s = (0, s) if isinstance(s, Matrix) else (s.half, s.matrix)
+        src, k = self._hat_images
+        re, im = times_i(s.re.T[src], s.im.T[src], k[..., None])
+        rows = self.group_order**2
+        half += _log2(self.dt) - 2 * _log2(self.group_order)
+        return ScaledMatrix(half, Matrix(re.reshape(rows, -1), im.reshape(rows, -1)))
+
+    @cached_property
+    def _hat_images(self):
+        """(src, k) of hat, gathered once per context."""
         tab, inv = mult_table(self.n)
         left = tab[inv, inv[:, None]]  # [i1, i2] = index of g2^-1 g1^-1
-        src, k = kron(_rows(self.rep1, left), _rows(self.rep2, inv))
-        re, im = times_i(s.matrix.re.T[src], s.matrix.im.T[src], k[..., None])
-        rows = self.group_order**2
-        half = _log2(self.dt) - 2 * _log2(self.group_order)
-        return ScaledMatrix(
-            s.half + half, Matrix(re.reshape(rows, -1), im.reshape(rows, -1))
-        )
+        return kron(_rows(self.rep1, left), _rows(self.rep2, inv))
 
     # invariant tensors and the Prop-3.3 style operators
 

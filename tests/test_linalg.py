@@ -64,6 +64,8 @@ def test_hs_inner_normalization():
     assert hs_inner(a, b) == gr(0)
     c = Matrix([[1, 2], [0, 0]], [[1, 0], [0, 3]])
     assert hs_inner(c, a) == gr(Fraction(1, 2), Fraction(-1, 2))  # (1 + i) conj(i) / 2
+    for k in range(-3, 4):  # log2_scale multiplies by 2^k
+        assert hs_inner(c, a, k) == gr(Fraction(1, 2), Fraction(-1, 2)) * gr(Fraction(2) ** k)
 
 
 def _dense(perm, phase):
@@ -186,6 +188,9 @@ def test_scaled_hs_inner():
     with pytest.raises(ValueError):
         # odd residual power of sqrt2 with a nonzero value is not Gaussian-rational
         scaled_hs_inner(ScaledMatrix(1, b), ScaledMatrix(0, b))
+    # a negative exponent divides; an odd one is fine on a vanishing product
+    assert scaled_hs_inner(ScaledMatrix(-1, b), ScaledMatrix(-3, b)) == gr(Fraction(1, 4))
+    assert scaled_hs_inner(ScaledMatrix(1, b), ScaledMatrix(0, _real([[0]]))) is ZERO
 
 
 def test_sparse_nullspace_small_systems():
