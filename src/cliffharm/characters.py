@@ -4,8 +4,10 @@ CL(n) has 2^n one-dimensional characters chi_A plus one further irreducible
 of dimension 2^(n/2) for n even (rho), or two of dimension 2^((n-1)/2) for
 n odd (rho+, rho-).  Character values come from one closed formula,
 char_re_im, on ints or on int64 arrays of signs and masks: irrep_character
-is a single call of it over the class keys.  The matrix-models module
-provides the independent trace oracle.
+is a single call of it over the class keys, memoised per label up to
+MAX_TABLE_DEGREE (every label of every degree to 10 holds about 23 MB; above
+it each call recomputes, as one n = 16 character holds 1 MB).  The
+matrix-models module provides the independent trace oracle.
 
 A class function is a pair of int64 arrays over the classes, so a tensor
 product is a pointwise product and a restriction an index gather.
@@ -27,6 +29,7 @@ import numpy as np
 
 from .exact import GaussianRational, gr
 from .elements import (
+    MAX_TABLE_DEGREE,
     CliffordElement,
     DegreeMismatchError,
     _check_degree,
@@ -203,8 +206,9 @@ class _ClassValues(Mapping):
 
     def __getitem__(self, key):
         f, (sign, mask) = self._f, key
-        central_negative = sign == -1 and is_central(mask, f.degree)
-        if not (central_negative or sign == 1 and 0 <= mask < 1 << f.degree):
+        # the range first: is_central reads only the bits of X_n
+        in_range = 0 <= mask < 1 << f.degree
+        if not (in_range and (sign == 1 or sign == -1 and is_central(mask, f.degree))):
             raise KeyError(key)
         k, den = int(class_index(f.degree, sign, mask)), 1 << f.shift
         return gr(Fraction(int(f.re[k]), den), Fraction(int(f.im[k]), den))
@@ -223,6 +227,13 @@ class _ClassValues(Mapping):
 
 
 def irrep_character(label: IrrepLabel) -> ClassFunction:
+    if label.degree > MAX_TABLE_DEGREE:
+        return _irrep_character.__wrapped__(label)
+    return _irrep_character(label)
+
+
+@lru_cache(maxsize=None)
+def _irrep_character(label: IrrepLabel) -> ClassFunction:
     return ClassFunction(label.degree, *char_re_im(label, *class_keys(label.degree)))
 
 
@@ -238,8 +249,16 @@ def restrict_character(f: ClassFunction, m: int) -> ClassFunction:
     the value of the class of CL(f.degree) that contains it."""
     if m > f.degree:
         raise DegreeMismatchError(f"cannot restrict degree {f.degree} to larger {m}")
-    idx = class_index(f.degree, *class_keys(m))
+    idx = _restriction_index(f.degree, m)
     return ClassFunction(m, f.re[idx], f.im[idx], f.shift)
+
+
+@lru_cache(maxsize=None)
+def _restriction_index(n: int, m: int):
+    """restrict_character's read-only gather: at most 2^16 + 2 int64s, 0.5 MB."""
+    idx = class_index(n, *class_keys(m))
+    idx.setflags(write=False)
+    return idx
 
 
 # -- decompositions ---------------------------------------------------------

@@ -202,13 +202,16 @@ def _closed_scaled(n: int, spins: int, x1, x2, x3):
     integer dtype, which the arithmetic keeps.  Every value is at most
     2^(n+1) in size and the intermediates are no larger, so int64 cannot
     overflow up to n = 16.  The grid passes int16: its values are at most
-    2^(n+1) = 32 at MAX_GRID_DEGREE = 4, and its masks, below 2^4, keep
+    2^(n+1) = 32 at MAX_GRID_DEGREE = 4 (chi x chi x chi is a product of
+    three +-1 values shifted by n + 1 <= 5), and its masks, below 2^4, keep
     the shift by 8 of xi's fold inside the 16-bit word.
     """
     (a, t1, _), (p2, t2, e2), (p3, t3, e3) = x1, x2, x3
     if spins == 0:
-        cancel = a ^ p2 ^ p3 == 0
-        return cancel * _minus_one_to((a & t1) ^ (p2 & t2) ^ (p3 & t3)) << (n + 1), 0
+        # the parity of an XOR is the XOR of the parities; slot 3 is one point
+        # per grid slab, so a ^ p3 and the sign's first product stay a column
+        sign = _minus_one_to(a & t1) * _minus_one_to(p3 & t3) * _minus_one_to(p2 & t2)
+        return (a ^ p3 == p2) * sign << (n + 1), 0
     if spins != 2:  # -1 acts as -1 on an odd number of spin slots
         return 0, 0
     sign = e2 * e3

@@ -19,6 +19,7 @@ import numpy as np
 from .elements import MAX_DEGREE, CliffordElement, TripleElement, format_element, index_sign_mask
 from .elements import _element_at, _pair_orbit_labels, predicted_labels
 from .characters import (
+    ClassFunction,
     IrrepLabel,
     chi,
     rho,
@@ -168,14 +169,11 @@ def check_restriction_rules(n_max=6, sampled_ns=(), seed=0):
             a, b = np.argwhere(bad)[0]
             return False, f"chi x chi at n={n}, A={a}, B={b}"
         if n % 2 == 0:
-            target = irrep_character(rho(m, "+"))
-            target = {
-                k: v + irrep_character(rho(m, "-")).values[k]
-                for k, v in target.values.items()
-            }
+            plus, minus = irrep_character(rho(m, "+")), irrep_character(rho(m, "-"))
+            target = ClassFunction(m, plus.re + minus.re, plus.im + minus.im)
             for a in range(1 << n):
                 f = restrict_character(tensor_character(chi(n, a), rho(n)), m)
-                if f.values != target:
+                if not _chars_equal(f, target):
                     return False, f"chi x rho at n={n}, A={a}"
             dec = restricted_kronecker(rho(n), rho(n), m)
             expect = [(IrrepLabel(m, "chi", mask), 2) for mask in range(1 << m)]

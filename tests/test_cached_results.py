@@ -22,6 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "cliffharm"
 # (module, function) -> argument tuples to call it with
 SAMPLES = {
     ("characters", "irreps"): [(3,)],
+    ("characters", "_irrep_character"): [(chi(3, (1,)),), (rho(3, "-"),), (rho(2),)],
+    ("characters", "_restriction_index"): [(3, 2), (3, 3)],
     ("elements", "class_keys"): [(3,)],
     ("elements", "mult_table"): [(3,)],
     ("gelfand", "gelfand_check_characters"): [(4, 3), (3, 3)],

@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cliffharm import characters
 from cliffharm.exact import gr
 from cliffharm.elements import (
+    MAX_TABLE_DEGREE,
     CliffordElement,
     DegreeMismatchError,
     GuardError,
@@ -17,6 +19,7 @@ from cliffharm.characters import (
     ClassFunction,
     IrrepLabel,
     NotACharacterError,
+    char_re_im,
     character_value,
     chi,
     conjugate_label,
@@ -279,6 +282,8 @@ def test_class_function_storage():
         f.values[(1, 0)] = gr(0)
     with pytest.raises(KeyError):
         f.values[(-1, 1)]  # -gamma_1 is not a class representative of CL(3)
+    with pytest.raises(KeyError):  # 12 flips to 0 over X_2 but lies outside it
+        irrep_character(IrrepLabel(2, "chi", 1)).values[(-1, 12)]
     assert f.values != irrep_character(rho(3, "-")).values
     halved = ClassFunction(3, 2 * f.re, 2 * f.im, shift=1)
     assert halved.values == f.values
@@ -286,6 +291,22 @@ def test_class_function_storage():
         ClassFunction(3, f.re[:-1], f.im[:-1])
     with pytest.raises(ValueError, match="below 2"):
         ClassFunction(3, f.re << 30, f.im)  # 2^31 at the identity
+
+
+def test_irrep_character_memo():
+    # one cached object per label up to MAX_TABLE_DEGREE, with the values of
+    # a fresh char_re_im in read-only arrays; past it the cache does not grow
+    for n in range(5):
+        for lab in irreps(n):
+            f = irrep_character(lab)
+            assert f is irrep_character(lab)
+            re, im = char_re_im(lab, *class_keys(n))
+            assert np.array_equal(f.re, re) and np.array_equal(f.im, im)
+            assert not (f.re.flags.writeable or f.im.flags.writeable)
+    size = characters._irrep_character.cache_info().currsize
+    big = rho(MAX_TABLE_DEGREE + 1, "+")
+    assert irrep_character(big) is not irrep_character(big)
+    assert characters._irrep_character.cache_info().currsize == size
 
 
 def test_tensor_and_restriction_read_the_embedded_values():

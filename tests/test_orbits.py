@@ -313,18 +313,25 @@ def _closed_negated_at_no_spin(n, spins, *slots):
     return (-re, -im) if spins == 0 else (re, im)
 
 
+def _closed_without_slot_3_sign(n, spins, x1, x2, x3):
+    (p3, t3, e3) = x3
+    return real_closed_scaled(n, spins, x1, x2, (p3, 0 * t3, e3) if spins == 0 else x3)
+
+
 @pytest.mark.parametrize(
     "attr, mutant",
     [
         ("conj_summands", _one_row_slip),
         ("conj_summands", _doubled),
         ("_closed_scaled", _closed_negated_at_no_spin),
+        ("_closed_scaled", _closed_without_slot_3_sign),
     ],
 )
 def test_grid_mutations_flip_chi_chi_chi(monkeypatch, attr, mutant):
     # a sign slip in one row h of the chi summands, doubled chi summands
-    # (no longer +-1, so they take the matmul route) and a negated chi x
-    # chi x chi closed form each make chi x chi x chi disagree at n = 1..3
+    # (no longer +-1, so they take the matmul route), a negated chi x chi x
+    # chi closed form and one that drops the last slot's factor of its sign
+    # (T3 read as empty) each make chi x chi x chi disagree at n = 1..3
     assert all(_chi_verdicts(n) for n in (1, 2, 3))
     monkeypatch.setattr(orbits, attr, mutant)
     if mutant is _doubled:

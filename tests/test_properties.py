@@ -7,11 +7,12 @@ Elements are drawn as (sign, mask) pairs; nothing here enumerates a group.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cliffharm.exact import ZERO, gr
 from cliffharm.linalg import times_i
-from cliffharm.characters import IrrepLabel, char_re_im
+from cliffharm.characters import IrrepLabel, char_re_im, irrep_character
 from cliffharm.elements import (
     MAX_DEGREE,
     CliffordElement,
@@ -242,6 +243,18 @@ def test_char_re_im_on_arrays_is_its_scalar_calls(case):
         (sign_arr[:, None], mask_arr[None, :]),
     ]:
         assert np.array_equal(np.array(char_re_im(label, sign, mask)), scalar_calls(sign, mask))
+
+
+@given(labels_and_points(), st.sampled_from((1, -1)), st.data())
+def test_class_values_refuse_masks_outside_x_n(case, sign, data):
+    # the flip vector reads only the bits of X_n, so a mask past it must be
+    # refused before is_central can call it central
+    label, n = case[0], case[0].degree
+    mask = data.draw(st.integers(min_value=1 << n) | st.integers(max_value=-1))
+    values = irrep_character(label).values
+    with pytest.raises(KeyError):
+        values[(sign, mask)]
+    assert (sign, mask) not in values
 
 
 # -- Q(i): GaussianRational is a field, and hashes like the numbers it equals
