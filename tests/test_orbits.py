@@ -314,7 +314,7 @@ def _closed_negated_at_no_spin(n, spins, *slots):
 
 
 def _closed_without_slot_3_sign(n, spins, x1, x2, x3):
-    (p3, t3, e3) = x3
+    p3, t3, e3 = x3
     return real_closed_scaled(n, spins, x1, x2, (p3, 0 * t3, e3) if spins == 0 else x3)
 
 
