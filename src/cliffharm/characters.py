@@ -103,17 +103,17 @@ def rho(n: int, sign: str = "") -> IrrepLabel:
     return IrrepLabel(n, "rho" + sign)
 
 
+def spin_labels(n: int):
+    """The spin irreducibles of CL(n), last in the label order: (rho,) for
+    even n, (rho+, rho-) for odd n."""
+    return tuple(IrrepLabel(n, kind) for kind in (("rho+", "rho-") if n % 2 else ("rho",)))
+
+
 @lru_cache(maxsize=None)
 def irreps(n: int):
     """All irreducibles of CL(n) in the fixed label order."""
-    _check_degree(n)
-    labels = [IrrepLabel(n, "chi", mask) for mask in range(1 << n)]
-    if n % 2 == 0:
-        labels.append(IrrepLabel(n, "rho"))
-    else:
-        labels.append(IrrepLabel(n, "rho+"))
-        labels.append(IrrepLabel(n, "rho-"))
-    return tuple(labels)
+    spins = spin_labels(n)  # checks the degree before 2^n labels are built
+    return tuple(IrrepLabel(n, "chi", mask) for mask in range(1 << n)) + spins
 
 
 def top_phase_re_im(n: int):
@@ -156,14 +156,13 @@ def character_value(label: IrrepLabel, g: CliffordElement) -> GaussianRational:
 
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
-    """A function CL(n) -> Q(i) constant on conjugacy classes: its value on
-    the k-th class of class_keys(n) is (re[k] + i im[k]) / 2^shift,
-    with re and im read-only int64 arrays."""
+    """A function CL(n) -> Z[i] constant on conjugacy classes: its value on
+    the k-th class of class_keys(n) is re[k] + i im[k], with re and im
+    read-only int64 arrays."""
 
     degree: int
     re: np.ndarray
     im: np.ndarray
-    shift: int = 0
 
     def __post_init__(self):
         size = len(class_keys(self.degree)[0])
@@ -173,8 +172,6 @@ class ClassFunction:
         both.setflags(write=False)
         object.__setattr__(self, "re", both[0])
         object.__setattr__(self, "im", both[1])
-        if not 0 <= self.shift < 32:
-            raise ValueError(f"denominator 2^{self.shift} outside 2^0..2^31")
 
     @property
     def values(self) -> Mapping:
@@ -194,7 +191,6 @@ class ClassFunction:
             self.degree,
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
-            self.shift + other.shift,
         )
 
 
@@ -210,8 +206,8 @@ class _ClassValues(Mapping):
         in_range = 0 <= mask < 1 << f.degree
         if not (in_range and (sign == 1 or sign == -1 and is_central(mask, f.degree))):
             raise KeyError(key)
-        k, den = int(class_index(f.degree, sign, mask)), 1 << f.shift
-        return gr(Fraction(int(f.re[k]), den), Fraction(int(f.im[k]), den))
+        k = int(class_index(f.degree, sign, mask))
+        return gr(int(f.re[k]), int(f.im[k]))
 
     def __iter__(self):
         return zip(*(a.tolist() for a in class_keys(self._f.degree)))
@@ -221,7 +217,7 @@ class _ClassValues(Mapping):
 
     def __eq__(self, other):
         f, g = self._f, getattr(other, "_f", None)
-        if isinstance(other, _ClassValues) and (f.degree, f.shift) == (g.degree, g.shift):
+        if isinstance(other, _ClassValues) and f.degree == g.degree:
             return np.array_equal(f.re, g.re) and np.array_equal(f.im, g.im)
         return super().__eq__(other)
 
@@ -250,7 +246,7 @@ def restrict_character(f: ClassFunction, m: int) -> ClassFunction:
     if m > f.degree:
         raise DegreeMismatchError(f"cannot restrict degree {f.degree} to larger {m}")
     idx = _restriction_index(f.degree, m)
-    return ClassFunction(m, f.re[idx], f.im[idx], f.shift)
+    return ClassFunction(m, f.re[idx], f.im[idx])
 
 
 @lru_cache(maxsize=None)
@@ -311,14 +307,14 @@ def decompose(f: ClassFunction) -> Decomposition:
     neg = class_index(n, -1, masks[:half])
     sums_re = _walsh_hadamard(f.re[:half] + f.re[neg]).tolist()
     sums_im = _walsh_hadamard(f.im[:half] + f.im[neg]).tolist()
-    labels, c = irreps(n), is_central(masks, n)
-    for spin in map(irrep_character, labels[half:]):
+    c = is_central(masks, n)
+    for spin in map(irrep_character, spin_labels(n)):
         fre, fim, sre, sim = f.re[c], f.im[c], spin.re[c], spin.im[c]
         sums_re.append(int(fre @ sre + fim @ sim))  # f times conj(spin)
         sums_im.append(int(fim @ sre - fre @ sim))
-    order = 1 << (n + 1 + f.shift)
+    order = 1 << (n + 1)
     terms = []
-    for label, re, im in zip(labels, sums_re, sums_im):
+    for label, re, im in zip(irreps(n), sums_re, sums_im):
         if im or re % order or re < 0:
             ip = gr(Fraction(re, order), Fraction(im, order))
             raise NotACharacterError(f"not a character: <f, {format_label(label)}> = {ip}")

@@ -125,7 +125,7 @@ def cmd_restrict(args):
 def cmd_gelfand(args):
     m = args.subgroup if args.subgroup is not None else args.n
     report = gelfand_check_characters(args.n, m)
-    if args.method in ("convolution", "both"):
+    if args.method == "both":
         conv = gelfand_check_biinvariant(args.n, m)
         if conv != report.gelfand:
             print("error: character and convolution methods disagree", file=sys.stderr)
@@ -147,7 +147,7 @@ def cmd_gelfand(args):
 
 def cmd_orbits(args):
     n = args.n
-    if args.pair:
+    if args.pair is not None:
         parts = _split_elements(args.pair)
         if len(parts) != 2:
             raise ValueError("--pair expects two elements, e.g. '+g{1},+g{2}'")
@@ -334,7 +334,7 @@ def build_parser():
     sp.add_argument("--subgroup", type=int, default=None, help="default n")
     sp.add_argument(
         "--method",
-        choices=("characters", "convolution", "both"),
+        choices=("characters", "both"),
         default="characters",
     )
 

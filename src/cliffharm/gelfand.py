@@ -50,7 +50,7 @@ from .characters import (
     char_re_im,
     conjugate_label,
     format_label,
-    irreps,
+    spin_labels,
 )
 
 # gelfand_check_biinvariant sorts two arrays of 4^(n+1) label pairs per
@@ -210,8 +210,7 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
     for p in range(3):  # the chi label's position
         q, r = (k for k in range(3) if k != p)
         chis = np.arange(1 << degrees[p])
-        spins_q, spins_r = (irreps(degrees[k])[1 << degrees[k]:] for k in (q, r))
-        for a, b in product(spins_q, spins_r):
+        for a, b in product(spin_labels(degrees[q]), spin_labels(degrees[r])):
             mult = _spin_pair_multiplicity(a, b, chis, m)
             mult.setflags(write=False)
             two_spin[(p, _label_index(a), _label_index(b))] = mult
@@ -229,7 +228,11 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
     first, witness_mult = min(firsts, default=(None, 0))
     witness = None
     if first is not None:
-        witness = TripleIrrepLabel(*(irreps(d)[i] for d, i in zip(degrees, first)))
+        # the labels at positions `first` of irreps(d), spin labels from 2^d on
+        witness = TripleIrrepLabel(*(
+            spin_labels(d)[i - (1 << d)] if i >> d else IrrepLabel(d, "chi", i)
+            for d, i in zip(degrees, first)
+        ))
     return GelfandReport(
         n=n,
         m=m,

@@ -58,7 +58,7 @@ from .elements import (
     enumerate_group,
     index_sign_mask,
 )
-from .characters import IrrepLabel, irreps, top_phase_re_im
+from .characters import IrrepLabel, spin_labels, top_phase_re_im
 from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
 from .linalg import complex_matmul
 
@@ -252,7 +252,7 @@ def spherical_closed_form(q: SphericalQuery) -> SphericalResult:
 
 def _slot(n: int, spin: bool):
     """(summands, points) for one slot of the grid, over the chi labels of
-    irreps(n) or over its spin labels.
+    CL(n) or over its spin labels.
 
     The slot's grid points are its (label, T, sign) triples, label-major,
     with the sign held at +1 for chi labels, which do not see it; points
@@ -261,7 +261,7 @@ def _slot(n: int, spin: bool):
     size).  summands = (re, im) is gelfand.conj_summands for each label,
     side by side: an int64 row per h in CL(n) and a column per grid point.
     """
-    labels = [lab for lab in irreps(n) if (lab.kind != "chi") == spin]
+    labels = spin_labels(n) if spin else [IrrepLabel(n, "chi", a) for a in range(1 << n)]
     params = [_label_parameter(lab) for lab in labels]
     grid = np.meshgrid(params, np.arange(1 << n), (1, -1)[: 1 + spin], indexing="ij")
     points = np.stack([a.reshape(len(labels), -1) for a in grid])  # by label
@@ -327,10 +327,8 @@ def _grid_query(n: int, family: str, slot_points, cols):
     slots = []
     for kind, points, col in zip(family.split("-"), slot_points, cols):
         param, t, e = points[:, col].tolist()
-        label = next(
-            lab for lab in irreps(n)
-            if (lab.kind == "chi") == (kind == "chi") and _label_parameter(lab) == param
-        )
+        # a spin parameter is eta: -1 only for rho-, the second spin label
+        label = IrrepLabel(n, "chi", param) if kind == "chi" else spin_labels(n)[param < 0]
         slots.append((label, CliffordElement(n, e, t)))
     labels, at = zip(*slots)
     return SphericalQuery(TripleIrrepLabel(*labels), TripleElement(*at, n))

@@ -22,8 +22,8 @@ from .characters import (
     ClassFunction,
     IrrepLabel,
     chi,
-    rho,
     irreps,
+    spin_labels,
     irrep_character,
     tensor_character,
     restrict_character,
@@ -108,34 +108,26 @@ def check_gelfand_drop(n_max=6):
     return True, f"n = 2..{n_max}"
 
 
-def _expected_odd_tensor(n, same_sign):
-    """Labels of rho_n^a (x) rho_n^b: chi_A with |A| parity set by m and a*b."""
-    m = (n - 1) // 2
-    want_even = (m % 2 == 0) == same_sign
-    return {
-        IrrepLabel(n, "chi", mask)
+def _chi_terms(n, mult, parity=None):
+    """The terms (chi_A, mult) of CL(n) in label order, over the A with |A|
+    of the given parity, or over every A when parity is None."""
+    return [
+        (IrrepLabel(n, "chi", mask), mult)
         for mask in range(1 << n)
-        if (mask.bit_count() % 2 == 0) == want_even
-    }
+        if parity is None or mask.bit_count() % 2 == parity
+    ]
 
 
 @_check("C3", "tensor-square decomposition tables (even and odd degree)")
-def check_tensor_tables(even_ns=(2, 4, 6), odd_ns=(3, 5, 7)):
-    for n in even_ns:
-        dec = decompose(tensor_character(rho(n), rho(n)))
-        expect = [(IrrepLabel(n, "chi", mask), 1) for mask in range(1 << n)]
-        if list(dec.terms) != expect:
-            return False, f"rho x rho at n={n}"
-    for n in odd_ns:
-        for s1 in ("+", "-"):
-            for s2 in ("+", "-"):
-                dec = decompose(tensor_character(rho(n, s1), rho(n, s2)))
-                if any(mult != 1 for _, mult in dec.terms):
-                    return False, f"multiplicity at n={n}, signs {s1}{s2}"
-                got = {lab for lab, _ in dec.terms}
-                if got != _expected_odd_tensor(n, s1 == s2):
-                    return False, f"wrong parity class at n={n}, signs {s1}{s2}"
-    return True, f"even n in {tuple(even_ns)}, odd n in {tuple(odd_ns)}"
+def check_tensor_tables(ns=range(2, 8)):
+    """Each a (x) b of spin labels is a sum of distinct chi_A: every A at
+    even n, and at odd n the A with (-1)^|A| = (-1)^((n-1)/2) eta_a eta_b."""
+    for n in ns:
+        for a, b in product(spin_labels(n), repeat=2):
+            parity = None if n % 2 == 0 else ((n - 1) // 2 + (a != b)) % 2
+            if list(decompose(tensor_character(a, b)).terms) != _chi_terms(n, 1, parity):
+                return False, f"{a} x {b} at n={n}"
+    return True, f"n in {tuple(ns)}"
 
 
 def _chi_rows(n, m):
@@ -146,8 +138,10 @@ def _chi_rows(n, m):
 
 @_check("C4", "the five restriction rules for tensor products")
 def check_restriction_rules(n_max=6, sampled_ns=(), seed=0):
-    """Every rule for n = 2..n_max; chi x chi also at 32 seeded pairs (A, B)
-    for each n in sampled_ns."""
+    """Every rule for n = 2..n_max: chi x chi, chi x spin (the sum of the
+    spin characters of CL(m)) and spin x spin (every chi of CL(m), twice at
+    even n); chi x chi also at 32 seeded pairs (A, B) for each n in
+    sampled_ns."""
     for n in range(2, n_max + 1):
         m = n - 1
         top = 1 << (n - 1)
@@ -168,32 +162,16 @@ def check_restriction_rules(n_max=6, sampled_ns=(), seed=0):
         if bad.any():
             a, b = np.argwhere(bad)[0]
             return False, f"chi x chi at n={n}, A={a}, B={b}"
-        if n % 2 == 0:
-            plus, minus = irrep_character(rho(m, "+")), irrep_character(rho(m, "-"))
-            target = ClassFunction(m, plus.re + minus.re, plus.im + minus.im)
+        spin_chars = [irrep_character(s) for s in spin_labels(m)]
+        target = ClassFunction(m, sum(f.re for f in spin_chars), sum(f.im for f in spin_chars))
+        for spin in spin_labels(n):
             for a in range(1 << n):
-                f = restrict_character(tensor_character(chi(n, a), rho(n)), m)
+                f = restrict_character(tensor_character(chi(n, a), spin), m)
                 if not _chars_equal(f, target):
-                    return False, f"chi x rho at n={n}, A={a}"
-            dec = restricted_kronecker(rho(n), rho(n), m)
-            expect = [(IrrepLabel(m, "chi", mask), 2) for mask in range(1 << m)]
-            if list(dec.terms) != expect:
-                return False, f"rho x rho restriction at n={n}"
-        else:
-            target = irrep_character(rho(m))
-            for a in range(1 << n):
-                for s in ("+", "-"):
-                    f = restrict_character(
-                        tensor_character(chi(n, a), rho(n, s)), m
-                    )
-                    if not _chars_equal(f, target):
-                        return False, f"chi x rho{s} at n={n}, A={a}"
-            expect = [(IrrepLabel(m, "chi", mask), 1) for mask in range(1 << m)]
-            for s1 in ("+", "-"):
-                for s2 in ("+", "-"):
-                    dec = restricted_kronecker(rho(n, s1), rho(n, s2), m)
-                    if list(dec.terms) != expect:
-                        return False, f"rho{s1} x rho{s2} restriction at n={n}"
+                    return False, f"chi x {spin} at n={n}, A={a}"
+        for s1, s2 in product(spin_labels(n), repeat=2):
+            if list(restricted_kronecker(s1, s2, m).terms) != _chi_terms(m, 2 - n % 2):
+                return False, f"{s1} x {s2} restriction at n={n}"
     rng = random.Random(seed)
     for n in sampled_ns:
         m, top = n - 1, 1 << (n - 1)
@@ -255,7 +233,7 @@ def sampled_triples(n, m, rng):
     (cyclically) is spin too, else the first: every slot meets every one."""
     for spin in product((False, True), repeat=3):
         yield tuple(
-            irreps(d)[(-1 if spin[(j + 1) % 3] else 1 << d) if spin[j] else rng.randrange(1 << d)]
+            spin_labels(d)[-spin[(j + 1) % 3]] if spin[j] else chi(d, rng.randrange(1 << d))
             for j, d in enumerate((n, n, m))
         )
 
@@ -369,7 +347,7 @@ def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
     rng = random.Random(seed)
     orderings = list(product(("chi", "rho"), repeat=3))
     for n in degrees:
-        spins = [lab for lab in irreps(n) if lab.kind != "chi"]
+        spins = spin_labels(n)
         for k in range(32):
             kinds = orderings[k % 8]
             labels = [
@@ -407,7 +385,7 @@ def run_suite(level="desk", seed=0):
         checks = [
             check_gelfand_equal(n_max=2),
             check_gelfand_drop(n_max=2),
-            check_tensor_tables(even_ns=(2,), odd_ns=(3,)),
+            check_tensor_tables(ns=(2, 3)),
             check_restriction_rules(n_max=3),
             check_orbits(n_max=2),
             check_spherical_grids(n_max=2, lemma_n_max=6),
@@ -421,8 +399,7 @@ def run_suite(level="desk", seed=0):
         checks = [  # the character claims reach MAX_DEGREE = 16 at the deep level
             check_gelfand_equal(n_max=16 if deep else 6),
             check_gelfand_drop(n_max=16 if deep else 6),
-            check_tensor_tables(even_ns=range(2, 17, 2), odd_ns=range(3, 16, 2))
-            if deep else check_tensor_tables(),
+            check_tensor_tables(ns=range(2, 17) if deep else range(2, 8)),
             check_restriction_rules(n_max=8, sampled_ns=range(9, 17), seed=seed)
             if deep else check_restriction_rules(),
         ]

@@ -551,7 +551,7 @@ def orthogonality_decompose(f):
     w_re, w_im = f.re * sizes, f.im * sizes
     ip_re = w_re @ re.T + w_im @ im.T  # f times conj(chi)
     ip_im = w_im @ re.T - w_re @ im.T
-    order = 1 << (f.degree + 1 + f.shift)
+    order = 1 << (f.degree + 1)
     terms = []
     for label, a, b in zip(labels, ip_re.tolist(), ip_im.tolist()):
         ip = gr(Fraction(a, order), Fraction(b, order))

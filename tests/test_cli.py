@@ -93,7 +93,7 @@ def test_gelfand(capsys):
     code, out, _ = run(capsys, "gelfand", "2", "--subgroup", "1", "--method", "both")
     assert code == 0
     assert "NOT a Gelfand pair" in out
-    code, out, _ = run(capsys, "gelfand", "1", "--method", "convolution")
+    code, out, _ = run(capsys, "gelfand", "1", "--method", "both")
     assert code == 0
     assert "Gelfand pair" in out
     # the README example: both methods at (4, 3)
@@ -171,13 +171,14 @@ def test_verify_smoke(capsys):
     ]
 
 
-def test_verify_smoke_survives_optimize():
-    # python -O strips assert statements; every cross-check must still run
+def test_verify_desk_survives_optimize():
+    # python -O strips assert statements; every cross-check must still run,
+    # C3 and C4 at their full desk ranges
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "cliffharm.cli", "verify", "--level", "smoke"],
+        [sys.executable, "-O", "-m", "cliffharm.cli", "verify", "--level", "desk"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -191,6 +192,8 @@ def test_error_exits(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "orbits", "9")
     assert code == 1 and "error:" in err
+    code, _, err = run(capsys, "orbits", "3", "--pair", "")
+    assert code == 1 and "--pair expects two elements" in err
     code, _, err = run(capsys, "spherical", "2", "--triple", "rho,rho",
                        "--at", "+g{},+g{},+g{}")
     assert code == 1 and "error:" in err

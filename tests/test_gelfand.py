@@ -118,6 +118,17 @@ def test_even_degree_witness():
     assert not dec.multiplicity_free
 
 
+def test_scan_builds_no_label_table():
+    # the scan reads its spin labels from spin_labels and builds its witness
+    # from the witness's positions, so no 2^16-label irreps(16) is made
+    irreps.cache_clear()
+    gelfand_check_characters.cache_clear()
+    rep = gelfand_check_characters(16, 15)
+    assert irreps.cache_info().currsize == 0
+    assert (rep.witness.rho1, rep.witness.rho2, rep.witness.theta) == (rho(16), rho(16), chi(15))
+    assert rep.witness_multiplicity == 2
+
+
 def test_report_table_and_json():
     rep = gelfand_check_characters(2, 1)
     triples = [TripleIrrepLabel(*t) for t in product(irreps(2), irreps(2), irreps(1))]

@@ -85,3 +85,23 @@ def test_sampled_triples_cover_every_ordering_and_spin_label():
             spins = {lab for lab in irreps(d) if lab.kind != "chi"}
             assert {t[j] for t in triples if t[j].kind != "chi"} == spins
         assert all((t[0].degree, t[2].degree) == (n, m) for t in triples)
+
+
+def test_spin_square_multiplicity_one_fails_c4(monkeypatch):
+    # every spin x spin term of Res_{CL(n-1)} is 2 - n % 2: a C4 that always
+    # expects 1 meets rho x rho at n = 2, whose terms are twice chi_{} and chi_{1}
+    real = verify._chi_terms
+    monkeypatch.setattr(verify, "_chi_terms", lambda n, mult, parity=None: real(n, 1, parity))
+    result = verify.check_restriction_rules(n_max=3)
+    assert not result.ok
+    assert result.detail == "rho x rho restriction at n=2"
+
+
+def test_tensor_square_without_the_parity_filter_fails_c3(monkeypatch):
+    # at odd n a spin tensor square holds only half the chi_A: a C3 that
+    # expects every A passes n = 2 and fails at n = 3
+    real = verify._chi_terms
+    monkeypatch.setattr(verify, "_chi_terms", lambda n, mult, parity=None: real(n, mult))
+    result = verify.check_tensor_tables(ns=(2, 3))
+    assert not result.ok
+    assert result.detail == "rho+ x rho+ at n=3"
