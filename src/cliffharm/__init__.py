@@ -17,7 +17,6 @@ from .elements import (
     multiply,
     inverse,
     conjugate,
-    enumerate_group,
     parse_element,
     format_element,
 )

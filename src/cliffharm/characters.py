@@ -28,6 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import GaussianRational, gr
+from .linalg import int64_array
 from .elements import (
     MAX_TABLE_DEGREE,
     CliffordElement,
@@ -89,7 +90,12 @@ class IrrepLabel:
 
     @property
     def subset(self):
-        return frozenset(subset_of(self.mask))
+        return subset_of(self.mask)
+
+    @property
+    def index(self) -> int:
+        """Position in irreps(degree): chi_A at A, then the spin labels."""
+        return self.mask if self.kind == "chi" else (1 << self.degree) + (self.kind == "rho-")
 
     def __str__(self):
         return format_label(self)
@@ -107,6 +113,11 @@ def spin_labels(n: int):
     """The spin irreducibles of CL(n), last in the label order: (rho,) for
     even n, (rho+, rho-) for odd n."""
     return tuple(IrrepLabel(n, kind) for kind in (("rho+", "rho-") if n % 2 else ("rho",)))
+
+
+def label_at(n: int, i: int) -> IrrepLabel:
+    """The label at position i of irreps(n), built alone: IrrepLabel.index inverted."""
+    return spin_labels(n)[i - (1 << n)] if i >> n else IrrepLabel(n, "chi", i)
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +177,7 @@ class ClassFunction:
 
     def __post_init__(self):
         size = len(class_keys(self.degree)[0])
-        both = np.array((self.re, self.im), dtype=np.int64)
+        both = int64_array((self.re, self.im))
         if both.shape != (2, size) or (np.abs(both) >= _VALUE_BOUND).any():
             raise ValueError(f"re and im need {size} values each, below 2^31 in absolute value")
         both.setflags(write=False)
@@ -314,12 +325,12 @@ def decompose(f: ClassFunction) -> Decomposition:
         sums_im.append(int(fim @ sre - fre @ sim))
     order = 1 << (n + 1)
     terms = []
-    for label, re, im in zip(irreps(n), sums_re, sums_im):
+    for i, (re, im) in enumerate(zip(sums_re, sums_im)):
         if im or re % order or re < 0:
             ip = gr(Fraction(re, order), Fraction(im, order))
-            raise NotACharacterError(f"not a character: <f, {format_label(label)}> = {ip}")
+            raise NotACharacterError(f"not a character: <f, {label_at(n, i)}> = {ip}")
         if re:
-            terms.append((label, re // order))
+            terms.append((label_at(n, i), re // order))
     return Decomposition(tuple(terms))
 
 

@@ -15,9 +15,9 @@ Conjugation only flips signs (the sign-flip lemma, _flip_vector): gamma_A
 is central (is_central) exactly when its flip vector is 0, and otherwise
 +/- gamma_A form one class of size 2, so class_keys and class_index need
 no enumeration.  The double cosets of diag CL(m) in CL(n) x CL(n) x CL(m)
-are the CL(m)-orbits on pairs by simultaneous conjugation: predicted_labels
-reads them off the flip vectors, and the brute force that gelfand and
-orbits read closes pairs under CL(m)'s generators by index_product.
+are the CL(m)-orbits on pair keys i << (n + 1) | j: predicted_labels reads
+them off the flip vectors, and the brute force that gelfand, orbits and
+verify (C5, D1) read closes keys under CL(m)'s generators by index_product.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import numpy as np
 # Element arithmetic works up to degree 16; anything that enumerates the
 # whole group (or G x G) is guarded separately.
 MAX_DEGREE = 16
-MAX_ENUM_DEGREE = 12
 # mult_table holds 4^(n+1) int64 entries, 8*4^(n+1) bytes: 32 MiB at n = 10,
 # built in 0.12 s with a 125 MB peak RSS (2-CPU VM); n = 11 would hold
 # 128 MiB and peak at 413 MB.
@@ -90,7 +89,7 @@ class CliffordElement:
 
     @property
     def subset(self) -> frozenset:
-        return frozenset(subset_of(self.mask))
+        return subset_of(self.mask)
 
     def __str__(self):
         return format_element(self)
@@ -142,18 +141,8 @@ def conjugation_sign(a_mask: int, c_mask: int) -> int:
     return _minus_one_to(_flip_vector(a_mask, c_mask.bit_length()) & c_mask)
 
 
-def enumerate_group(n: int):
-    """All 2^(n+1) elements, sign-major then subset-as-integer ascending."""
-    _check_degree(n, MAX_ENUM_DEGREE)
-    return [
-        CliffordElement(n, sign, mask)
-        for sign in (1, -1)
-        for mask in range(1 << n)
-    ]
-
-
 def element_index(x: CliffordElement) -> int:
-    """Position of x in enumerate_group(x.degree)."""
+    """Position of x in the (sign, mask) order; _element_at is its inverse."""
     return ((x.sign < 0) << x.degree) | x.mask
 
 

@@ -50,6 +50,7 @@ from .characters import (
     char_re_im,
     conjugate_label,
     format_label,
+    label_at,
     spin_labels,
 )
 
@@ -84,13 +85,6 @@ class TripleIrrepLabel:
             f"({format_label(self.rho1)}, {format_label(self.rho2)}, "
             f"{format_label(self.theta)})"
         )
-
-
-def _label_index(label: IrrepLabel) -> int:
-    """Position of label in irreps(label.degree)."""
-    if label.kind == "chi":
-        return label.mask
-    return (1 << label.degree) + (label.kind == "rho-")
 
 
 def _spin_pair_multiplicity(a: IrrepLabel, b: IrrepLabel, x, m: int):
@@ -173,7 +167,7 @@ class GelfandReport:
         if sum(spin) != 2:
             return diagonal_invariant_dim(*labels)
         p = spin.index(False)
-        a, b = (_label_index(lab) for lab in labels if lab.kind != "chi")
+        a, b = (lab.index for lab in labels if lab.kind != "chi")
         return int(self.two_spin[(p, a, b)][labels[p].mask])
 
     def to_json(self) -> dict:
@@ -213,7 +207,7 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
         for a, b in product(spin_labels(degrees[q]), spin_labels(degrees[r])):
             mult = _spin_pair_multiplicity(a, b, chis, m)
             mult.setflags(write=False)
-            two_spin[(p, _label_index(a), _label_index(b))] = mult
+            two_spin[(p, a.index, b.index)] = mult
     # chi-chi-chi multiplicities reach 1 and no further, so the first triple
     # in label order with multiplicity >= 2 is the least of the first such
     # triples of the blocks
@@ -226,13 +220,7 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
             key.insert(p, int(big[0]))
             firsts.append((tuple(key), int(mult[big[0]])))
     first, witness_mult = min(firsts, default=(None, 0))
-    witness = None
-    if first is not None:
-        # the labels at positions `first` of irreps(d), spin labels from 2^d on
-        witness = TripleIrrepLabel(*(
-            spin_labels(d)[i - (1 << d)] if i >> d else IrrepLabel(d, "chi", i)
-            for d, i in zip(degrees, first)
-        ))
+    witness = None if first is None else TripleIrrepLabel(*map(label_at, degrees, first))
     return GelfandReport(
         n=n,
         m=m,

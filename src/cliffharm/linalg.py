@@ -70,13 +70,21 @@ def complex_matmul(x, y):
     return part((1, 0, 0), (-1, 1, 1)), part((1, 0, 1), (1, 1, 0))
 
 
+def int64_array(values):
+    """values as a new int64 array; ValueError for a dtype a cast would truncate or wrap."""
+    a = np.array(values)
+    if a.dtype != np.int64 and not np.can_cast(a.dtype, np.int64):
+        raise ValueError(f"integer values expected, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 class Matrix:
     """Dense Gaussian-integer matrix: read-only int64 arrays re and im."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im):
-        re, im = np.array(re, dtype=np.int64), np.array(im, dtype=np.int64)
+        re, im = int64_array(re), int64_array(im)
         if re.ndim != 2 or re.shape != im.shape:
             raise ValueError("a Matrix needs re and im of one 2-D shape")
         re.setflags(write=False)

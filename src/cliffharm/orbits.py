@@ -1,11 +1,12 @@
 """Conjugation orbits on CL(n) x CL(n) and the spherical characters of the
 pair (CL(n) x CL(n) x CL(n), diagonal).
 
-Orbits come in two flavours: the brute force (the oracle), which closes
-int64 pair keys under conjugation by gamma_1..gamma_n through
-elements.index_product, for one pair (orbit_of) or for all of them
-(enumerate_pair_orbits, by elements._pair_orbit_labels), and the
-prediction, which reads the flip vectors of elements._flip_vector.
+Orbits live on int64 pair keys in elements: predicted_labels reads them off
+the flip vectors, and the oracle closes keys under CL(m)'s generators.  The
+PairOrbit objects here (m = n) are the view the CLI, the demos and the
+benchmark read: orbit_of closes one pair, enumerate_pair_orbits cuts the
+keys by their elements._pair_orbit_labels label, and predicted_orbit keeps
+the sign flips its case ladder allows.
 Spherical characters likewise: direct summation over the subgroup
 (spherical_value, which is gelfand.spherical_character with H = G) versus
 the closed-form case formulas.  The case formulas are written once, as
@@ -48,6 +49,7 @@ from .elements import (
     CliffordElement,
     DegreeMismatchError,
     _check_degree,
+    _element_at,
     _flip_vector,
     _minus_one_to,
     _pair_orbit,
@@ -55,8 +57,6 @@ from .elements import (
     _xi_parity,
     TripleElement,
     element_index,
-    enumerate_group,
-    index_sign_mask,
 )
 from .characters import IrrepLabel, spin_labels, top_phase_re_im
 from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
@@ -89,7 +89,7 @@ def _orbit_from_keys(keys, n: int, group=None) -> PairOrbit:
     """The orbit with the ascending pair keys i << (n + 1) | j of element
     indices, the (sign, mask) order; x_i is group[i] or is built from i."""
     pairs = [divmod(k, 2 << n) for k in keys]
-    at = group or {i: CliffordElement(n, *index_sign_mask(i, n)) for i in set(sum(pairs, ()))}
+    at = group or {i: _element_at(i, n) for i in set(sum(pairs, ()))}
     members = tuple((at[i], at[j]) for i, j in pairs)
     return PairOrbit(members[0], members)
 
@@ -111,7 +111,7 @@ def enumerate_pair_orbits(n: int):
     labels = _pair_orbit_labels(n, n)
     keys = np.argsort(labels, kind="stable")
     cuts = [0, *(np.flatnonzero(np.diff(labels[keys])) + 1).tolist(), len(keys)]
-    group = enumerate_group(n)
+    group = [_element_at(i, n) for i in range(2 << n)]
     return [_orbit_from_keys(keys[a:b].tolist(), n, group) for a, b in zip(cuts, cuts[1:])]
 
 

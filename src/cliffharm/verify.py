@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .elements import MAX_DEGREE, CliffordElement, TripleElement, format_element, index_sign_mask
-from .elements import _element_at, _pair_orbit_labels, predicted_labels
+from .elements import _element_at, _pair_orbit, _pair_orbit_labels, predicted_labels
 from .characters import (
     ClassFunction,
     IrrepLabel,
@@ -50,8 +50,6 @@ from .orbits import (
     MAX_PAIR_ORBIT_DEGREE,
     SphericalQuery,
     closed_vs_direct_grids,
-    orbit_of,
-    predicted_orbit,
     spherical_closed_form,
     spherical_value,
     subset_sum_lemma,
@@ -74,7 +72,6 @@ def _check(ident, description):
             ok, detail = fn(**kw)
             return CheckResult(ident, description, ok, detail, time.perf_counter() - t0)
 
-        run.ident = ident
         return run
 
     return wrap
@@ -315,23 +312,28 @@ def check_oracles(trace_n_max=MAX_RHO_MODEL_DEGREE, coeff_n_max=MAX_ETA_DEGREE):
     return True, f"traces n <= {trace_n_max} at every element, coefficients n <= {coeff_n_max}"
 
 
-@_check("D1", "sampled orbits n=8..16")
+@_check("D1", "sampled orbit labels match the generator closure, n=8..16")
 def check_deep_extras(seed=0):
-    """500 seeded pairs per n = 8..16, past enumerate_pair_orbits, whose
-    masks cycle through six shapes (both free; equal; complementary; y's
-    central; x's central; both central), so flip vectors that are 0, equal
-    and distinct are all hit at every n."""
+    """C5's rule past its range: 500 seeded pair keys per n = 8..16 and m in
+    (n, n - 1), masks cycling through six shapes over X_m (both free; equal;
+    complementary; y's central; x's central; both central), so flip vectors
+    that are 0, equal and distinct are all hit; every member of each key's
+    _pair_orbit must carry the orbit's least key as its predicted_labels."""
     rng = random.Random(seed)
     for n in range(MAX_PAIR_ORBIT_DEGREE + 1, MAX_DEGREE + 1):
-        z = (1 << n) - 1
-        c = z * (n % 2)  # the central mask other than 0 for odd n
-        for k in range(500):
-            (sx, a), (sy, b) = ((rng.choice((1, -1)), rng.randrange(1 << n)) for _ in range(2))
-            a, b = ((a, b), (a, a), (a, a ^ z), (a, 0), (c, b), (c, 0))[k % 6]
-            x, y = CliffordElement(n, sx, a), CliffordElement(n, sy, b)
-            if predicted_orbit((x, y), n) != orbit_of((x, y), n):
-                return False, f"orbit mismatch at n={n}, pair {(x, y)}"
-    return True, f"500 pairs per n={MAX_PAIR_ORBIT_DEGREE + 1}..{MAX_DEGREE} (seed {seed})"
+        for m in (n, n - 1):
+            z = (1 << m) - 1
+            c = z * (m % 2)  # the central mask of CL(m) other than 0 for odd m
+            for k in range(500):
+                (sx, a), (sy, b) = ((rng.randrange(2), rng.randrange(1 << n)) for _ in range(2))
+                a, b = ((a, b), (a, a), (a, a ^ z), (a, 0), (c, b), (c, 0))[k % 6]
+                orbit = np.array(_pair_orbit((sx << n | a) << (n + 1) | sy << n | b, n, m))
+                bad = orbit[predicted_labels(orbit, n, m) != orbit[0]]
+                if len(bad):
+                    x, y = (_element_at(i, n) for i in divmod(int(bad[0]), 2 << n))
+                    return False, f"label mismatch at n={n}, m={m}, pair ({x}, {y})"
+    ns = f"n={MAX_PAIR_ORBIT_DEGREE + 1}..{MAX_DEGREE}"
+    return True, f"500 pairs per {ns}, m = n and n - 1 (seed {seed})"
 
 
 @_check("D2", "sampled spherical closed forms equal direct summation")

@@ -23,6 +23,9 @@ directly from it: they are the oracles for `elements.index_product`, the
 library's one group law, which reads xi mod 2 off a shift-XOR fold and a
 popcount.  Every oracle below that multiplies group elements uses them.
 
+`enumerate_group` lists CL(n) in the (sign, mask) order of
+`elements.element_index`, for the oracles and tests that walk the whole
+group; the library builds no such list.
 `enumerated_conjugacy_classes` conjugates every element by the whole group,
 O(|G|^2); the library reads the partition off the sign-flip lemma instead.
 `classes` lists the library's partition, one (sign, mask, size) per entry
@@ -81,18 +84,25 @@ from cliffharm.elements import (
     CliffordElement,
     DegreeMismatchError,
     TripleElement,
+    _check_degree,
     class_keys,
     element_index,
-    enumerate_group,
     is_central,
     mask_of,
     mult_table,
 )
 from cliffharm.exact import ZERO, gr
 
+MAX_ENUM_DEGREE = 12
 ONE = gr(1)
 UNITS = (ONE, gr(0, 1), gr(-1), gr(0, -1))  # UNITS[k] = i^k
 _UNIT_PARTS = np.array([(int(u.re), int(u.im)) for u in UNITS], dtype=np.int64)
+
+
+def enumerate_group(n: int):
+    """All 2^(n+1) elements, sign-major then subset-as-integer ascending."""
+    _check_degree(n, MAX_ENUM_DEGREE)
+    return [CliffordElement(n, sign, mask) for sign in (1, -1) for mask in range(1 << n)]
 
 
 def xi(a, b) -> int:

@@ -12,7 +12,6 @@ from cliffharm.elements import (
     GuardError,
     class_keys,
     element,
-    enumerate_group,
 )
 from cliffharm.characters import (
     ClassFunction,
@@ -34,6 +33,7 @@ from cliffharm.characters import (
 )
 from oracles import (
     character_table,
+    enumerate_group,
     enumerated_conjugacy_classes,
     inner_product,
     orthogonality_decompose,
@@ -59,6 +59,21 @@ def test_irreps_degree_guard():
 def test_spin_labels_are_the_tail_of_irreps():
     for n in range(11):
         assert characters.spin_labels(n) == irreps(n)[1 << n:]
+
+
+def test_label_at_inverts_the_label_order():
+    for n in range(7):
+        assert [lab.index for lab in irreps(n)] == list(range(len(irreps(n))))
+        assert tuple(characters.label_at(n, i) for i in range(len(irreps(n)))) == irreps(n)
+
+
+def test_decompose_builds_no_label_table():
+    # decompose names only its nonzero terms, so a one-term decomposition at
+    # n = 15 makes no 2^15-label irreps(15)
+    irreps.cache_clear()
+    dec = decompose(restrict_character(irrep_character(chi(16, (1,))), 15))
+    assert irreps.cache_info().currsize == 0
+    assert dec.terms == ((chi(15, (1,)), 1),)
 
 
 def test_decompose_degree_guard():
@@ -288,6 +303,11 @@ def test_class_function_storage():
         ClassFunction(3, f.re[:-1], f.im[:-1])
     with pytest.raises(ValueError, match="below 2"):
         ClassFunction(3, f.re << 30, f.im)  # 2^31 at the identity
+    # a cast to int64 would truncate 0.5 and 1.9
+    with pytest.raises(ValueError, match="integer values expected, got dtype float64"):
+        ClassFunction(1, np.array([0.5, 1.9, 1, 1]), np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match="integer values expected"):
+        ClassFunction(1, [1, 1, 1, 1], np.zeros(4))
 
 
 def test_irrep_character_memo():

@@ -18,7 +18,6 @@ from cliffharm.elements import (
     element,
     element_index,
     embed_index,
-    enumerate_group,
     format_element,
     identity,
     inverse,
@@ -31,6 +30,7 @@ from cliffharm.elements import (
 
 from oracles import (
     conjugation_pair_orbits,
+    enumerate_group,
     enumerated_conjugacy_classes,
     xi,
     xi_inverse,

@@ -10,7 +10,6 @@ from cliffharm.elements import (
     CliffordElement,
     GuardError,
     TripleElement,
-    enumerate_group,
     identity,
 )
 from cliffharm.characters import (
@@ -30,6 +29,7 @@ from cliffharm.gelfand import (
 from oracles import (
     class_sum_invariant_dim,
     dense_multiplicity_cube,
+    enumerate_group,
     pairwise_convolution_commutes,
     permutation_character_eta,
     triple_product,

@@ -55,6 +55,15 @@ def _conj_transpose(x):
     return Matrix(x.re.T, -x.im.T)
 
 
+def test_matrix_refuses_non_integer_entries():
+    # a cast to int64 would truncate 0.7 to 0 and wrap 2^63 to -2^63
+    with pytest.raises(ValueError, match="integer values expected, got dtype float64"):
+        Matrix([[0.7]], [[0]])
+    with pytest.raises(ValueError, match="got dtype uint64"):
+        Matrix([[0]], np.array([[1 << 63]], dtype=np.uint64))
+    assert Matrix(np.array([[True]]), np.array([[3]], dtype=np.int8)) == Matrix([[1]], [[3]])
+
+
 def test_hs_inner_normalization():
     ident = _identity(4)
     assert hs_inner(ident, ident) == gr(1)

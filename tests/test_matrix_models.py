@@ -8,7 +8,6 @@ from cliffharm.elements import (
     DegreeMismatchError,
     GuardError,
     element_index,
-    enumerate_group,
     mult_table,
 )
 from cliffharm.characters import character_value, chi, irreps, rho
@@ -26,6 +25,7 @@ from oracles import (
     ONE,
     as_gaussian,
     dense_monomial,
+    enumerate_group,
     fixed_vector_rows,
     gain_edges,
     intertwiner_rows,

@@ -14,7 +14,6 @@ from cliffharm.elements import (
     conjugate,
     element,
     element_index,
-    enumerate_group,
     identity,
     predicted_labels,
 )
@@ -33,7 +32,7 @@ from cliffharm.orbits import (
     subset_sum_lemma,
 )
 
-from oracles import generic_spherical_character, summed_slabs
+from oracles import enumerate_group, generic_spherical_character, summed_slabs
 
 
 def test_orbit_structure_exhaustive_small():

@@ -192,11 +192,11 @@ def test_orbit_of_is_the_predicted_orbit(data):
 @settings(max_examples=250, deadline=None)
 @given(st.data())
 def test_predicted_labels_are_the_least_keys_of_the_generator_closure(data):
-    # both subgroups past enumeration, the only check of m = n - 1 past the
-    # exhaustive C5; the masks follow D1's six shapes taken over X_m, so
-    # that at m = n - 1 the complement and the central mask X_m are those of
-    # CL(m), and the label on an int must be the label on a one-element
-    # int64 array
+    # both subgroups past enumeration, on hypothesis-drawn keys where D1
+    # checks seeded ones against the same closure; the masks follow D1's six
+    # shapes taken over X_m, so that at m = n - 1 the complement and the
+    # central mask X_m are those of CL(m), and the label on an int must be
+    # the label on a one-element int64 array
     n = data.draw(degrees)
     m = data.draw(st.sampled_from((n, n - 1) if n else (0,)))
     z = (1 << m) - 1

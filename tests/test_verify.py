@@ -58,17 +58,35 @@ def test_flip_vectors_over_x_n_for_the_subgroup_fail_c5(monkeypatch):
     assert "n=2, m=1" in result.detail
 
 
-def test_locked_signs_read_as_independent_fail_c5(monkeypatch):
-    # zeroing y's sign bit wherever v_y != 0 frees the pairs with v_y = v_x,
-    # which C5 sees first at m = n = 2, on (+g{1}, -g{1})
-    def independent(keys, n, m):
-        v_y = _flip_vector(keys & ((1 << n) - 1), m)
-        return predicted_labels(keys, n, m) & ~((v_y != 0) << n)
+def _independent_signs(keys, n, m):
+    """predicted_labels with y's sign bit zeroed wherever v_y != 0, which
+    frees the pairs with v_y = v_x, whose signs are locked together."""
+    v_y = _flip_vector(keys & ((1 << n) - 1), m)
+    return predicted_labels(keys, n, m) & ~((v_y != 0) << n)
 
-    monkeypatch.setattr(verify, "predicted_labels", independent)
+
+def test_locked_signs_read_as_independent_fail_c5(monkeypatch):
+    # C5 sees it first at m = n = 2, on (+g{1}, -g{1})
+    monkeypatch.setattr(verify, "predicted_labels", _independent_signs)
     result = verify.check_orbits(n_max=3)
     assert not result.ok
     assert "n=2, m=2" in result.detail
+
+
+def test_flip_vectors_over_x_n_for_the_subgroup_fail_d1(monkeypatch):
+    # the C5 mutant above, past C5's range: D1 meets it at n = 8, m = 7
+    monkeypatch.setattr(verify, "predicted_labels", lambda keys, n, m: predicted_labels(keys, n, n))
+    result = verify.check_deep_extras()
+    assert result.ident == "D1" and not result.ok
+    assert "n=8, m=7" in result.detail
+
+
+def test_locked_signs_read_as_independent_fail_d1(monkeypatch):
+    # D1's equal-mask shape meets the locked pairs at n = m = 8
+    monkeypatch.setattr(verify, "predicted_labels", _independent_signs)
+    result = verify.check_deep_extras()
+    assert not result.ok
+    assert "n=8, m=8" in result.detail
 
 
 def test_sampled_triples_cover_every_ordering_and_spin_label():
