@@ -23,7 +23,11 @@ for r1 in irreps(n):
             he = ctx.hom_triple_eta()
             hs = ctx.hom_res_theta_prime()
             d = diagonal_invariant_dim(r1, r2, th)
-            assert he.dimension == hs.dimension == d
+            if not he.dimension == hs.dimension == d:
+                raise SystemExit(
+                    f"dimension mismatch at ({r1}, {r2}, {th}): Hom(triple, eta) "
+                    f"{he.dimension}, Hom(Res, theta') {hs.dimension}, characters {d}"
+                )
 
             tildes = [ctx.tilde(t) for t in he.basis]
             roundtrip = all(

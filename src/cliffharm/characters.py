@@ -178,7 +178,7 @@ class ClassFunction:
     def __post_init__(self):
         size = len(class_keys(self.degree)[0])
         both = int64_array((self.re, self.im))
-        if both.shape != (2, size) or (np.abs(both) >= _VALUE_BOUND).any():
+        if both.shape != (2, size) or ((both >= _VALUE_BOUND) | (both <= -_VALUE_BOUND)).any():
             raise ValueError(f"re and im need {size} values each, below 2^31 in absolute value")
         both.setflags(write=False)
         object.__setattr__(self, "re", both[0])

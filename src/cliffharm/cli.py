@@ -168,14 +168,7 @@ def cmd_orbits(args):
         )
         return 0
     orbits = enumerate_pair_orbits(n)
-    rows = [
-        (
-            format_element(o.representative[0]),
-            format_element(o.representative[1]),
-            o.size,
-        )
-        for o in orbits
-    ]
+    rows = [(*map(format_element, o.representative), o.size) for o in orbits]
     _emit(
         args,
         rows,

@@ -15,9 +15,10 @@ Conjugation only flips signs (the sign-flip lemma, _flip_vector): gamma_A
 is central (is_central) exactly when its flip vector is 0, and otherwise
 +/- gamma_A form one class of size 2, so class_keys and class_index need
 no enumeration.  The double cosets of diag CL(m) in CL(n) x CL(n) x CL(m)
-are the CL(m)-orbits on pair keys i << (n + 1) | j: predicted_labels reads
-them off the flip vectors, and the brute force that gelfand, orbits and
-verify (C5, D1) read closes keys under CL(m)'s generators by index_product.
+are the CL(m)-orbits on pair keys i << (n + 1) | j: _sign_flips gives the
+flips CL(m) realises, which predicted_labels and orbits.predicted_orbit
+read, and the brute force that gelfand, orbits and verify (C5, D1) read
+closes keys under CL(m)'s generators by index_product.
 """
 
 from __future__ import annotations
@@ -246,16 +247,23 @@ def class_index(n: int, sign, mask):
 # -- conjugation by CL(m) on pairs -------------------------------------------
 
 
+def _sign_flips(keys, n: int, m: int):
+    """(x alone, y alone, both): the key masks of the sign flips CL(m)
+    realises on pair keys (ints or int64 arrays, below 2^34), else 0.  C in
+    X_m flips the signs by |v_x & C|, |v_y & C| mod 2, two linear forms: both
+    need v_x, v_y != 0; one alone, its v != 0 and v_x != v_y."""
+    full, x, y = (1 << n) - 1, 1 << (2 * n + 1), 1 << n
+    vx, vy = _flip_vector(keys >> (n + 1) & full, m), _flip_vector(keys & full, m)
+    apart = vx != vy
+    return x * ((vx != 0) & apart), y * ((vy != 0) & apart), (x | y) * ((vx != 0) & (vy != 0))
+
+
 def predicted_labels(keys, n: int, m: int):
-    """The least key of the CL(m)-orbit of each pair key i << (n + 1) | j
-    (ints or int64 arrays, below 2^34): the orbit is the sign flips by
-    |v_x & C|, |v_y & C| mod 2 for C in X_m, so x's sign bit is zeroed if v_x
-    != 0, y's if v_y is neither 0 nor v_x; v_y = v_x != 0 sets it to s_x ^ s_y."""
-    i, j, full = keys >> (n + 1), keys & ((2 << n) - 1), (1 << n) - 1
-    vx, vy = _flip_vector(i & full, m), _flip_vector(j & full, m)
-    x_flip = (i >> n) * (vx != 0)
-    y_sign = ((j >> n) ^ x_flip * (vy == vx)) * ((vy == 0) | (vy == vx))
-    return (i ^ x_flip << n) << (n + 1) | y_sign << n | j & full
+    """The least key of the CL(m)-orbit of each pair key, ints or int64
+    arrays: the least of the key and its _sign_flips."""
+    x, y, both = _sign_flips(keys, n, m)
+    labels = np.minimum(np.minimum(keys, keys ^ x), np.minimum(keys ^ y, keys ^ both))
+    return labels if isinstance(keys, np.ndarray) else int(labels)
 
 
 def _generator_conjugates(x, n: int, m: int):

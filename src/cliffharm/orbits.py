@@ -1,12 +1,11 @@
 """Conjugation orbits on CL(n) x CL(n) and the spherical characters of the
 pair (CL(n) x CL(n) x CL(n), diagonal).
 
-Orbits live on int64 pair keys in elements: predicted_labels reads them off
-the flip vectors, and the oracle closes keys under CL(m)'s generators.  The
-PairOrbit objects here (m = n) are the view the CLI, the demos and the
-benchmark read: orbit_of closes one pair, enumerate_pair_orbits cuts the
-keys by their elements._pair_orbit_labels label, and predicted_orbit keeps
-the sign flips its case ladder allows.
+A PairOrbit (m = n) holds an orbit's ascending pair keys and decodes its
+members into elements on read: orbit_of closes one pair's key under the
+generators, enumerate_pair_orbits cuts the keys by their _pair_orbit_labels
+label, and predicted_orbit flips the key by elements._sign_flips, the rule
+predicted_labels reads.
 Spherical characters likewise: direct summation over the subgroup
 (spherical_value, which is gelfand.spherical_character with H = G) versus
 the closed-form case formulas.  The case formulas are written once, as
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 import numpy as np
 
@@ -50,10 +48,10 @@ from .elements import (
     DegreeMismatchError,
     _check_degree,
     _element_at,
-    _flip_vector,
     _minus_one_to,
     _pair_orbit,
     _pair_orbit_labels,
+    _sign_flips,
     _xi_parity,
     TripleElement,
     element_index,
@@ -62,8 +60,8 @@ from .characters import IrrepLabel, spin_labels, top_phase_re_im
 from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
 from .linalg import complex_matmul
 
-# enumerate_pair_orbits(7) finds its 17,152 orbits in 0.12-0.14 s with a
-# 38 MB peak RSS (2-CPU VM); n = 8 would take 0.52-0.60 s and 67 MB for 66,304.
+# enumerate_pair_orbits(7) finds its 17,152 orbits in 0.02 s with a 36 MB
+# peak RSS (2-CPU VM); n = 8 would take 0.10 s and 58 MB for 66,304.
 MAX_PAIR_ORBIT_DEGREE = 7
 # closed_vs_direct_grids(4) compares its 19.2 M points in 0.08-0.14 s cold
 # with a 32.6 MB peak RSS (2-CPU VM), 16.8 M of them chi x chi x chi by
@@ -75,32 +73,41 @@ MAX_GRID_DEGREE = 4
 
 @dataclass(frozen=True)
 class PairOrbit:
-    """Orbit of CL(n) acting by simultaneous conjugation on pairs."""
+    """Orbit of CL(n) acting by simultaneous conjugation on pairs: its
+    ascending pair keys, decoded into pairs of elements on read."""
 
-    representative: tuple  # (CliffordElement, CliffordElement)
-    members: tuple
+    degree: int
+    keys: tuple
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.keys)
+
+    @property
+    def members(self) -> tuple:
+        return tuple(map(self._pair, self.keys))
+
+    @property
+    def representative(self) -> tuple:
+        return self._pair(self.keys[0])
+
+    def _pair(self, key: int) -> tuple:
+        i, j = divmod(key, 2 << self.degree)
+        return _element_at(i, self.degree), _element_at(j, self.degree)
 
 
-def _orbit_from_keys(keys, n: int, group=None) -> PairOrbit:
-    """The orbit with the ascending pair keys i << (n + 1) | j of element
-    indices, the (sign, mask) order; x_i is group[i] or is built from i."""
-    pairs = [divmod(k, 2 << n) for k in keys]
-    at = group or {i: _element_at(i, n) for i in set(sum(pairs, ()))}
-    members = tuple((at[i], at[j]) for i, j in pairs)
-    return PairOrbit(members[0], members)
-
-
-def orbit_of(pair, n: int) -> PairOrbit:
-    """Brute-force orbit of one pair: elements._pair_orbit of its pair key."""
+def _pair_key(pair, n: int) -> int:
+    """The pair key i << (n + 1) | j of a pair of CL(n) elements."""
     _check_degree(n)
     x, y = pair
     if x.degree != n or y.degree != n:
         raise DegreeMismatchError("pair degree mismatch")
-    return _orbit_from_keys(_pair_orbit(element_index(x) << (n + 1) | element_index(y), n, n), n)
+    return element_index(x) << (n + 1) | element_index(y)
+
+
+def orbit_of(pair, n: int) -> PairOrbit:
+    """Brute-force orbit of one pair: elements._pair_orbit of its pair key."""
+    return PairOrbit(n, tuple(_pair_orbit(_pair_key(pair, n), n, n)))
 
 
 def enumerate_pair_orbits(n: int):
@@ -109,25 +116,18 @@ def enumerate_pair_orbits(n: int):
     cut where the label changes."""
     _check_degree(n, MAX_PAIR_ORBIT_DEGREE)
     labels = _pair_orbit_labels(n, n)
-    keys = np.argsort(labels, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(labels[keys])) + 1).tolist(), len(keys)]
-    group = [_element_at(i, n) for i in range(2 << n)]
-    return [_orbit_from_keys(keys[a:b].tolist(), n, group) for a, b in zip(cuts, cuts[1:])]
+    order = np.argsort(labels, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), len(order)]
+    keys = order.tolist()
+    return [PairOrbit(n, tuple(keys[a:b])) for a, b in zip(cuts, cuts[1:])]
 
 
 def predicted_orbit(pair, n: int) -> PairOrbit:
-    """Orbit by the sign-flip lemma alone: the sign flips by |v_x & C| and
-    |v_y & C| mod 2, C in X_n (elements._flip_vector), in sign-bit order.
-    Flipping both needs v_x, v_y != 0; one alone, its v != 0 and v_x != v_y."""
-    x, y = pair
-    if x.degree != n or y.degree != n:
-        raise DegreeMismatchError("pair degree mismatch")
-    vx, vy = _flip_vector(x.mask, n), _flip_vector(y.mask, n)
-    nx, ny = CliffordElement(n, -x.sign, x.mask), CliffordElement(n, -y.sign, y.mask)
-    allowed = (True, vx and vy, vx and vx != vy, vy and vx != vy)
-    members = compress(((x, y), (nx, ny), (nx, y), (x, ny)), allowed)
-    members = tuple(sorted(members, key=lambda p: (p[0].sign < 0, p[1].sign < 0)))
-    return PairOrbit(members[0], members)
+    """Orbit by the sign-flip lemma alone: the pair's key and its
+    elements._sign_flips over X_n, in key order."""
+    key = _pair_key(pair, n)
+    x, y, both = _sign_flips(key, n, n)
+    return PairOrbit(n, tuple(sorted({key, key ^ x, key ^ y, key ^ both})))
 
 
 # -- spherical characters on CL(n)^3: direct summation ----------------------

@@ -367,11 +367,9 @@ def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
             q = SphericalQuery(TripleIrrepLabel(*labels), TripleElement(*at, n))
             closed, direct = spherical_closed_form(q).value, spherical_value(q)
             if closed != direct:
-                sigma = ", ".join(map(format_label, labels))
                 return False, (
-                    f"{'-'.join(kinds)} at n={n}, sigma=({sigma}), "
-                    f"at=({', '.join(map(format_element, at))}): "
-                    f"closed {closed} != direct {direct}"
+                    f"{'-'.join(kinds)} at n={n}: closed {closed} != direct {direct}; "
+                    f"replay: {spherical_replay(q)}"
                 )
     return True, f"32 points per degree, all 8 orderings, n in {tuple(degrees)} (seed {seed})"
 

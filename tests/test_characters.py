@@ -310,6 +310,17 @@ def test_class_function_storage():
         ClassFunction(1, [1, 1, 1, 1], np.zeros(4))
 
 
+def test_class_function_bound_compares_without_abs():
+    # np.abs wraps int64 -2^63 to itself, so the 2^31 bound compares the
+    # values on both sides: -2^63 and -2^31 are refused, -(2^31 - 1) is kept
+    zeros = [0] * 4
+    for low in (-(2**63), -(2**31)):
+        for re, im in (([low, 0, 0, 0], zeros), (zeros, [low, 0, 0, 0])):
+            with pytest.raises(ValueError, match="below 2"):
+                ClassFunction(1, re, im)
+    assert ClassFunction(1, [1 - 2**31, 0, 0, 0], zeros).re.tolist() == [1 - 2**31, 0, 0, 0]
+
+
 def test_irrep_character_memo():
     # one cached object per label up to MAX_TABLE_DEGREE, with the values of
     # a fresh char_re_im in read-only arrays; past it the cache does not grow

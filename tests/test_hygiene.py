@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 module-level private name is used somewhere in the package, and every
 module-level public name and every public method of a library class is used
-outside the tests or is documented API.
+outside the tests or is documented API.  No library module or demo holds an
+assert statement, which python -O strips: their cross-checks raise.
 
 The package's __init__.py is skipped by the import scan: its imports are the
 public re-exports.  Names are found with the stdlib ast, so a name that
@@ -304,3 +305,13 @@ def test_modules_were_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_assert_statements_in_the_library_or_demos():
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

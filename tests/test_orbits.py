@@ -54,6 +54,7 @@ def test_prediction_matches_brute_force():
             for p in o.members:
                 assert predicted_orbit(p, n) == o
                 assert orbit_of(p, n) == o
+                assert hash(orbit_of(p, n)) == hash(predicted_orbit(p, n))
 
 
 def test_predicted_orbit_is_the_sign_flips_sharing_its_label():
@@ -81,8 +82,8 @@ def test_pair_orbits_match_scalar_conjugation():
             if (x, y) not in seen:
                 members = {(conjugate(x, c), conjugate(y, c)) for c in group}
                 seen |= members
-                members = sorted(members, key=lambda p: tuple(map(element_index, p)))
-                want.append(PairOrbit(members[0], tuple(members)))
+                keys = sorted(element_index(x) << (n + 1) | element_index(y) for x, y in members)
+                want.append(PairOrbit(n, tuple(keys)))
         assert enumerate_pair_orbits(n) == want
 
 

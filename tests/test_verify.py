@@ -3,7 +3,7 @@ import random
 import shlex
 from itertools import product
 
-from cliffharm import cli, orbits, verify
+from cliffharm import cli, elements, orbits, verify
 from cliffharm.elements import _flip_vector, predicted_labels
 from cliffharm.characters import irreps
 from cliffharm.orbits import spherical_closed_form
@@ -45,6 +45,52 @@ def test_spherical_grid_failure_prints_a_replay_line(monkeypatch, capsys):
     assert "!= direct summation" in capsys.readouterr().err
     monkeypatch.setattr(orbits, "_closed_scaled", real)
     assert cli.main(argv) == 0
+
+
+def test_sampled_spherical_failure_prints_a_replay_line(monkeypatch, capsys):
+    # D2 ends its detail with the cliffharm command line of its first
+    # disagreeing point, which fails through the CLI while the closed form is
+    # wrong; with chi x rho x rho negated that is chi-rho-rho at n = 5
+    real = orbits._closed_scaled
+
+    def negated(n, spins, *slots):
+        re, im = real(n, spins, *slots)
+        return (-re, -im) if spins == 2 else (re, im)
+
+    monkeypatch.setattr(orbits, "_closed_scaled", negated)
+    result = verify.check_sampled_spherical(degrees=(5, 6))
+    assert result.ident == "D2" and not result.ok
+    assert result.detail.startswith("chi-rho-rho at n=5: closed ")
+    command, *argv = shlex.split(result.detail.split("; replay: ")[1])
+    assert command == "cliffharm" and argv[:2] == ["spherical", "5"]
+    assert cli.main(argv) == 1
+    assert "!= direct summation" in capsys.readouterr().err
+    monkeypatch.setattr(orbits, "_closed_scaled", real)
+    assert cli.main(argv) == 0
+
+
+def test_one_sign_flip_mutant_fails_c5_and_predicted_orbit(monkeypatch):
+    # predicted_labels and predicted_orbit read one rule: the same mutant of
+    # _sign_flips, x's sign flipped alone wherever v_x != 0, also where v_y =
+    # v_x locks the two signs together, fails C5 at m = n = 2, first on
+    # (-g{1}, +g{1}), and splits predicted_orbit from the brute force on the
+    # locked pair (+g{1}, +g{1})
+    real = elements._sign_flips
+    assert orbits._sign_flips is real
+
+    def x_alone_unlocked(keys, n, m):
+        _, y, both = real(keys, n, m)
+        v_x = _flip_vector(keys >> (n + 1) & ((1 << n) - 1), m)
+        return (1 << (2 * n + 1)) * (v_x != 0), y, both
+
+    for module in (elements, orbits):
+        monkeypatch.setattr(module, "_sign_flips", x_alone_unlocked)
+    result = verify.check_orbits(n_max=3)
+    assert not result.ok
+    assert "n=2, m=2" in result.detail
+    pair = (elements.element(2, 1, (1,)),) * 2
+    assert orbits.predicted_orbit(pair, 2) != orbits.orbit_of(pair, 2)
+    assert (orbits.predicted_orbit(pair, 2).size, orbits.orbit_of(pair, 2).size) == (3, 2)
 
 
 def test_flip_vectors_over_x_n_for_the_subgroup_fail_c5(monkeypatch):
