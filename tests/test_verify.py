@@ -89,7 +89,6 @@ def test_one_sign_flip_mutant_fails_c5_and_predicted_orbit(monkeypatch):
     assert not result.ok
     assert "n=2, m=2" in result.detail
     pair = (elements.element(2, 1, (1,)),) * 2
-    assert orbits.predicted_orbit(pair, 2) != orbits.orbit_of(pair, 2)
     assert (orbits.predicted_orbit(pair, 2).size, orbits.orbit_of(pair, 2).size) == (3, 2)
 
 
