@@ -17,8 +17,9 @@ of CL(m) on G x G by simultaneous conjugation (elements._pair_orbit_labels),
 so the check runs on G x G rather than on the whole triple group.
 
 Spherical characters have one direct sum over H: conj_summands tabulates
-conj chi(h g) by h and point; spherical_character sums the products of its
-columns, and the closed-form grid comparison in orbits reads it too.
+conj chi(h g) at given rows h and points; spherical_character multiplies
+its columns spin slots first, keeping the rows where the product is nonzero
+(_nonzero_rows, as orbits' grid does), and sums; the int64 bound is unchanged.
 """
 
 from __future__ import annotations
@@ -235,39 +236,47 @@ def gelfand_check_characters(n: int, m: int) -> GelfandReport:
 # -- spherical characters ---------------------------------------------------
 
 
-def conj_summands(label: IrrepLabel, m: int, sign, mask):
-    """conj chi_label(h g) as int64 (re, im), with one row per h = s gamma_D
-    in CL(m) (s = +1 first, then -1; D ascending) and one column per point
-    g = sign gamma_mask, for ints or 1-D int64 arrays sign and mask.
+def conj_summands(label: IrrepLabel, m: int, rows, sign, mask):
+    """conj chi_label(h g) as int64 (re, im): a row per CL(m) element index
+    h in rows, a 1-D int64 array, and a column per point g = sign gamma_mask,
+    for ints or 1-D int64 arrays sign and mask.
 
-    h g is one index_product on element indices, h embedded in CL(n).  A
-    summand has modulus at most 2^(n/2) <= 2^8, so a product of three is at
-    most 2^24 and a sum of one over all 2^17 elements h stays below 2^41:
-    int64 is exact up to n = 16.
+    h g is one index_product, h embedded in the label's degree n (m for
+    theta).  A summand has modulus at most 2^(n/2) <= 2^8, so a product of
+    three is at most 2^24 and a sum of one over any of the 2^17 elements h
+    stays below 2^41: int64 is exact up to n = 16.
     """
     n = label.degree
-    # rows in element_index order
-    h = embed_index(np.arange(2 << m, dtype=np.int64)[:, None], m, n)
+    h = embed_index(rows[:, None], m, n)
     hg = index_product(h, (sign < 0) << n | mask, n)
     re, im = char_re_im(label, *index_sign_mask(hg, n))
     return re, -im
 
 
+def _nonzero_rows(re, im):
+    """The rows h where a summand column re + i im is nonzero."""
+    return np.flatnonzero(re | im)
+
+
 def spherical_character(sigma: TripleIrrepLabel, at: TripleElement) -> GaussianRational:
     """psi(g1, g2, h1) = (1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1).
 
-    The sum runs over h in H = CL(m), m = theta's degree: the three slots'
-    conj_summands columns are multiplied and summed over h, in exact
-    integers until the final division by |H|.
+    The sum runs over h in H = CL(m), m = theta's degree: the slots'
+    conj_summands columns are multiplied, spin slots first, keeping after
+    each spin slot the rows where the product is nonzero (at most 4, as h g
+    must be central), and summed in exact integers until the division by |H|.
     """
-    n = sigma.rho1.degree
-    m = sigma.theta.degree
+    n, m = sigma.rho1.degree, sigma.theta.degree
     if at.degree != n or at.subgroup_degree != m:
         raise DegreeMismatchError("evaluation point degrees do not match the label")
-    re, im = 1, 0
-    for lab, g in zip((sigma.rho1, sigma.rho2, sigma.theta), (at.g1, at.g2, at.h)):
-        vre, vim = conj_summands(lab, m, g.sign, g.mask)
+    slots = zip((sigma.rho1, sigma.rho2, sigma.theta), (at.g1, at.g2, at.h))
+    rows, re, im = np.arange(2 << m, dtype=np.int64), 1, 0
+    for lab, g in sorted(slots, key=lambda s: s[0].kind == "chi"):
+        vre, vim = conj_summands(lab, m, rows, g.sign, g.mask)
         re, im = re * vre - im * vim, re * vim + im * vre
+        if lab.kind != "chi":
+            live = _nonzero_rows(re, im)
+            rows, re, im = rows[live], re[live], im[live]
     order = 1 << (m + 1)
     return gr(Fraction(int(re.sum()), order), Fraction(int(im.sum()), order))
 

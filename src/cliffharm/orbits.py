@@ -13,12 +13,12 @@ exact integer code on ints or integer arrays (_closed_scaled):
 spherical_closed_form evaluates them at one point, and the full-grid
 comparison evaluates them, in int16, on whole slabs of the grid.  That
 comparison scales both sides by 2^(n+1) and checks them one slab of the
-last slot at a time; the direct side sums the summand table
-gelfand.conj_summands over h in CL(n), the table that spherical_value sums
-at one point: by a popcount of sign bits if every summand is real and +-1,
-else by matmul over the rows h where the last slot's summand is nonzero.
-Spin characters vanish off the centre, so a spin slot, which sorts last,
-leaves a few rows of the 2^(n+1).
+last slot at a time; the direct side sums gelfand.conj_summands over h in
+CL(n): by a popcount of sign bits if every summand is real and +-1, else
+by matmul over the rows h where the last slot's summand is nonzero, the
+rule (gelfand._nonzero_rows) spherical_value applies after each spin slot,
+tabulated first.  A spin slot leaves at most 4 rows of the 2^(n+1), since
+spin characters vanish off the centre; the int64 bound is unchanged.
 
 With H = G, psi does not change when the three (label, point) slots are
 permuted together, so spherical_closed_form sorts the chi slots first and
@@ -57,7 +57,7 @@ from .elements import (
     element_index,
 )
 from .characters import IrrepLabel, spin_labels, top_phase_re_im
-from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
+from .gelfand import TripleIrrepLabel, _nonzero_rows, conj_summands, spherical_character
 from .linalg import complex_matmul
 
 # enumerate_pair_orbits(7) finds its 17,152 orbits in 0.02 s with a 36 MB
@@ -265,7 +265,8 @@ def _slot(n: int, spin: bool):
     params = [_label_parameter(lab) for lab in labels]
     grid = np.meshgrid(params, np.arange(1 << n), (1, -1)[: 1 + spin], indexing="ij")
     points = np.stack([a.reshape(len(labels), -1) for a in grid])  # by label
-    tables = [conj_summands(lab, n, e, t) for lab, t, e in zip(labels, points[1], points[2])]
+    rows = np.arange(2 << n, dtype=np.int64)
+    tables = [conj_summands(lab, n, rows, e, t) for lab, t, e in zip(labels, points[1], points[2])]
     summands = tuple(np.hstack(part) for part in zip(*tables))
     return summands, points.reshape(3, -1).astype(np.int16)
 
@@ -278,11 +279,6 @@ def _sign_bits(re, im):
         return ((re < 0) << np.arange(len(re))[:, None]).sum(axis=0)
 
 
-def _nonzero_rows(re, im):
-    """The rows h where a summand column re + i im is nonzero."""
-    return np.flatnonzero(re | im)
-
-
 def _direct_grid(slots):
     """2^(n+1) * psi over the full grid by literal summation over h, one
     slab per point k of the last slot: sum_h c[h, k] outer(a[h], b[h]).
@@ -292,10 +288,10 @@ def _direct_grid(slots):
     c_k), in int16: rows are at most 2^(MAX_GRID_DEGREE+1) = 32.
     np.bitwise_count counts the bits of |x| for signed x, so bit 63 would
     miscount; 32 rows stay below bit 62.  Otherwise slab k sums only the
-    rows h where c[h, k] is nonzero, (c[h, k] a[h])^T b[h] by
-    complex_matmul: a spin slot, which every such family has last, vanishes
-    off the h with h g_k central.  Exact in int64: terms are at most
-    2^(3n/2), and at most 2^(n+1) of them.
+    rows h where _nonzero_rows finds c[h, k] nonzero, (c[h, k] a[h])^T b[h]
+    by complex_matmul: a spin slot, which every such family has last,
+    vanishes off the h with h g_k central.  Exact in int64: terms are at
+    most 2^(3n/2), and at most 2^(n+1) of them.
     """
     (a_re, a_im), (b_re, b_im), (c_re, c_im) = slots
     bits = [_sign_bits(*summands) for summands in slots]

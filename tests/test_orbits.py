@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -17,7 +18,7 @@ from cliffharm.elements import (
     identity,
     predicted_labels,
 )
-from cliffharm.characters import chi, irreps, rho
+from cliffharm.characters import chi, irreps, rho, spin_labels
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
 from cliffharm import gelfand, orbits, verify
 from cliffharm.orbits import (
@@ -138,9 +139,32 @@ def _query(n, sigma, g1, g2, h):
     return SphericalQuery(sigma, TripleElement(g1, g2, h, n))
 
 
+def _sample_pair(rng, n, m, kinds, tie=False):
+    """(sigma, at) at a seeded point of the pair with subgroup CL(m), its
+    label slots of the given chi/spin kinds.  tie gives every spin slot's
+    point one mask below 2^m, so that h g can be central in each; with no
+    spin slot, it makes the chi labels cancel."""
+    degrees = (n, n, m)
+    labels = [
+        chi(k, rng.randrange(1 << k)) if kind == "chi" else rng.choice(spin_labels(k))
+        for kind, k in zip(kinds, degrees)
+    ]
+    masks = [rng.randrange(1 << k) for k in degrees]
+    if tie and "rho" not in kinds:
+        labels[2] = chi(m, (labels[0].mask ^ labels[1].mask) & ((1 << m) - 1))
+    elif tie:
+        t = rng.randrange(1 << m)
+        masks = [t if kind == "rho" else mask for kind, mask in zip(kinds, masks)]
+    at = [CliffordElement(n, rng.choice((1, -1)), mask) for mask in masks]
+    return TripleIrrepLabel(*labels), TripleElement(*at, m)
+
+
 def test_direct_value_matches_generic_spherical():
     # the exact-integer summation agrees with the generic definition, for the
-    # subgroup H = CL(m) with m = n (through spherical_value) and m = n - 1
+    # subgroup H = CL(m) with m = n (through spherical_value) and m < n: at
+    # hand-picked labels, then at all eight chi/spin orderings, half the
+    # points tied, where every ordering with an even number of spin slots
+    # meets a nonzero value
     rng = random.Random(2)
     cases = {
         (2, 2): [
@@ -159,6 +183,7 @@ def test_direct_value_matches_generic_spherical():
             TripleIrrepLabel(rho(3, "-"), rho(3, "-"), chi(2, (1,))),
         ],
     }
+    samples = []
     for (n, m), sigmas in cases.items():
         for sigma in sigmas:
             for _ in range(15):
@@ -167,12 +192,27 @@ def test_direct_value_matches_generic_spherical():
                     for _ in range(2)
                 )
                 h = CliffordElement(n, rng.choice((1, -1)), rng.randrange(1 << m))
-                at = TripleElement(g1, g2, h, m)
-                if m == n:
-                    direct = spherical_value(SphericalQuery(sigma, at))
-                else:
-                    direct = spherical_character(sigma, at)
-                assert direct == generic_spherical_character(sigma, at)
+                samples.append((sigma, TripleElement(g1, g2, h, m)))
+    pairs = ((3, 3), (3, 2), (4, 3), (5, 4))
+    samples += [
+        _sample_pair(rng, n, m, kinds, tie=k % 2)
+        for n, m in pairs
+        for kinds in ORDERINGS
+        for k in range(12)
+    ]
+    nonzero = set()
+    for sigma, at in samples:
+        if at.subgroup_degree == at.degree:
+            direct = spherical_value(SphericalQuery(sigma, at))
+        else:
+            direct = spherical_character(sigma, at)
+        assert direct == generic_spherical_character(sigma, at)
+        if direct != gr(0):
+            labels = (sigma.rho1, sigma.rho2, sigma.theta)
+            kinds = tuple("chi" if lab.kind == "chi" else "rho" for lab in labels)
+            nonzero.add((at.degree, at.subgroup_degree, kinds))
+    even = [kinds for kinds in ORDERINGS if kinds.count("rho") % 2 == 0]
+    assert {(n, m, kinds) for n, m in pairs for kinds in even} <= nonzero
 
 
 def test_spherical_invariant_under_simultaneous_conjugation():
@@ -292,16 +332,16 @@ def _chi_verdicts(n):
     return {r.family: r.agree for r in closed_vs_direct_grids(n)}["chi-chi-chi"]
 
 
-def _one_row_slip(label, m, sign, mask):
-    re, im = gelfand.conj_summands(label, m, sign, mask)
+def _one_row_slip(label, m, rows, sign, mask):
+    re, im = gelfand.conj_summands(label, m, rows, sign, mask)
     if label.kind == "chi":
         re = re.copy()
         re[1] = -re[1]
     return re, im
 
 
-def _doubled(label, m, sign, mask):
-    re, im = gelfand.conj_summands(label, m, sign, mask)
+def _doubled(label, m, rows, sign, mask):
+    re, im = gelfand.conj_summands(label, m, rows, sign, mask)
     return (2 * re, 2 * im) if label.kind == "chi" else (re, im)
 
 
@@ -367,10 +407,17 @@ def test_nonzero_row_slabs_are_the_dense_sums():
 
 def test_rows_picked_by_the_real_part_alone_break_chi_rho_rho(monkeypatch):
     # at n = 3 the rho+- summands are purely imaginary at X_n, so picking
-    # the rows h by c_re alone drops terms and chi x rho x rho disagrees
-    assert all(r.agree for r in closed_vs_direct_grids(3))
-    monkeypatch.setattr(orbits, "_nonzero_rows", lambda re, im: np.flatnonzero(re))
-    agree = {r.family: r.agree for r in closed_vs_direct_grids(3)}
+    # the rows h by their real part alone drops terms: chi x rho x rho
+    # disagrees on the grid, and a point sum loses half its value
+    n = 3
+    g = element(n, 1, (1,))
+    q = _query(n, TripleIrrepLabel(chi(n), rho(n, "+"), rho(n, "-")), identity(n), g, g)
+    assert spherical_value(q) == gr(1)
+    assert all(r.agree for r in closed_vs_direct_grids(n))
+    for module in (gelfand, orbits):  # the point sum's rule and the grid's import
+        monkeypatch.setattr(module, "_nonzero_rows", lambda re, im: np.flatnonzero(re))
+    assert spherical_value(q) == gr(Fraction(1, 2))
+    agree = {r.family: r.agree for r in closed_vs_direct_grids(n)}
     assert not agree["chi-rho-rho"]
 
 
@@ -455,8 +502,8 @@ def test_point_and_grid_share_one_direct_sum(monkeypatch):
     # the grid: spin summands times i turn a two-spin sum into its negative
     real = gelfand.conj_summands
 
-    def times_i(label, m, sign, mask):
-        re, im = real(label, m, sign, mask)
+    def times_i(label, m, rows, sign, mask):
+        re, im = real(label, m, rows, sign, mask)
         return (re, im) if label.kind == "chi" else (-im, re)
 
     n = 2
@@ -547,6 +594,30 @@ def test_closed_form_never_sums(monkeypatch):
     assert [r.family for r in results] == ["-".join(kinds) for kinds in ORDERINGS]
     assert all(r.analyzed for r in results)
     assert sum(value != gr(0) for value in want) == 4  # the even spin counts
+
+
+@pytest.mark.parametrize("m", [16, 15])
+def test_spin_slots_leave_the_chi_slots_at_most_four_rows(monkeypatch, m):
+    # modelled on test_closed_form_never_sums: every chi slot of a query
+    # with a spin slot is tabulated on at most 4 rows h, while chi x chi x
+    # chi, with no spin slot, reads all 2^(m+1)
+    real, calls = gelfand.conj_summands, []
+
+    def counting(label, m, rows, sign, mask):
+        calls.append((label.kind, len(rows)))
+        return real(label, m, rows, sign, mask)
+
+    monkeypatch.setattr(gelfand, "conj_summands", counting)
+    rng = random.Random(m)
+    for kinds in ORDERINGS:
+        calls.clear()
+        spherical_character(*_sample_pair(rng, 16, m, kinds, tie=True))
+        chi_rows = [rows for kind, rows in calls if kind == "chi"]
+        assert len(calls) == 3
+        if "rho" in kinds:
+            assert max(chi_rows, default=0) <= 4
+        else:
+            assert chi_rows == [2 << m] * 3
 
 
 def test_a_sort_that_leaves_the_points_behind_is_caught(monkeypatch):
