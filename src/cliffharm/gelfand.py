@@ -17,9 +17,9 @@ of CL(m) on G x G by simultaneous conjugation (elements._pair_orbit_labels),
 so the check runs on G x G rather than on the whole triple group.
 
 Spherical characters have one direct sum over H: conj_summands tabulates
-conj chi(h g) at given rows h and points; spherical_character multiplies
-its columns spin slots first, keeping the rows where the product is nonzero
-(_nonzero_rows, as orbits' grid does), and sums; the int64 bound is unchanged.
+conj chi(h g) at given rows h and points (chi labels by the mask of h g);
+spherical_character sums the product of three columns over the <= 4 rows
+with h g central in the first spin slot (_central_rows), or over all of H.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .elements import (
     embed_index,
     index_product,
     index_sign_mask,
+    is_central,
 )
 from .characters import (
     IrrepLabel,
@@ -241,42 +242,45 @@ def conj_summands(label: IrrepLabel, m: int, rows, sign, mask):
     h in rows, a 1-D int64 array, and a column per point g = sign gamma_mask,
     for ints or 1-D int64 arrays sign and mask.
 
-    h g is one index_product, h embedded in the label's degree n (m for
-    theta).  A summand has modulus at most 2^(n/2) <= 2^8, so a product of
-    three is at most 2^24 and a sum of one over any of the 2^17 elements h
-    stays below 2^41: int64 is exact up to n = 16.
+    A spin label reads h g by index_product, h embedded in its degree n (m
+    for theta); chi_A does not see the sign and reads only the mask of h g,
+    h's mask ^ mask, with no xi fold.  A summand has modulus at most 2^(n/2)
+    <= 2^8, so a product of three is at most 2^24 and a sum of one over any
+    of the 2^17 elements h stays below 2^41: int64 is exact up to n = 16.
     """
-    n = label.degree
-    h = embed_index(rows[:, None], m, n)
-    hg = index_product(h, (sign < 0) << n | mask, n)
-    re, im = char_re_im(label, *index_sign_mask(hg, n))
+    n, h = label.degree, rows[:, None]
+    if label.kind == "chi":
+        hg = sign, (h & ((1 << m) - 1)) ^ mask
+    else:
+        hg = index_sign_mask(index_product(embed_index(h, m, n), (sign < 0) << n | mask, n), n)
+    re, im = char_re_im(label, *hg)
     return re, -im
 
 
-def _nonzero_rows(re, im):
-    """The rows h where a summand column re + i im is nonzero."""
-    return np.flatnonzero(re | im)
+def _central_rows(k: int, mask: int, m: int):
+    """The CL(m) indices h, both signs, with h gamma_mask central in CL(k), where
+    a spin character of CL(k) can be nonzero: mask ^ h's mask is 0 or X_k, by is_central."""
+    masks = sorted(mask ^ c for c in {0, (1 << k) - 1} if is_central(c, k) and not (mask ^ c) >> m)
+    return np.array([s << m | d for s in (0, 1) for d in masks], dtype=np.int64)
 
 
 def spherical_character(sigma: TripleIrrepLabel, at: TripleElement) -> GaussianRational:
     """psi(g1, g2, h1) = (1/|H|) sum_h conj chi1(h g1) conj chi2(h g2) conj chi_t(h h1).
 
-    The sum runs over h in H = CL(m), m = theta's degree: the slots'
-    conj_summands columns are multiplied, spin slots first, keeping after
-    each spin slot the rows where the product is nonzero (at most 4, as h g
-    must be central), and summed in exact integers until the division by |H|.
+    The sum runs over h in H = CL(m), m = theta's degree: the three slots'
+    conj_summands columns are multiplied and summed in exact integers until
+    the division by |H|, on the _central_rows of the first spin slot, as a
+    spin character vanishes off the centre, or on all of H for chi x chi x chi.
     """
     n, m = sigma.rho1.degree, sigma.theta.degree
     if at.degree != n or at.subgroup_degree != m:
         raise DegreeMismatchError("evaluation point degrees do not match the label")
-    slots = zip((sigma.rho1, sigma.rho2, sigma.theta), (at.g1, at.g2, at.h))
-    rows, re, im = np.arange(2 << m, dtype=np.int64), 1, 0
-    for lab, g in sorted(slots, key=lambda s: s[0].kind == "chi"):
-        vre, vim = conj_summands(lab, m, rows, g.sign, g.mask)
+    slots = list(zip((sigma.rho1, sigma.rho2, sigma.theta), (at.g1, at.g2, at.h)))
+    spin = [(lab.degree, g.mask) for lab, g in slots if lab.kind != "chi"]
+    rows = _central_rows(*spin[0], m) if spin else np.arange(2 << m, dtype=np.int64)
+    (re, im), *rest = (conj_summands(lab, m, rows, g.sign, g.mask) for lab, g in slots)
+    for vre, vim in rest:
         re, im = re * vre - im * vim, re * vim + im * vre
-        if lab.kind != "chi":
-            live = _nonzero_rows(re, im)
-            rows, re, im = rows[live], re[live], im[live]
     order = 1 << (m + 1)
     return gr(Fraction(int(re.sum()), order), Fraction(int(im.sum()), order))
 

@@ -13,12 +13,11 @@ exact integer code on ints or integer arrays (_closed_scaled):
 spherical_closed_form evaluates them at one point, and the full-grid
 comparison evaluates them, in int16, on whole slabs of the grid.  That
 comparison scales both sides by 2^(n+1) and checks them one slab of the
-last slot at a time; the direct side sums gelfand.conj_summands over h in
-CL(n): by a popcount of sign bits if every summand is real and +-1, else
-by matmul over the rows h where the last slot's summand is nonzero, the
-rule (gelfand._nonzero_rows) spherical_value applies after each spin slot,
-tabulated first.  A spin slot leaves at most 4 rows of the 2^(n+1), since
-spin characters vanish off the centre; the int64 bound is unchanged.
+last slot at a time; the direct side tabulates gelfand.conj_summands at
+every h in CL(n), so the rows spherical_value reads off the centre are
+checked exhaustively, and sums by a popcount of sign bits if every summand
+is real and +-1, else by matmul over the rows where the last slot's
+summand is nonzero (_nonzero_rows): at most 4 of 2^(n+1) for a spin slot.
 
 With H = G, psi does not change when the three (label, point) slots are
 permuted together, so spherical_closed_form sorts the chi slots first and
@@ -57,7 +56,7 @@ from .elements import (
     element_index,
 )
 from .characters import IrrepLabel, spin_labels, top_phase_re_im
-from .gelfand import TripleIrrepLabel, _nonzero_rows, conj_summands, spherical_character
+from .gelfand import TripleIrrepLabel, conj_summands, spherical_character
 from .linalg import complex_matmul
 
 # enumerate_pair_orbits(7) finds its 17,152 orbits in 0.02 s with a 36 MB
@@ -277,6 +276,11 @@ def _sign_bits(re, im):
         if len(re) > 62:
             raise ValueError(f"{len(re)} rows do not fit below bit 62 of an int64")
         return ((re < 0) << np.arange(len(re))[:, None]).sum(axis=0)
+
+
+def _nonzero_rows(re, im):
+    """The rows h where a summand column re + i im is nonzero."""
+    return np.flatnonzero(re | im)
 
 
 def _direct_grid(slots):

@@ -338,19 +338,19 @@ def check_deep_extras(seed=0):
 
 @_check("D2", "sampled spherical closed forms equal direct summation")
 def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
-    """spherical_closed_form against spherical_value at 32 seeded points per
+    """spherical_closed_form against spherical_value at 128 seeded points per
     degree, cycling over the eight chi/spin orderings of the slots.
 
-    In the second block of eight the first and last spin slots get equal
-    masks, in the fourth complementary ones, and in both the chi-chi-chi
-    labels cancel (C = A ^ B), so each nonzero branch of the closed form is
-    hit in every ordering.
+    In the second of every four blocks of eight the first and last spin
+    slots get equal masks, in the fourth complementary ones, and in both the
+    chi-chi-chi labels cancel (C = A ^ B), so each nonzero branch of the
+    closed form is hit in every ordering.
     """
     rng = random.Random(seed)
     orderings = list(product(("chi", "rho"), repeat=3))
     for n in degrees:
         spins = spin_labels(n)
-        for k in range(32):
+        for k in range(128):
             kinds = orderings[k % 8]
             labels = [
                 chi(n, rng.randrange(1 << n)) if kind == "chi" else rng.choice(spins)
@@ -362,7 +362,7 @@ def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
                 labels[2] = chi(n, labels[0].mask ^ labels[1].mask)
             elif k // 8 % 2 and len(spin_at) > 1:
                 i, j = spin_at[0], spin_at[-1]
-                t = at[i].mask ^ ((1 << n) - 1 if k >= 16 else 0)
+                t = at[i].mask ^ ((1 << n) - 1 if k // 16 % 2 else 0)
                 at[j] = CliffordElement(n, at[j].sign, t)
             q = SphericalQuery(TripleIrrepLabel(*labels), TripleElement(*at, n))
             closed, direct = spherical_closed_form(q).value, spherical_value(q)
@@ -371,7 +371,7 @@ def check_sampled_spherical(degrees=range(5, MAX_DEGREE + 1), seed=0):
                     f"{'-'.join(kinds)} at n={n}: closed {closed} != direct {direct}; "
                     f"replay: {spherical_replay(q)}"
                 )
-    return True, f"32 points per degree, all 8 orderings, n in {tuple(degrees)} (seed {seed})"
+    return True, f"128 points per degree, all 8 orderings, n in {tuple(degrees)} (seed {seed})"
 
 
 LEVELS = ("smoke", "desk", "deep")

@@ -15,10 +15,13 @@ from cliffharm.elements import (
     conjugate,
     element,
     element_index,
+    embed_index,
     identity,
+    index_product,
+    index_sign_mask,
     predicted_labels,
 )
-from cliffharm.characters import chi, irreps, rho, spin_labels
+from cliffharm.characters import char_re_im, chi, irreps, rho, spin_labels
 from cliffharm.gelfand import TripleIrrepLabel, spherical_character
 from cliffharm import gelfand, orbits, verify
 from cliffharm.orbits import (
@@ -408,17 +411,75 @@ def test_nonzero_row_slabs_are_the_dense_sums():
 def test_rows_picked_by_the_real_part_alone_break_chi_rho_rho(monkeypatch):
     # at n = 3 the rho+- summands are purely imaginary at X_n, so picking
     # the rows h by their real part alone drops terms: chi x rho x rho
-    # disagrees on the grid, and a point sum loses half its value
+    # disagrees on the grid.  The point sum picks its rows off the centre;
+    # read as {0} alone, the centre drops the same X_n rows at odd n, so a
+    # point sum loses half its value and D2 fails at n = 5
     n = 3
     g = element(n, 1, (1,))
     q = _query(n, TripleIrrepLabel(chi(n), rho(n, "+"), rho(n, "-")), identity(n), g, g)
     assert spherical_value(q) == gr(1)
     assert all(r.agree for r in closed_vs_direct_grids(n))
-    for module in (gelfand, orbits):  # the point sum's rule and the grid's import
-        monkeypatch.setattr(module, "_nonzero_rows", lambda re, im: np.flatnonzero(re))
-    assert spherical_value(q) == gr(Fraction(1, 2))
+    with monkeypatch.context() as patch:
+        patch.setattr(gelfand, "is_central", lambda mask, k: mask == 0)
+        assert spherical_value(q) == gr(Fraction(1, 2))
+        result = verify.check_sampled_spherical(degrees=(5,))
+        assert not result.ok and "n=5" in result.detail and "; replay: " in result.detail
+    assert spherical_value(q) == gr(1)
+    monkeypatch.setattr(orbits, "_nonzero_rows", lambda re, im: np.flatnonzero(re))
     agree = {r.family: r.agree for r in closed_vs_direct_grids(n)}
     assert not agree["chi-rho-rho"]
+
+
+def _degree_pairs(n_max):
+    """(n, m, k) for n <= n_max, m in (n, n - 1) with m >= 0, and k in (n, m):
+    the degrees of a rho slot's or theta's label."""
+    return [(n, m, k) for n in range(n_max + 1) for m in {n, n - 1} - {-1} for k in {n, m}]
+
+
+def _signs_and_masks(k):
+    """Every point sign gamma_mask of CL(k) as two int64 columns."""
+    return (a.ravel() for a in np.meshgrid(np.array((1, -1)), np.arange(1 << k)))
+
+
+def test_central_rows_are_the_nonzero_rows():
+    # the point sum's spin rows, read off the centre, are the rows where the
+    # full 2^(m+1)-row summand table is nonzero: every spin label of degree
+    # n or m, both signs, every mask, for n <= 6 and m in (n, n - 1)
+    cases = 0
+    for n, m, k in _degree_pairs(6):
+        rows = np.arange(2 << m, dtype=np.int64)
+        sign, mask = _signs_and_masks(k)
+        for label in spin_labels(k):
+            re, im = gelfand.conj_summands(label, m, rows, sign, mask)
+            for col, t in enumerate(mask.tolist()):
+                want = orbits._nonzero_rows(re[:, col], im[:, col]).tolist()
+                assert gelfand._central_rows(k, t, m).tolist() == want, (n, m, label, col)
+                cases += 1
+    assert cases == 884
+
+
+def test_chi_summands_by_mask_are_the_full_product(monkeypatch):
+    # a chi label reads the mask of h g alone, which on every row equals
+    # char_re_im at the full index_product h g: every chi label of degree n
+    # or m, both signs, every mask, for n <= 5 and m in (n, n - 1).  Read
+    # at the mask of h alone, the point dropped, the summands fail C6
+    for n, m, k in _degree_pairs(5):
+        rows = np.arange(2 << m, dtype=np.int64)
+        sign, mask = _signs_and_masks(k)
+        hg = index_product(embed_index(rows[:, None], m, k), (sign < 0) << k | mask, k)
+        for a in range(1 << k):
+            re, im = gelfand.conj_summands(chi(k, a), m, rows, sign, mask)
+            want_re, want_im = char_re_im(chi(k, a), *index_sign_mask(hg, k))
+            assert np.array_equal(re, want_re) and np.array_equal(im, -want_im)
+    real = gelfand.conj_summands
+
+    def h_alone(label, m, rows, sign, mask):
+        return real(label, m, rows, sign, 0 * mask if label.kind == "chi" else mask)
+
+    assert verify.check_spherical_grids(n_max=3, lemma_n_max=0).ok
+    monkeypatch.setattr(orbits, "conj_summands", h_alone)
+    result = verify.check_spherical_grids(n_max=3, lemma_n_max=0)
+    assert result.ident == "C6" and not result.ok and "; replay: " in result.detail
 
 
 def _closed_slabs(n, family, dtype):
@@ -598,9 +659,9 @@ def test_closed_form_never_sums(monkeypatch):
 
 @pytest.mark.parametrize("m", [16, 15])
 def test_spin_slots_leave_the_chi_slots_at_most_four_rows(monkeypatch, m):
-    # modelled on test_closed_form_never_sums: every chi slot of a query
-    # with a spin slot is tabulated on at most 4 rows h, while chi x chi x
-    # chi, with no spin slot, reads all 2^(m+1)
+    # modelled on test_closed_form_never_sums: every slot of a query with a
+    # spin slot, spin or chi, is tabulated on at most 4 rows h, while chi x
+    # chi x chi, with no spin slot, reads all 2^(m+1)
     real, calls = gelfand.conj_summands, []
 
     def counting(label, m, rows, sign, mask):
@@ -616,6 +677,7 @@ def test_spin_slots_leave_the_chi_slots_at_most_four_rows(monkeypatch, m):
         assert len(calls) == 3
         if "rho" in kinds:
             assert max(chi_rows, default=0) <= 4
+            assert max(rows for kind, rows in calls if kind != "chi") <= 4
         else:
             assert chi_rows == [2 << m] * 3
 
