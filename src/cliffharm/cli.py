@@ -241,34 +241,18 @@ def cmd_verify(args):
     results = verify_mod.run_suite(level=args.level, seed=args.seed)
     ok = all(r.ok for r in results)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "level": args.level,
-                    "seed": args.seed,
-                    "ok": ok,
-                    "checks": [
-                        {
-                            "id": r.ident,
-                            "description": r.description,
-                            "ok": r.ok,
-                            "detail": r.detail,
-                            "seconds": round(r.seconds, 2),
-                        }
-                        for r in results
-                    ],
-                },
-                indent=2,
-            )
-        )
+        checks = [
+            {"id": r.ident, "description": r.description, "ok": r.ok, "detail": r.detail,
+             "degrees": r.degrees, "seconds": round(r.seconds, 2)}
+            for r in results
+        ]
+        payload = {"level": args.level, "seed": args.seed, "ok": ok, "checks": checks}
+        print(json.dumps(payload, indent=2))
     else:
         print(f"verification level: {args.level} (seed {args.seed})")
         for r in results:
             status = "PASS" if r.ok else "FAIL"
-            print(
-                f"[{status}] {r.ident} {r.description} -- {r.detail} "
-                f"({r.seconds:.1f}s)"
-            )
+            print(f"[{status}] {r.ident} {r.description} -- {r.detail} ({r.seconds:.1f}s)")
         print("all checks passed" if ok else "FAILURES present")
     return 0 if ok else 1
 

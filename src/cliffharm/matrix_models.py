@@ -48,8 +48,10 @@ from .linalg import (
 MAX_RHO_MODEL_DEGREE = 6
 # A spin triple's C7 takes about 0.5 s and 181 MB at (5, 5), 0.5 s and 173 MB
 # at (5, 4), and the coefficient identities to n = 5 0.2 s and 40 MB (2-CPU
-# VM).  n = 6 is out of reach: Hom(rho1 x rho2 x theta, eta) of a spin triple
-# has 512 x 16,384 = 8.4 M cells, and its 21 int64 maps would hold 1.4 GB.
+# VM).  At n = 6 the all-spin triple's 512 x 16,384 cells hold a zero Hom
+# space, as c = (-1, -1, -1) acts as -I on sigma and as I on eta; a triple
+# with a nonzero space has at most 64 x 16,384 (about 1 M) cells, and ROADMAP
+# measures hom_triple_eta on those at 699-731 MB with int64 maps.
 MAX_ETA_DEGREE = 5
 
 # (perm, phase) of the 2x2 blocks, by name

@@ -1,48 +1,17 @@
 """Acceptance suite: one test (one pass/fail line under pytest -v) per
-headline claim, run at the full documented ranges.  Each test delegates to
-the corresponding check in cliffharm.verify and prints its verdict line."""
+headline claim of the desk level, each run at the desk degrees its row of
+cliffharm.verify.CHECKS declares; each test prints its verdict line."""
+
+import pytest
 
 from cliffharm import verify
 
+DESK = [ident for ident in verify.CHECKS if any(verify.level_degrees(ident, "desk"))]
 
-def _run(check, **kw):
-    result = check(**kw)
+
+@pytest.mark.parametrize("ident", DESK)
+def test_claim(ident):
+    result = verify.run_check(ident, *verify.level_degrees(ident, "desk"))
     status = "PASS" if result.ok else "FAIL"
     print(f"[{status}] {result.ident} {result.description} -- {result.detail}")
     assert result.ok, f"{result.ident}: {result.detail}"
-
-
-def test_c1_equal_degree_pairs_are_gelfand():
-    _run(verify.check_gelfand_equal)
-
-
-def test_c2_dropped_degree_parity_and_witness():
-    _run(verify.check_gelfand_drop)
-
-
-def test_c3_tensor_square_tables():
-    _run(verify.check_tensor_tables)
-
-
-def test_c4_restriction_rules():
-    _run(verify.check_restriction_rules)
-
-
-def test_c5_orbit_case_analysis():
-    _run(verify.check_orbits)
-
-
-def test_c6_spherical_closed_forms_on_grids():
-    _run(verify.check_spherical_grids)
-
-
-def test_c7_intertwiner_isometry():
-    _run(verify.check_frobenius)
-
-
-def test_c8_method_agreement():
-    _run(verify.check_method_agreement)
-
-
-def test_c9_matrix_model_oracles():
-    _run(verify.check_oracles)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cliffharm import verify
 from cliffharm.cli import main
 
 
@@ -169,6 +170,9 @@ def test_verify_smoke(capsys):
     assert [c["id"] for c in payload["checks"]] == [
         "C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8", "C9"
     ]
+    for check in payload["checks"]:
+        smoke = [list(ds) for ds in verify.level_degrees(check["id"], "smoke")]
+        assert check["degrees"] == json.loads(json.dumps(smoke))
 
 
 def test_verify_desk_survives_optimize():

@@ -78,14 +78,14 @@ def test_a_flipped_generator_phase_fails_the_homomorphism_check_and_c9(monkeypat
         mp.setattr(matrix_models, "_gammas", flipped)
         mutated = build_matrix_rep.__wrapped__(rho(2))
     assert not _is_homomorphism(mutated, 2)
-    assert verify.check_oracles(trace_n_max=4, coeff_n_max=2).ok
+    assert verify.run_check("C9", range(5), range(3)).ok
 
     def build(label):
         return mutated if label == rho(2) else real_build(label)
 
     monkeypatch.setattr(matrix_models, "build_matrix_rep", build)
     monkeypatch.setattr(verify, "build_matrix_rep", build)
-    result = verify.check_oracles(trace_n_max=4, coeff_n_max=2)
+    result = verify.run_check("C9", range(5), range(3))
     assert not result.ok and "coefficient identity failures at n=2" in result.detail
 
 
@@ -375,7 +375,7 @@ def test_every_c7_system_to_n2_matches_the_union_find(monkeypatch):
 
     monkeypatch.setattr(matrix_models, "gain_graph_nullspace", checked)
     triples = 0
-    for n, m in verify.DESK_FROBENIUS_PAIRS:
+    for n, m in verify.level_degrees("C7", "desk")[0]:
         for r1 in irreps(n):
             for r2 in irreps(n):
                 for th in irreps(m):

@@ -422,7 +422,7 @@ def test_rows_picked_by_the_real_part_alone_break_chi_rho_rho(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(gelfand, "is_central", lambda mask, k: mask == 0)
         assert spherical_value(q) == gr(Fraction(1, 2))
-        result = verify.check_sampled_spherical(degrees=(5,))
+        result = verify.run_check("D2", (5,))
         assert not result.ok and "n=5" in result.detail and "; replay: " in result.detail
     assert spherical_value(q) == gr(1)
     monkeypatch.setattr(orbits, "_nonzero_rows", lambda re, im: np.flatnonzero(re))
@@ -476,9 +476,9 @@ def test_chi_summands_by_mask_are_the_full_product(monkeypatch):
     def h_alone(label, m, rows, sign, mask):
         return real(label, m, rows, sign, 0 * mask if label.kind == "chi" else mask)
 
-    assert verify.check_spherical_grids(n_max=3, lemma_n_max=0).ok
+    assert verify.run_check("C6", range(1, 4), range(1)).ok
     monkeypatch.setattr(orbits, "conj_summands", h_alone)
-    result = verify.check_spherical_grids(n_max=3, lemma_n_max=0)
+    result = verify.run_check("C6", range(1, 4), range(1))
     assert result.ident == "C6" and not result.ok and "; replay: " in result.detail
 
 
@@ -693,4 +693,4 @@ def test_a_sort_that_leaves_the_points_behind_is_caught(monkeypatch):
 
     monkeypatch.setattr(orbits, "sorted", labels_only, raising=False)
     assert _closed_form_mismatches()
-    assert not verify.check_sampled_spherical(degrees=(5, 6)).ok
+    assert not verify.run_check("D2", (5, 6)).ok

@@ -3,6 +3,8 @@ import random
 import shlex
 from itertools import product
 
+import pytest
+
 from cliffharm import cli, elements, orbits, verify
 from cliffharm.elements import _flip_vector, predicted_labels
 from cliffharm.characters import irreps
@@ -10,7 +12,7 @@ from cliffharm.orbits import spherical_closed_form
 
 
 def test_sampled_spherical_check_passes():
-    result = verify.check_sampled_spherical(degrees=(5, 6))
+    result = verify.run_check("D2", (5, 6))
     assert result.ident == "D2"
     assert result.ok, result.detail
 
@@ -21,7 +23,7 @@ def test_sampled_spherical_check_reports_a_wrong_closed_form(monkeypatch):
         return dataclasses.replace(res, value=res.value + 1)
 
     monkeypatch.setattr(verify, "spherical_closed_form", wrong)
-    result = verify.check_sampled_spherical(degrees=(5, 6))
+    result = verify.run_check("D2", (5, 6))
     assert not result.ok
     assert "n=5" in result.detail and "closed" in result.detail
 
@@ -36,7 +38,7 @@ def test_spherical_grid_failure_prints_a_replay_line(monkeypatch, capsys):
         return (-re, -im) if spins == 2 else (re, im)
 
     monkeypatch.setattr(orbits, "_closed_scaled", negated)
-    result = verify.check_spherical_grids(n_max=2, lemma_n_max=2)
+    result = verify.run_check("C6", range(1, 3), range(3))
     assert result.ident == "C6" and not result.ok
     line = result.detail.split("replay: ")[1]
     command, *argv = shlex.split(line)
@@ -50,7 +52,8 @@ def test_spherical_grid_failure_prints_a_replay_line(monkeypatch, capsys):
 def test_sampled_spherical_failure_prints_a_replay_line(monkeypatch, capsys):
     # D2 ends its detail with the cliffharm command line of its first
     # disagreeing point, which fails through the CLI while the closed form is
-    # wrong; with chi x rho x rho negated that is chi-rho-rho at n = 5
+    # wrong; with chi x rho x rho negated (every two-spin ordering) that is
+    # rho-chi-rho at n = 5: seed 0's earlier two-spin points there are all 0
     real = orbits._closed_scaled
 
     def negated(n, spins, *slots):
@@ -58,9 +61,9 @@ def test_sampled_spherical_failure_prints_a_replay_line(monkeypatch, capsys):
         return (-re, -im) if spins == 2 else (re, im)
 
     monkeypatch.setattr(orbits, "_closed_scaled", negated)
-    result = verify.check_sampled_spherical(degrees=(5, 6))
+    result = verify.run_check("D2", (5, 6))
     assert result.ident == "D2" and not result.ok
-    assert result.detail.startswith("chi-rho-rho at n=5: closed ")
+    assert result.detail.startswith("rho-chi-rho at n=5: closed ")
     command, *argv = shlex.split(result.detail.split("; replay: ")[1])
     assert command == "cliffharm" and argv[:2] == ["spherical", "5"]
     assert cli.main(argv) == 1
@@ -85,7 +88,7 @@ def test_one_sign_flip_mutant_fails_c5_and_predicted_orbit(monkeypatch):
 
     for module in (elements, orbits):
         monkeypatch.setattr(module, "_sign_flips", x_alone_unlocked)
-    result = verify.check_orbits(n_max=3)
+    result = verify.run_check("C5", range(1, 4))
     assert not result.ok
     assert "n=2, m=2" in result.detail
     pair = (elements.element(2, 1, (1,)),) * 2
@@ -98,7 +101,7 @@ def test_flip_vectors_over_x_n_for_the_subgroup_fail_c5(monkeypatch):
     # (n, m) = (2, 1) on (+g{}, -g{1}): gamma_1 commutes with CL(1), whose
     # flip vector is X_1 & ~{1} = 0, but over X_2 it is {2}
     monkeypatch.setattr(verify, "predicted_labels", lambda keys, n, m: predicted_labels(keys, n, n))
-    result = verify.check_orbits(n_max=3)
+    result = verify.run_check("C5", range(1, 4))
     assert not result.ok
     assert "n=2, m=1" in result.detail
 
@@ -113,7 +116,7 @@ def _independent_signs(keys, n, m):
 def test_locked_signs_read_as_independent_fail_c5(monkeypatch):
     # C5 sees it first at m = n = 2, on (+g{1}, -g{1})
     monkeypatch.setattr(verify, "predicted_labels", _independent_signs)
-    result = verify.check_orbits(n_max=3)
+    result = verify.run_check("C5", range(1, 4))
     assert not result.ok
     assert "n=2, m=2" in result.detail
 
@@ -121,7 +124,7 @@ def test_locked_signs_read_as_independent_fail_c5(monkeypatch):
 def test_flip_vectors_over_x_n_for_the_subgroup_fail_d1(monkeypatch):
     # the C5 mutant above, past C5's range: D1 meets it at n = 8, m = 7
     monkeypatch.setattr(verify, "predicted_labels", lambda keys, n, m: predicted_labels(keys, n, n))
-    result = verify.check_deep_extras()
+    result = verify.run_check("D1", *verify.level_degrees("D1", "deep"))
     assert result.ident == "D1" and not result.ok
     assert "n=8, m=7" in result.detail
 
@@ -129,7 +132,7 @@ def test_flip_vectors_over_x_n_for_the_subgroup_fail_d1(monkeypatch):
 def test_locked_signs_read_as_independent_fail_d1(monkeypatch):
     # D1's equal-mask shape meets the locked pairs at n = m = 8
     monkeypatch.setattr(verify, "predicted_labels", _independent_signs)
-    result = verify.check_deep_extras()
+    result = verify.run_check("D1", *verify.level_degrees("D1", "deep"))
     assert not result.ok
     assert "n=8, m=8" in result.detail
 
@@ -138,7 +141,7 @@ def test_sampled_triples_cover_every_ordering_and_spin_label():
     # at each sampled (n, m), one triple per chi/spin ordering, and every
     # slot meets every spin label of its degree
     rng = random.Random(0)
-    sampled = [(n, m) for n, m in verify.DEEP_FROBENIUS_PAIRS if n > 3]
+    sampled = verify.level_degrees("C7", "deep")[1]
     assert sorted(sampled) == [(4, 3), (4, 4), (5, 4), (5, 5)]
     for n, m in sampled:
         triples = list(verify.sampled_triples(n, m, rng))
@@ -155,7 +158,7 @@ def test_spin_square_multiplicity_one_fails_c4(monkeypatch):
     # expects 1 meets rho x rho at n = 2, whose terms are twice chi_{} and chi_{1}
     real = verify._chi_terms
     monkeypatch.setattr(verify, "_chi_terms", lambda n, mult, parity=None: real(n, 1, parity))
-    result = verify.check_restriction_rules(n_max=3)
+    result = verify.run_check("C4", range(2, 4))
     assert not result.ok
     assert result.detail == "rho x rho restriction at n=2"
 
@@ -165,6 +168,51 @@ def test_tensor_square_without_the_parity_filter_fails_c3(monkeypatch):
     # expects every A passes n = 2 and fails at n = 3
     real = verify._chi_terms
     monkeypatch.setattr(verify, "_chi_terms", lambda n, mult, parity=None: real(n, mult))
-    result = verify.check_tensor_tables(ns=(2, 3))
+    result = verify.run_check("C3", (2, 3))
     assert not result.ok
     assert result.detail == "rho+ x rho+ at n=3"
+
+
+def test_one_degree_replays_the_deep_failure(monkeypatch):
+    # a sampled check draws from an rng seeded by (seed, check, degree)
+    # alone, so the entry point run at the failing degree by itself prints
+    # the deep run's failure byte for byte: the D1 mutant above at (8, 7),
+    # and D2 with chi x rho x rho negated at n = 5
+    monkeypatch.setattr(verify, "predicted_labels", lambda keys, n, m: predicted_labels(keys, n, n))
+    deep = verify.run_check("D1", *verify.level_degrees("D1", "deep"))
+    alone = verify.run_check("D1", [(8, 7)])
+    assert not deep.ok and "n=8, m=7" in deep.detail
+    assert alone.detail == deep.detail
+    monkeypatch.undo()
+    real = orbits._closed_scaled
+
+    def negated(n, spins, *slots):
+        re, im = real(n, spins, *slots)
+        return (-re, -im) if spins == 2 else (re, im)
+
+    monkeypatch.setattr(orbits, "_closed_scaled", negated)
+    deep = verify.run_check("D2", *verify.level_degrees("D2", "deep"))
+    alone = verify.run_check("D2", [5])
+    assert not deep.ok and "at n=5:" in deep.detail
+    assert alone.detail == deep.detail
+
+
+def test_levels_nest():
+    # every part's smoke degrees are desk degrees and its desk degrees deep
+    # ones (a level that skips a part has none), so no level loses coverage
+    for ident in verify.CHECKS:
+        smoke, desk, deep = (verify.level_degrees(ident, level) for level in verify.LEVELS)
+        for part in zip(smoke, desk, deep):
+            assert set(part[0]) <= set(part[1]) <= set(part[2]), (ident, part)
+
+
+def test_pass_details_name_the_degrees_run():
+    # C7 names sampled triples only where it samples them
+    desk = verify.run_check("C7", *verify.level_degrees("C7", "desk"))
+    assert desk.detail == "n = 1..2, m = n and n - 1: all irrep triples"
+    assert desk.degrees == (((1, 1), (1, 0), (2, 2), (2, 1)), ())
+    assert verify.run_check("C4", range(2, 4)).detail == "n = 2..3"
+    one = verify.run_check("C6", (), (0, 2))
+    assert one.ok and one.detail == "lemma n in (0, 2)"
+    with pytest.raises(ValueError, match="no degree"):
+        verify.run_check("C6", (), ())  # a check run at nothing does not pass
